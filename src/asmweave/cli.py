@@ -30,14 +30,15 @@ EXIT_SEMANTIC = 1
 EXIT_USAGE = 2
 
 
-def _default_seed() -> int:
-    env = os.environ.get("ASMWEAVE_SEED")
-    if env is None:
-        return 0
+def _non_negative(text: str) -> int:
+    """argparse type for step counts and bounds."""
     try:
-        return int(env)
+        value = int(text)
     except ValueError:
-        return 0
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
 
 
 def _load_machine(path: str):
@@ -221,8 +222,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="run a machine and print its final state")
     run_p.add_argument("machine")
-    run_p.add_argument("--steps", type=int, default=10)
-    run_p.add_argument("--seed", type=int, default=_default_seed())
+    run_p.add_argument("--steps", type=_non_negative, default=10)
+    # argparse converts a string default with `type`, so a bad
+    # ASMWEAVE_SEED is a usage error like a bad --seed
+    run_p.add_argument("--seed", type=int, default=os.environ.get("ASMWEAVE_SEED") or "0",
+                       help="resolver seed (default: $ASMWEAVE_SEED, else 0)")
     run_p.add_argument("--rule", default=None, help="rule to loop (default: main)")
     run_p.add_argument("--agents", choices=["sync", "interleave", "single"],
                        default="sync", help="scheduler for multi-agent machines")
@@ -250,8 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
     ex_p = sub.add_parser("explore",
                           help="breadth-first exploration of all interleavings")
     ex_p.add_argument("machine")
-    ex_p.add_argument("--depth", type=int, default=10)
-    ex_p.add_argument("--budget", type=int, default=10_000)
+    ex_p.add_argument("--depth", type=_non_negative, default=10)
+    ex_p.add_argument("--budget", type=_non_negative, default=10_000)
     ex_p.add_argument("--assert", dest="assertion", default=None,
                       help="safety condition to check in every state")
     ex_p.add_argument("--trace", default=None,

@@ -9,11 +9,12 @@ every range element satisfying the guard; choose picks one such element
 through the resolver. Firing a consistent set yields the successor state.
 
 Nondeterminism is funneled through `Resolver`: seeded draws are a pure
-function of (seed, step, resolution key), scripted draws replay recorded
-or hand-written choices, and `enumerate_steps` forks over every possible
-draw. Resolution keys combine the choose label with a digest of the
-lexical bindings in scope, not the visit order, which keeps par children
-order-independent.
+function of (seed, step, resolution key), and scripted draws replay
+recorded or hand-written choices. One enumerator, `_probe`, forks over
+every possible draw; `enumerate_steps`, `enumerate_update_sets` and the
+interleaving scheduler's progress check all consume it. Resolution keys
+combine the choose label with a digest of the lexical bindings in scope,
+not the visit order, which keeps par children order-independent.
 """
 from __future__ import annotations
 
@@ -170,8 +171,7 @@ class Resolver:
 
     Seeded mode draws as a pure function of (seed, step, resolution key).
     Scripted mode consumes per-step tagged entries, optionally falling back
-    to a seed for anything unscripted. Probe mode is internal to
-    `enumerate_steps`.
+    to a seed for anything unscripted. Probe mode is internal to `_probe`.
     """
 
     def __init__(
@@ -676,23 +676,32 @@ def run(
     """Iterate `step` until it stalls, clashes, or the step budget runs out."""
     resolver = resolver if resolver is not None else Resolver.seeded(0)
     rule = rule or machine.main
+    return _run_trace(
+        machine, resolver, start, max_steps,
+        lambda state, k: (step(state, machine, rule, resolver, max_call_depth), ()))
+
+
+def _run_trace(machine: MachineDef, resolver: Resolver, start: Optional[State],
+               max_steps: int, step_fn) -> Trace:
+    """Record the trace of `step_fn(state, k) -> (StepResult, scheduled)`
+    from `start` until a step stalls, clashes, or `max_steps` have run."""
     state = start if start is not None else initial_state(machine)
     provenance = f"seed:{resolver.seed}" if resolver.script is None else "scripted"
     trace = Trace(machine.name, provenance, [], [state], "budget")
-    for _ in range(max_steps):
-        result = step(state, machine, rule, resolver, max_call_depth)
+    for k in range(max_steps):
+        result, scheduled = step_fn(state, k)
         if isinstance(result, Stalled):
             trace.outcome = "stalled"
             trace.tail_resolutions = result.resolutions
             return trace
         if isinstance(result, Inconsistent):
             trace.steps.append(TraceStep(state_digest(state), result.attempted,
-                                         result.resolutions))
+                                         result.resolutions, scheduled))
             trace.outcome = "inconsistent"
             trace.clashes = result.clashes
             return trace
         trace.steps.append(TraceStep(state_digest(state), result.fired,
-                                     result.resolutions))
+                                     result.resolutions, scheduled))
         state = result.next_state
         trace.states.append(state)
     return trace
@@ -723,53 +732,15 @@ def export_trace_jsonl(trace: Trace) -> str:
 # Exhaustive enumeration
 
 
-def enumerate_update_sets(
-    op: RuleExpr,
-    state: State,
-    machine: Optional[MachineDef] = None,
-    bound: int = 10_000,
-    max_call_depth: int = DEFAULT_CALL_DEPTH,
-) -> List[UpdateSet]:
-    """All distinct update sets one rule can produce in one state."""
-    results = set()
-    pending: List[Dict[str, Value]] = [{}]
-    leaves = 0
-    while pending:
-        script = pending.pop()
-        resolver = Resolver(probe=script)
-        resolver.begin_step(state)
-        try:
-            us = _update_set(op, state, Env.empty(), resolver, machine,
-                             max_call_depth, 0)
-        except _Fork as f:
-            if leaves + len(pending) + len(f.candidates) > bound:
-                raise BranchBudgetExceeded(bound) from None
-            for v in f.candidates:
-                child = dict(script)
-                child[f.key] = v
-                pending.append(child)
-            continue
-        leaves += 1
-        results.add(us)
-    return sorted(results, key=repr)
+def _probe(body: RuleExpr, state: State, machine: Optional[MachineDef], bound: int,
+           max_call_depth: int, agent: str = ""):
+    """Evaluate `body` once for every combination of choose/abstract draws.
 
-
-def enumerate_steps(
-    state: State,
-    machine: MachineDef,
-    rule: str,
-    bound: int = 10_000,
-    max_call_depth: int = DEFAULT_CALL_DEPTH,
-    agent: str = "",
-) -> List[StepResult]:
-    """All step outcomes over every choose/abstract resolution combination.
-
-    Results are deduplicated by effect (successor digest and fired updates);
-    each carries the resolutions of its first witness. Raises
-    BranchBudgetExceeded once the number of combinations passes `bound`.
+    Depth first: an evaluation that reaches an unresolved draw is dropped
+    and re-run once per candidate with that draw fixed. Yields
+    (update set, resolutions) per completed evaluation, and raises
+    BranchBudgetExceeded once the combinations pass `bound`.
     """
-    body = rule_body(machine, rule)
-    results: Dict[tuple, StepResult] = {}
     pending: List[Dict[str, Value]] = [{}]
     leaves = 0
     while pending:
@@ -790,7 +761,38 @@ def enumerate_steps(
                 pending.append(child)
             continue
         leaves += 1
-        resolutions = resolver.end_step()
+        yield us, resolver.end_step()
+
+
+def enumerate_update_sets(
+    op: RuleExpr,
+    state: State,
+    machine: Optional[MachineDef] = None,
+    bound: int = 10_000,
+    max_call_depth: int = DEFAULT_CALL_DEPTH,
+) -> List[UpdateSet]:
+    """All distinct update sets one rule can produce in one state."""
+    return sorted({us for us, _ in _probe(op, state, machine, bound, max_call_depth)},
+                  key=repr)
+
+
+def enumerate_steps(
+    state: State,
+    machine: MachineDef,
+    rule: str,
+    bound: int = 10_000,
+    max_call_depth: int = DEFAULT_CALL_DEPTH,
+    agent: str = "",
+) -> List[StepResult]:
+    """All step outcomes over every choose/abstract resolution combination.
+
+    Results are deduplicated by effect (successor digest and fired updates);
+    each carries the resolutions of its first witness. Raises
+    BranchBudgetExceeded once the number of combinations passes `bound`.
+    """
+    results: Dict[tuple, StepResult] = {}
+    for us, resolutions in _probe(rule_body(machine, rule), state, machine, bound,
+                                  max_call_depth, agent):
         clashes = conflicts(us)
         if clashes:
             result: StepResult = Inconsistent(tuple(clashes), us, resolutions)

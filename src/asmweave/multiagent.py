@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from .errors import EvalError, GuardNotBoolean
+from .errors import BranchBudgetExceeded, EvalError, GuardNotBoolean
 from .interp import (
     DEFAULT_CALL_DEPTH,
     Env,
@@ -25,7 +25,8 @@ from .interp import (
     StepResult,
     Trace,
     TraceStep,
-    _Fork,
+    _probe,
+    _run_trace,
     _update_set,
     enumerate_steps,
     eval_term,
@@ -97,30 +98,16 @@ def _agent_update_set(machine, state, aid, rule, resolver, max_call_depth) -> Up
         resolver.set_agent("")
 
 
-def _can_progress(machine, state, aid, rule, budget: int = 4096) -> bool:
-    """True when some resolution of this agent's rule yields updates."""
-    body = rule_body(machine, rule)
-    eval_state = _agent_state(state, aid)
-    pending: List[Dict[str, Value]] = [{}]
-    seen = 0
-    while pending and seen < budget:
-        script = pending.pop()
-        resolver = Resolver(probe=script)
-        resolver.set_agent(aid)
-        resolver.begin_step(eval_state)
-        try:
-            us = _update_set(body, eval_state, Env.empty(), resolver, machine,
-                             DEFAULT_CALL_DEPTH, 0)
-        except _Fork as f:
-            for v in f.candidates:
-                child = dict(script)
-                child[f.key] = v
-                pending.append(child)
-            continue
-        seen += 1
-        if len(us) > 0:
-            return True
-    return bool(pending)  # budget ran out: assume schedulable
+def _can_progress(machine, state, aid, rule,
+                  max_call_depth: int = DEFAULT_CALL_DEPTH, budget: int = 4096) -> bool:
+    """True when some resolution of this agent's rule yields updates. An
+    agent with more than `budget` resolutions is assumed schedulable."""
+    try:
+        return any(len(us) > 0 for us, _ in _probe(
+            rule_body(machine, rule), _agent_state(state, aid), machine, budget,
+            max_call_depth, aid))
+    except BranchBudgetExceeded:
+        return True
 
 
 def ma_step(
@@ -177,7 +164,7 @@ def ma_step(
     if isinstance(scheduler, Interleaving):
         schedulable = [
             (aid, rule) for aid, rule in agents
-            if _can_progress(machine, eval_state, aid, rule)
+            if _can_progress(machine, eval_state, aid, rule, max_call_depth)
         ]
         if not schedulable and not moved:
             return MaStepResult(Stalled(resolver.end_step()), ())
@@ -207,26 +194,12 @@ def ma_run(
     agents: Optional[Tuple[Tuple[str, str], ...]] = None,
 ) -> Trace:
     resolver = resolver if resolver is not None else Resolver.seeded(0)
-    state = start if start is not None else initial_state(machine)
-    provenance = f"seed:{resolver.seed}" if resolver.script is None else "scripted"
-    trace = Trace(machine.name, provenance, [], [state], "budget")
-    for k in range(max_steps):
+
+    def ma(state: State, k: int):
         out = ma_step(machine, state, scheduler, resolver, k, max_call_depth, agents)
-        if isinstance(out.result, Stalled):
-            trace.outcome = "stalled"
-            trace.tail_resolutions = out.result.resolutions
-            return trace
-        if isinstance(out.result, Inconsistent):
-            trace.steps.append(TraceStep(state_digest(state), out.result.attempted,
-                                         out.result.resolutions, out.scheduled))
-            trace.outcome = "inconsistent"
-            trace.clashes = out.result.clashes
-            return trace
-        trace.steps.append(TraceStep(state_digest(state), out.result.fired,
-                                     out.result.resolutions, out.scheduled))
-        state = out.result.next_state
-        trace.states.append(state)
-    return trace
+        return out.result, out.scheduled
+
+    return _run_trace(machine, resolver, start, max_steps, ma)
 
 
 # ---------------------------------------------------------------------------

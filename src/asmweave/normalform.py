@@ -11,7 +11,6 @@ sets both rules produce in every state.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -30,10 +29,9 @@ from .parser import (
     Par,
     RuleExpr,
     Term,
-    parse_machine,
 )
 from .state import Location, State
-from .values import TRUE, FALSE, IntV, Value
+from .values import TRUE, Value
 
 
 @dataclass
@@ -211,74 +209,3 @@ def equivalence_check(
         if o1 != o2:
             return EquivVerdict(False, checked, state, repr(o1), repr(o2))
     return EquivVerdict(True, checked)
-
-
-# ---------------------------------------------------------------------------
-# Random PGA rules for property testing
-
-_PGA_SOURCE = """
-machine PgaBench
-  controlled b1, b2, b3, n1, n2
-  rule Noop = skip
-  main Noop
-"""
-
-BOOL_LOCS = ("b1", "b2", "b3")
-INT_LOCS = ("n1", "n2")
-
-
-def pga_test_machine() -> MachineDef:
-    """Five-location machine the random PGA rules are written against."""
-    return parse_machine(_PGA_SOURCE)
-
-
-def pga_test_space() -> List[Tuple[Location, List[Value]]]:
-    bools: List[Value] = [TRUE, FALSE]
-    ints: List[Value] = [IntV(0), IntV(1), IntV(2)]
-    space: List[Tuple[Location, List[Value]]] = []
-    space += [(Location(n), list(bools)) for n in BOOL_LOCS]
-    space += [(Location(n), list(ints)) for n in INT_LOCS]
-    return space
-
-
-def _rand_int_term(rng: random.Random) -> Term:
-    if rng.random() < 0.5:
-        return Lit(IntV(rng.randrange(3)))
-    return App(rng.choice(INT_LOCS), ())
-
-
-def _rand_bool_term(rng: random.Random, depth: int) -> Term:
-    roll = rng.random()
-    if depth <= 0 or roll < 0.25:
-        pick = rng.random()
-        if pick < 0.2:
-            return Lit(TRUE) if rng.random() < 0.5 else Lit(FALSE)
-        if pick < 0.6:
-            return App(rng.choice(BOOL_LOCS), ())
-        op = rng.choice(["=", "<", "<=", ">", ">="])
-        return App(op, (_rand_int_term(rng), _rand_int_term(rng)))
-    if roll < 0.5:
-        return App("not", (_rand_bool_term(rng, depth - 1),))
-    op = rng.choice(["and", "or"])
-    return App(op, (_rand_bool_term(rng, depth - 1), _rand_bool_term(rng, depth - 1)))
-
-
-def _rand_assign(rng: random.Random) -> Assign:
-    if rng.random() < 0.5:
-        return Assign(App(rng.choice(BOOL_LOCS), ()), _rand_bool_term(rng, 1))
-    return Assign(App(rng.choice(INT_LOCS), ()), _rand_int_term(rng))
-
-
-def random_pga_rule(rng: random.Random, max_depth: int = 4) -> RuleExpr:
-    """A random rule over the bench machine using only assign/par/if."""
-    if max_depth <= 0:
-        return _rand_assign(rng)
-    roll = rng.random()
-    if roll < 0.35:
-        return _rand_assign(rng)
-    if roll < 0.70:
-        children = tuple(random_pga_rule(rng, max_depth - 1)
-                         for _ in range(rng.randrange(1, 4)))
-        return Par(children)
-    else_op = random_pga_rule(rng, max_depth - 1) if rng.random() < 0.4 else None
-    return If(_rand_bool_term(rng, 2), random_pga_rule(rng, max_depth - 1), else_op)

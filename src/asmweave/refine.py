@@ -341,13 +341,14 @@ def parse_manifest(text: str, base_dir: Path) -> List[RefinementStep]:
             abs_text, ref_text = terms.split("~", 1)
             current["observe"].append((label.strip(), abs_text.strip(), ref_text.strip()))
         elif head == "bounds":
-            parts = rest.split()
-            if len(parts) != 3:
-                raise ManifestError(f"line {lineno}: bounds needs three integers")
             try:
-                current["bounds"] = (int(parts[0]), int(parts[1]), int(parts[2]))
+                bounds = tuple(int(p) for p in rest.split())
             except ValueError:
-                raise ManifestError(f"line {lineno}: bounds needs three integers") from None
+                bounds = ()
+            if len(bounds) != 3 or min(bounds) < 0:
+                raise ManifestError(
+                    f"line {lineno}: bounds needs three non-negative integers")
+            current["bounds"] = bounds
         elif head == "init_link":
             side, _, assignment = rest.partition(" ")
             if side not in ("abstract", "refined") or ":=" not in assignment:

@@ -36,7 +36,8 @@ from .interp import (
     run,
 )
 from .multiagent import ScriptedOrder, Synchronous, ma_run
-from .parser import App, MachineDef, Term, Var, parse_machine, parse_term, pp_term
+from .parser import App, MachineDef, Term, parse_machine, parse_term, pp_term
+from .refine import _parse_override
 from .state import FunctionKind, Location, State
 from .values import BoolV, Value, show_value
 
@@ -76,6 +77,13 @@ class ScenarioReport:
         return self.error is None and all(r.passed for r in self.results)
 
 
+def _line_int(text: str, lineno: int, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ManifestError(f"line {lineno}: bad {what} {text!r}") from None
+
+
 def parse_scenario(text: str, source_path: Optional[Path] = None) -> Scenario:
     name = None
     machine_path = None
@@ -91,9 +99,11 @@ def parse_scenario(text: str, source_path: Optional[Path] = None) -> Scenario:
         elif head == "machine":
             machine_path = rest
         elif head == "seed":
-            sc.seed = int(rest)
+            sc.seed = _line_int(rest, lineno, "seed")
         elif head == "steps":
-            sc.max_steps = int(rest)
+            sc.max_steps = _line_int(rest, lineno, "step count")
+            if sc.max_steps < 0:
+                raise ManifestError(f"line {lineno}: step count must be non-negative")
         elif head == "init":
             if ":=" not in rest:
                 raise ManifestError(f"line {lineno}: init needs '<loc> := <value>'")
@@ -102,10 +112,7 @@ def parse_scenario(text: str, source_path: Optional[Path] = None) -> Scenario:
             idx_text, colon, cmds = rest.partition(":")
             if not colon:
                 raise ManifestError(f"line {lineno}: expected 'step <k>: <commands>'")
-            try:
-                k = int(idx_text.strip())
-            except ValueError:
-                raise ManifestError(f"line {lineno}: bad step index {idx_text!r}") from None
+            k = _line_int(idx_text.strip(), lineno, "step index")
             if k < 1:
                 raise ManifestError(f"line {lineno}: step indices are 1-based")
             sc.step_cmds.setdefault(k, []).extend(
@@ -114,10 +121,7 @@ def parse_scenario(text: str, source_path: Optional[Path] = None) -> Scenario:
             idx_text, colon, cond = rest.partition(":")
             if not colon:
                 raise ManifestError(f"line {lineno}: expected 'assert <k>: <condition>'")
-            try:
-                k = int(idx_text.strip())
-            except ValueError:
-                raise ManifestError(f"line {lineno}: bad assert index {idx_text!r}") from None
+            k = _line_int(idx_text.strip(), lineno, "assert index")
             sc.assertions.append((k, cond.strip()))
         elif head.startswith("final"):
             cond = rest
@@ -138,16 +142,6 @@ def parse_scenario(text: str, source_path: Optional[Path] = None) -> Scenario:
     sc.machine_path = machine_path
     sc.source_path = source_path
     return sc
-
-
-def _parse_override(text: str, machine: MachineDef) -> Tuple[App, Term]:
-    lhs_text, rhs_text = text.split(":=", 1)
-    lhs = parse_term(lhs_text.strip(), machine.sig)
-    if isinstance(lhs, Var):  # unreachable after resolution, kept for clarity
-        lhs = App(lhs.name, ())
-    if not isinstance(lhs, App):
-        raise ManifestError(f"init target {lhs_text.strip()!r} is not a location")
-    return lhs, parse_term(rhs_text.strip(), machine.sig)
 
 
 def _literal_value(text: str, machine: MachineDef) -> Value:

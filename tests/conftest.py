@@ -1,8 +1,10 @@
+import os
 from pathlib import Path
 
 from asmweave.parser import MachineDef, parse_machine
 
-MODELS = Path(__file__).resolve().parent.parent / "src" / "asmweave" / "models"
+SRC = Path(__file__).resolve().parent.parent / "src"
+MODELS = SRC / "asmweave" / "models"
 
 
 def load_model(name: str) -> MachineDef:
@@ -11,3 +13,11 @@ def load_model(name: str) -> MachineDef:
 
 def model_path(name: str) -> Path:
     return MODELS / name
+
+
+def cli_env(extra=None) -> dict:
+    """Environment for `python -m asmweave` from a checkout that is not installed."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    env.update(extra or {})
+    return env

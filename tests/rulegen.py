@@ -9,6 +9,10 @@ receive booleans, n1/n2 only total integer terms, and possibly-undef
 values (reads of f) flow only into f itself, which no guard reads.
 Generated machines therefore run for any number of steps without
 evaluation errors.
+
+The random PGA rules (assignment, par and if only) at the end use their
+own vocabulary, `PGA_BOOL_LOCS` and `PGA_INT_LOCS`, over the machine from
+`pga_test_machine`, and are compared on the space from `pga_test_space`.
 """
 from __future__ import annotations
 
@@ -32,8 +36,8 @@ from asmweave.parser import (
     parse_machine,
     pretty_print,
 )
-from asmweave.state import FuncDecl, FunctionKind, Signature
-from asmweave.values import FALSE, TRUE, IntV
+from asmweave.state import FuncDecl, FunctionKind, Location, Signature
+from asmweave.values import FALSE, TRUE, IntV, Value
 
 BOOL_LOCS = ("b1", "b2")
 INT_LOCS = ("n1", "n2")
@@ -160,3 +164,74 @@ def random_par_machine(rng: random.Random, name: str = "GenPar") -> MachineDef:
     """Machine whose main body is a par of 2-4 arbitrary children."""
     children = tuple(random_rule(rng, 3) for _ in range(rng.randrange(2, 5)))
     return random_machine(rng, name, body=Par(children))
+
+
+# ---------------------------------------------------------------------------
+# Random PGA rules for property testing
+
+_PGA_SOURCE = """
+machine PgaBench
+  controlled b1, b2, b3, n1, n2
+  rule Noop = skip
+  main Noop
+"""
+
+PGA_BOOL_LOCS = ("b1", "b2", "b3")
+PGA_INT_LOCS = ("n1", "n2")
+
+
+def pga_test_machine() -> MachineDef:
+    """Five-location machine the random PGA rules are written against."""
+    return parse_machine(_PGA_SOURCE)
+
+
+def pga_test_space() -> List[Tuple[Location, List[Value]]]:
+    bools: List[Value] = [TRUE, FALSE]
+    ints: List[Value] = [IntV(0), IntV(1), IntV(2)]
+    space: List[Tuple[Location, List[Value]]] = []
+    space += [(Location(n), list(bools)) for n in PGA_BOOL_LOCS]
+    space += [(Location(n), list(ints)) for n in PGA_INT_LOCS]
+    return space
+
+
+def _rand_int_term(rng: random.Random) -> Term:
+    if rng.random() < 0.5:
+        return Lit(IntV(rng.randrange(3)))
+    return App(rng.choice(PGA_INT_LOCS), ())
+
+
+def _rand_bool_term(rng: random.Random, depth: int) -> Term:
+    roll = rng.random()
+    if depth <= 0 or roll < 0.25:
+        pick = rng.random()
+        if pick < 0.2:
+            return Lit(TRUE) if rng.random() < 0.5 else Lit(FALSE)
+        if pick < 0.6:
+            return App(rng.choice(PGA_BOOL_LOCS), ())
+        op = rng.choice(["=", "<", "<=", ">", ">="])
+        return App(op, (_rand_int_term(rng), _rand_int_term(rng)))
+    if roll < 0.5:
+        return App("not", (_rand_bool_term(rng, depth - 1),))
+    op = rng.choice(["and", "or"])
+    return App(op, (_rand_bool_term(rng, depth - 1), _rand_bool_term(rng, depth - 1)))
+
+
+def _rand_assign(rng: random.Random) -> Assign:
+    if rng.random() < 0.5:
+        return Assign(App(rng.choice(PGA_BOOL_LOCS), ()), _rand_bool_term(rng, 1))
+    return Assign(App(rng.choice(PGA_INT_LOCS), ()), _rand_int_term(rng))
+
+
+def random_pga_rule(rng: random.Random, max_depth: int = 4) -> RuleExpr:
+    """A random rule over the bench machine using only assign/par/if."""
+    if max_depth <= 0:
+        return _rand_assign(rng)
+    roll = rng.random()
+    if roll < 0.35:
+        return _rand_assign(rng)
+    if roll < 0.70:
+        children = tuple(random_pga_rule(rng, max_depth - 1)
+                         for _ in range(rng.randrange(1, 4)))
+        return Par(children)
+    else_op = random_pga_rule(rng, max_depth - 1) if rng.random() < 0.4 else None
+    return If(_rand_bool_term(rng, 2), random_pga_rule(rng, max_depth - 1), else_op)

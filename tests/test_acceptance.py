@@ -8,8 +8,14 @@ import subprocess
 import sys
 import time
 
-from conftest import MODELS, load_model
-from rulegen import random_machine, random_par_machine
+from conftest import MODELS, cli_env, load_model
+from rulegen import (
+    pga_test_machine,
+    pga_test_space,
+    random_machine,
+    random_par_machine,
+    random_pga_rule,
+)
 from asmweave.errors import AsmError
 from asmweave.interp import (
     Progressed,
@@ -21,13 +27,7 @@ from asmweave.interp import (
     update_set,
 )
 from asmweave.multiagent import Interleaving, ScriptedOrder, explore, ma_run
-from asmweave.normalform import (
-    equivalence_check,
-    normalize,
-    pga_test_machine,
-    pga_test_space,
-    random_pga_rule,
-)
+from asmweave.normalform import equivalence_check, normalize
 from asmweave.parser import (
     Assign,
     If,
@@ -269,7 +269,7 @@ def test_criterion_10_cli_exit_contract(tmp_path):
     def invoke(*args):
         return subprocess.run(
             [sys.executable, "-m", "asmweave", *[str(a) for a in args]],
-            capture_output=True, text=True).returncode
+            capture_output=True, text=True, env=cli_env()).returncode
 
     assert invoke("scenario", MODELS / "scenarios" / "green") == 0
     assert invoke("scenario", MODELS / "scenarios" / "mutant") == 1

@@ -1,19 +1,17 @@
 """End-to-end checks of the command-line interface and its exit statuses
 (0 = success, 1 = semantic failure, 2 = usage/parse error)."""
-import os
 import subprocess
 import sys
 
-from conftest import MODELS
+import pytest
+
+from conftest import MODELS, cli_env
 
 
 def asmweave(*args, env_extra=None):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
     return subprocess.run(
         [sys.executable, "-m", "asmweave", *[str(a) for a in args]],
-        capture_output=True, text=True, env=env)
+        capture_output=True, text=True, env=cli_env(env_extra))
 
 
 def test_run_swap_prints_final_state():
@@ -34,6 +32,32 @@ def test_seed_env_variable_is_default(tmp_path):
                  env_extra={"ASMWEAVE_SEED": "13"})
     b = asmweave("run", MODELS / "choose_out.asm", "--steps", 5, "--seed", 13)
     assert a.stdout == b.stdout
+
+
+def test_bad_seed_env_variable_exits_2():
+    r = asmweave("run", MODELS / "choose_out.asm", env_extra={"ASMWEAVE_SEED": "zz"})
+    assert r.returncode == 2
+    assert "--seed" in r.stderr and "'zz'" in r.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ("run", MODELS / "swap.asm", "--steps", -1),
+    ("explore", MODELS / "ring3.asm", "--depth", -1),
+    ("explore", MODELS / "ring3.asm", "--budget", -1),
+])
+def test_negative_bound_exits_2(args):
+    r = asmweave(*args)
+    assert r.returncode == 2
+    assert "non-negative" in r.stderr
+
+
+def test_scenario_bad_integer_exits_2(tmp_path):
+    scn = tmp_path / "bad.scn"
+    scn.write_text(f"scenario bad\nmachine {MODELS / 'swap.asm'}\nseed abc\n",
+                   encoding="utf-8")
+    r = asmweave("scenario", scn)
+    assert r.returncode == 2
+    assert "line 3" in r.stderr and "Traceback" not in r.stderr
 
 
 def test_run_parse_error_exits_2(tmp_path):

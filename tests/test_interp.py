@@ -31,8 +31,9 @@ from asmweave.interp import (
     step,
     update_set,
 )
+from asmweave.multiagent import _can_progress
 from asmweave.parser import Par, parse_machine, parse_term
-from asmweave.state import Location
+from asmweave.state import Location, UpdateSet, conflicts
 from asmweave.values import FALSE, TRUE, UNDEF, IntV
 
 SWAP = load_model("swap.asm")
@@ -363,6 +364,24 @@ def test_exhaustive_seed_coherence_on_choice():
         sampled.add(r.next_state.content[Location("out")])
     assert sampled <= enumerated
     assert sampled == enumerated
+
+
+def test_probe_consumers_agree_on_random_machines():
+    # enumerate_steps, enumerate_update_sets and the interleaving progress
+    # check read one probe loop; their answers must fit together
+    rng = random.Random(23)
+    for i in range(100):
+        m = random_machine(rng, f"X{i}", depth=5)
+        s0 = initial_state(m)
+        sets = set(enumerate_update_sets(m.declarations["Main"].body, s0, m))
+        outcomes = enumerate_steps(s0, m, "Main")
+        fired = {r.fired for r in outcomes if isinstance(r, Progressed)}
+        attempted = {r.attempted for r in outcomes if isinstance(r, Inconsistent)}
+        assert fired | attempted <= sets
+        assert fired == {us for us in sets if len(us) > 0 and not conflicts(us)}
+        stalled = any(isinstance(r, Stalled) for r in outcomes)
+        assert stalled == (UpdateSet.empty() in sets)
+        assert _can_progress(m, s0, "main", "Main") == any(len(us) > 0 for us in sets)
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,18 @@ machine Clash
   agent a2 runs C
 """)
 
+# recursion 1100 calls deep; the let keeps each call's argument a plain
+# variable, so the substituted terms do not grow with the depth
+DEEP = parse_machine("""
+machine Deep
+  controlled total/1
+  rule Down(k) = let j = k - 1 in if j > 0 then Down(j) else total(self) := k
+  rule Go = Down(1100)
+  main Go
+  agent a1 runs Go
+  agent a2 runs Go
+""")
+
 
 def test_synchronous_disjoint_union():
     out = ma_step(TWO_AGENTS, initial_state(TWO_AGENTS), Synchronous(),
@@ -188,3 +200,9 @@ def test_explore_counterexample_replays():
     replay = ma_run(RING_MUTANT, ScriptedOrder(order), len(order),
                     Resolver.scripted(trace.as_script()))
     assert controlled_digest(replay.final_state) == controlled_digest(rep.violating_state)
+
+
+def test_interleaving_probe_honours_call_depth():
+    for scheduler in (Synchronous(), Interleaving()):
+        t = ma_run(DEEP, scheduler, 1, Resolver.seeded(0), max_call_depth=2000)
+        assert t.outcome == "budget" and len(t.steps) == 1

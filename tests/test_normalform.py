@@ -3,15 +3,9 @@ import random
 import pytest
 
 from conftest import load_model
+from rulegen import pga_test_machine, pga_test_space, random_pga_rule
 from asmweave.errors import NotPGA, RecursiveCall, SpaceTooLarge
-from asmweave.normalform import (
-    classify_pga,
-    equivalence_check,
-    normalize,
-    pga_test_machine,
-    pga_test_space,
-    random_pga_rule,
-)
+from asmweave.normalform import classify_pga, equivalence_check, normalize
 from asmweave.parser import App, Assign, If, Lit, Par, parse_machine, pp_term
 from asmweave.state import Location
 from asmweave.values import BoolV, IntV

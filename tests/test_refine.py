@@ -172,6 +172,9 @@ def test_manifest_errors():
         parse_manifest("step s\nrefined ../swap.asm\nobserve a : a ~ a\n", base)
     with pytest.raises(ManifestError):
         parse_manifest("step s\nabstract ../no_such_file.asm\n", base)
+    for bounds in ("3 3", "3 x 10", "3 -1 10"):
+        with pytest.raises(ManifestError, match="line 2"):
+            parse_manifest(f"step s\nbounds {bounds}\n", base)
 
 
 def test_init_link_aligns_initial_states():

@@ -120,6 +120,25 @@ def test_parse_scenario_rejects_bad_lines():
         parse_scenario("scenario x\n")  # no machine
 
 
+@pytest.mark.parametrize("line", ["seed abc", "steps x", "steps -1"])
+def test_bad_scenario_integer_names_its_line(line):
+    with pytest.raises(ManifestError, match="line 3"):
+        parse_scenario(f"scenario x\nmachine m.asm\n{line}\n")
+
+
+def test_bad_file_in_suite_fails_alone(tmp_path):
+    swap = model_path("swap.asm")
+    (tmp_path / "a_bad.scn").write_text(f"scenario bad\nmachine {swap}\nseed abc\n",
+                                        encoding="utf-8")
+    (tmp_path / "b_good.scn").write_text(
+        f"scenario good\nmachine {swap}\nsteps 1\nfinal: a = 2\n", encoding="utf-8")
+    suite = run_suite(tmp_path)
+    assert [(r.name, r.passed) for r in suite.reports] == [("a_bad.scn", False),
+                                                           ("good", True)]
+    assert "line 3" in suite.reports[0].error
+    assert suite.exit_status == 1
+
+
 def test_agents_without_schedule_run_synchronously(tmp_path):
     mfile = tmp_path / "pair.asm"
     mfile.write_text("""
