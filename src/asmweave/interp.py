@@ -6,15 +6,23 @@ children's sets; if selects a branch by its boolean guard; let binds a
 value; a rule call substitutes argument terms for formals (by name, so
 arguments are re-evaluated at each use); forall unions the body's set over
 every range element satisfying the guard; choose picks one such element
-through the resolver. Firing a consistent set yields the successor state.
+through the resolver. What a step does with its update set is decided in
+one place, `_outcome`: a clash is Inconsistent, an empty set is Stalled
+(unless the step may stutter), and anything else fires into Progressed.
 
 Nondeterminism is funneled through `Resolver`: seeded draws are a pure
 function of (seed, step, resolution key), and scripted draws replay
 recorded or hand-written choices. One enumerator, `_probe`, forks over
-every possible draw; `enumerate_steps`, `enumerate_update_sets` and the
-interleaving scheduler's progress check all consume it. Resolution keys
-combine the choose label with a digest of the lexical bindings in scope,
-not the visit order, which keeps par children order-independent.
+every possible draw, on the agent's view of the state when an agent is
+given; `enumerate_steps`, `enumerate_update_sets` and the interleaving
+scheduler's progress check all consume it. `enumerate_steps` deduplicates
+and orders its outcomes by update set (by clash set when inconsistent),
+so each distinct successor is fired once. Resolution keys combine the
+choose label with a digest of the lexical bindings in scope, not the
+visit order, which keeps par children order-independent.
+
+Traces record states, not digests: `Trace.digests` hashes the recorded
+states only when a trace is compared or exported.
 """
 from __future__ import annotations
 
@@ -565,6 +573,18 @@ class Stalled:
 StepResult = Union[Progressed, Inconsistent, Stalled]
 
 
+def _outcome(state: State, us: UpdateSet, resolutions: Tuple[ResEntry, ...],
+             stutter: bool = False) -> StepResult:
+    """What a step does with its update set: a clash is Inconsistent, an
+    empty set Stalled unless the step may `stutter`, anything else fires."""
+    clashes = conflicts(us)
+    if clashes:
+        return Inconsistent(tuple(clashes), us, resolutions)
+    if len(us) == 0 and not stutter:
+        return Stalled(resolutions)
+    return Progressed(fire(state, us), us, resolutions)
+
+
 def rule_body(machine: MachineDef, rule: str) -> RuleExpr:
     decl = machine.declarations.get(rule)
     if decl is None:
@@ -583,18 +603,11 @@ def step(state: State, machine: MachineDef, rule: str, resolver: Resolver,
     moved = eval_state.content != state.content
     us = _update_set(body, eval_state, Env.empty(), resolver, machine,
                      max_call_depth, 0)
-    resolutions = resolver.end_step()
-    clashes = conflicts(us)
-    if clashes:
-        return Inconsistent(tuple(clashes), us, resolutions)
-    if len(us) == 0 and not moved:
-        return Stalled(resolutions)
-    return Progressed(fire(eval_state, us), us, resolutions)
+    return _outcome(eval_state, us, resolver.end_step(), stutter=moved)
 
 
 @dataclass
 class TraceStep:
-    pre_digest: str
     updates: UpdateSet
     resolutions: Tuple[ResEntry, ...]
     schedule: Tuple[str, ...] = ()
@@ -616,7 +629,8 @@ class Trace:
         return self.states[-1]
 
     def digests(self) -> List[str]:
-        return [st.pre_digest for st in self.steps] + [state_digest(self.final_state)]
+        """The digest of each step's pre-state, then of the final state."""
+        return [state_digest(s) for s in self.states[:len(self.steps)] + [self.final_state]]
 
     def as_script(self) -> List[Tuple[ResEntry, ...]]:
         script = [st.resolutions for st in self.steps]
@@ -695,13 +709,11 @@ def _run_trace(machine: MachineDef, resolver: Resolver, start: Optional[State],
             trace.tail_resolutions = result.resolutions
             return trace
         if isinstance(result, Inconsistent):
-            trace.steps.append(TraceStep(state_digest(state), result.attempted,
-                                         result.resolutions, scheduled))
+            trace.steps.append(TraceStep(result.attempted, result.resolutions, scheduled))
             trace.outcome = "inconsistent"
             trace.clashes = result.clashes
             return trace
-        trace.steps.append(TraceStep(state_digest(state), result.fired,
-                                     result.resolutions, scheduled))
+        trace.steps.append(TraceStep(result.fired, result.resolutions, scheduled))
         state = result.next_state
         trace.states.append(state)
     return trace
@@ -710,6 +722,7 @@ def _run_trace(machine: MachineDef, resolver: Resolver, start: Optional[State],
 def export_trace_jsonl(trace: Trace) -> str:
     """One JSON object per step, newline separated."""
     lines = []
+    digests = trace.digests()
     for k, st in enumerate(trace.steps):
         obj = {
             "step": k,
@@ -720,7 +733,7 @@ def export_trace_jsonl(trace: Trace) -> str:
                 for u in st.updates
             ],
             "resolutions": [e.to_json() for e in st.resolutions],
-            "digest": st.pre_digest,
+            "digest": digests[k],
         }
         if st.schedule:
             obj["schedule"] = list(st.schedule)
@@ -731,16 +744,26 @@ def export_trace_jsonl(trace: Trace) -> str:
 # ---------------------------------------------------------------------------
 # Exhaustive enumeration
 
+SELF_LOC = Location("self", ())
+
+
+def _agent_view(state: State, agent: str) -> State:
+    """The state an agent's rule reads: the shared state with `self` bound."""
+    return state.with_content({SELF_LOC: SymV(agent)})
+
 
 def _probe(body: RuleExpr, state: State, machine: Optional[MachineDef], bound: int,
            max_call_depth: int, agent: str = ""):
-    """Evaluate `body` once for every combination of choose/abstract draws.
+    """Evaluate `body` once for every combination of choose/abstract draws,
+    on `agent`'s view of `state` when an agent is given.
 
     Depth first: an evaluation that reaches an unresolved draw is dropped
     and re-run once per candidate with that draw fixed. Yields
     (update set, resolutions) per completed evaluation, and raises
     BranchBudgetExceeded once the combinations pass `bound`.
     """
+    if agent:
+        state = _agent_view(state, agent)
     pending: List[Dict[str, Value]] = [{}]
     leaves = 0
     while pending:
@@ -786,8 +809,10 @@ def enumerate_steps(
 ) -> List[StepResult]:
     """All step outcomes over every choose/abstract resolution combination.
 
-    Results are deduplicated by effect (successor digest and fired updates);
-    each carries the resolutions of its first witness. Raises
+    With an `agent`, the rule reads that agent's view of `state` and
+    successors fire on `state` itself. Outcomes come from `_outcome`, once
+    per distinct update set (per clash set when inconsistent), in that
+    order, each with the resolutions of its first witness. Raises
     BranchBudgetExceeded once the number of combinations passes `bound`.
     """
     results: Dict[tuple, StepResult] = {}
@@ -795,16 +820,10 @@ def enumerate_steps(
                                   max_call_depth, agent):
         clashes = conflicts(us)
         if clashes:
-            result: StepResult = Inconsistent(tuple(clashes), us, resolutions)
-            key = ("inconsistent", tuple(sorted((c[0].key(), tuple(sorted(map(value_key, c[1]))))
-                                                for c in clashes)))
-        elif len(us) == 0:
-            result = Stalled()
-            key = ("stalled",)
+            key = (1, tuple((loc.key(), tuple(sorted(map(value_key, vals))))
+                            for loc, vals in clashes))
         else:
-            nxt = fire(state, us)
-            result = Progressed(nxt, us, resolutions)
-            key = ("progressed", state_digest(nxt),
-                   tuple((u.loc.key(), value_key(u.val)) for u in us))
-        results.setdefault(key, result)
-    return [results[k] for k in sorted(results, key=repr)]
+            key = (0, tuple((u.loc.key(), value_key(u.val)) for u in us))
+        if key not in results:
+            results[key] = _outcome(state, us, resolutions)
+    return [results[k] for k in sorted(results)]

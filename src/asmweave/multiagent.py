@@ -16,15 +16,17 @@ from typing import Dict, List, Optional, Tuple
 from .errors import BranchBudgetExceeded, EvalError, GuardNotBoolean
 from .interp import (
     DEFAULT_CALL_DEPTH,
+    SELF_LOC,  # re-exported: an agent reads its id at this location
     Env,
     Inconsistent,
     Progressed,
-    ResEntry,
     Resolver,
     Stalled,
     StepResult,
     Trace,
     TraceStep,
+    _agent_view,
+    _outcome,
     _probe,
     _run_trace,
     _update_set,
@@ -34,18 +36,8 @@ from .interp import (
     rule_body,
 )
 from .parser import MachineDef, Term
-from .state import (
-    Location,
-    State,
-    UpdateSet,
-    conflicts,
-    controlled_digest,
-    fire,
-    state_digest,
-)
-from .values import BoolV, SymV, Value, show_value
-
-SELF_LOC = Location("self", ())
+from .state import Location, State, UpdateSet, controlled_digest
+from .values import BoolV, Value, show_value
 
 
 @dataclass(frozen=True)
@@ -85,17 +77,18 @@ class MaStepResult:
     provenance: Dict[Location, List[Tuple[str, Value]]] = field(default_factory=dict)
 
 
-def _agent_state(state: State, aid: str) -> State:
-    return state.with_content({SELF_LOC: SymV(aid)})
-
-
 def _agent_update_set(machine, state, aid, rule, resolver, max_call_depth) -> UpdateSet:
     resolver.set_agent(aid)
     try:
-        return _update_set(rule_body(machine, rule), _agent_state(state, aid),
+        return _update_set(rule_body(machine, rule), _agent_view(state, aid),
                            Env.empty(), resolver, machine, max_call_depth, 0)
     finally:
         resolver.set_agent("")
+
+
+def _scheduled(res: StepResult, aids: Tuple[str, ...]) -> MaStepResult:
+    """A stalled step schedules nobody."""
+    return MaStepResult(res, () if isinstance(res, Stalled) else aids)
 
 
 def _can_progress(machine, state, aid, rule,
@@ -104,8 +97,7 @@ def _can_progress(machine, state, aid, rule,
     agent with more than `budget` resolutions is assumed schedulable."""
     try:
         return any(len(us) > 0 for us, _ in _probe(
-            rule_body(machine, rule), _agent_state(state, aid), machine, budget,
-            max_call_depth, aid))
+            rule_body(machine, rule), state, machine, budget, max_call_depth, aid))
     except BranchBudgetExceeded:
         return True
 
@@ -134,52 +126,41 @@ def ma_step(
             for u in us.updates:
                 writers.setdefault(u.loc, []).append((aid, u.val))
             union = union.union(us)
-        resolutions = resolver.end_step()
-        clashes = conflicts(union)
-        if clashes:
-            prov = {loc: writers[loc] for loc, _ in clashes}
-            return MaStepResult(Inconsistent(tuple(clashes), union, resolutions),
-                                tuple(a for a, _ in agents), prov)
-        if len(union) == 0 and not moved:
-            return MaStepResult(Stalled(resolutions), ())
-        return MaStepResult(Progressed(fire(eval_state, union), union, resolutions),
-                            tuple(a for a, _ in agents))
+        out = _scheduled(_outcome(eval_state, union, resolver.end_step(), moved),
+                         tuple(a for a, _ in agents))
+        if isinstance(out.result, Inconsistent):
+            out.provenance = {loc: writers[loc] for loc, _ in out.result.clashes}
+        return out
 
     if isinstance(scheduler, ScriptedOrder):
         if step_index >= len(scheduler.order):
-            return MaStepResult(Stalled(resolver.end_step()), ())
+            return _scheduled(_outcome(eval_state, UpdateSet.empty(),
+                                       resolver.end_step()), ())
         aid = scheduler.order[step_index]
         by_id = dict(agents)
         if aid not in by_id:
             raise EvalError(f"scheduled agent {aid!r} does not exist")
         us = _agent_update_set(machine, eval_state, aid, by_id[aid], resolver,
                                max_call_depth)
-        resolutions = resolver.end_step()
-        clashes = conflicts(us)
-        if clashes:
-            return MaStepResult(Inconsistent(tuple(clashes), us, resolutions), (aid,))
         # an explicitly scripted agent may stutter with no updates
-        return MaStepResult(Progressed(fire(eval_state, us), us, resolutions), (aid,))
+        return _scheduled(_outcome(eval_state, us, resolver.end_step(), stutter=True),
+                          (aid,))
 
     if isinstance(scheduler, Interleaving):
         schedulable = [
             (aid, rule) for aid, rule in agents
             if _can_progress(machine, eval_state, aid, rule, max_call_depth)
         ]
-        if not schedulable and not moved:
-            return MaStepResult(Stalled(resolver.end_step()), ())
         if not schedulable:
-            resolutions = resolver.end_step()
-            return MaStepResult(Progressed(eval_state, UpdateSet.empty(), resolutions), ())
+            # monitored input alone still moves the state
+            return _scheduled(_outcome(eval_state, UpdateSet.empty(),
+                                       resolver.end_step(), moved), ())
         aid = resolver.schedule([a for a, _ in schedulable])
-        rule = dict(schedulable)[aid]
-        us = _agent_update_set(machine, eval_state, aid, rule, resolver,
-                               max_call_depth)
-        resolutions = resolver.end_step()
-        clashes = conflicts(us)
-        if clashes:
-            return MaStepResult(Inconsistent(tuple(clashes), us, resolutions), (aid,))
-        return MaStepResult(Progressed(fire(eval_state, us), us, resolutions), (aid,))
+        us = _agent_update_set(machine, eval_state, aid, dict(schedulable)[aid],
+                               resolver, max_call_depth)
+        # the picked agent's own draws may still give no updates; it stutters
+        return _scheduled(_outcome(eval_state, us, resolver.end_step(), stutter=True),
+                          (aid,))
 
     raise TypeError(f"unknown scheduler: {scheduler!r}")
 
@@ -222,15 +203,14 @@ def agent_successors(
     aid: str,
     rule: str,
     budget: int,
-) -> Tuple[List[Tuple[UpdateSet, Tuple[ResEntry, ...]]], List[Inconsistent]]:
-    """Distinct non-empty update sets one agent can produce from a state,
-    plus any inconsistent resolution branches."""
-    out = []
+) -> Tuple[List[Progressed], List[Inconsistent]]:
+    """The distinct successors one agent can produce from a state, plus
+    any inconsistent resolution branches."""
+    out: List[Progressed] = []
     bad: List[Inconsistent] = []
-    for res in enumerate_steps(_agent_state(state, aid), machine, rule, budget,
-                               agent=aid):
-        if isinstance(res, Progressed) and len(res.fired) > 0:
-            out.append((res.fired, res.resolutions))
+    for res in enumerate_steps(state, machine, rule, budget, agent=aid):
+        if isinstance(res, Progressed):
+            out.append(res)
         elif isinstance(res, Inconsistent):
             bad.append(res)
     return out, bad
@@ -261,7 +241,7 @@ def explore(
     # parallel arrays indexed by discovery order
     states: List[State] = [init]
     parents: List[int] = [-1]
-    via: List[Optional[Tuple[str, UpdateSet, Tuple[ResEntry, ...]]]] = [None]
+    via: List[Optional[Tuple[str, Progressed]]] = [None]
     index: Dict[str, int] = {controlled_digest(init): 0}
     inconsistent = 0
 
@@ -272,13 +252,10 @@ def explore(
             idx = parents[idx]
         chain.reverse()
         trace = Trace(machine.name, "explore", [], [states[0]], "violation")
-        cur = 0
         for node in chain:
-            aid, us, resolutions = via[node]
-            trace.steps.append(
-                TraceStep(state_digest(states[cur]), us, resolutions, (aid,)))
+            aid, res = via[node]
+            trace.steps.append(TraceStep(res.fired, res.resolutions, (aid,)))
             trace.states.append(states[node])
-            cur = node
         return trace
 
     if assertion is not None and not _check_assertion(assertion, init):
@@ -294,14 +271,14 @@ def explore(
             for aid, rule in agents:
                 succs, bad = agent_successors(machine, state, aid, rule, branch_budget)
                 inconsistent += len(bad)
-                for us, resolutions in succs:
-                    nxt = fire(state, us)
+                for res in succs:
+                    nxt = res.next_state
                     digest = controlled_digest(nxt)
                     if digest in index:
                         continue
                     states.append(nxt)
                     parents.append(idx)
-                    via.append((aid, us, resolutions))
+                    via.append((aid, res))
                     new_idx = len(states) - 1
                     index[digest] = new_idx
                     if assertion is not None and not _check_assertion(assertion, nxt):

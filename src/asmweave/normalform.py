@@ -99,13 +99,21 @@ def _collect_offending(op: RuleExpr, out: List[Tuple[Optional[tuple], str]]) -> 
     raise TypeError(f"not a rule expression: {op!r}")
 
 
-def classify_pga(machine: MachineDef, rule: Union[str, RuleExpr]) -> PgaVerdict:
-    """Judge whether a rule uses only assignment, par, and if."""
+def _inlined(machine: MachineDef, rule: Union[str, RuleExpr]) -> RuleExpr:
     body = machine.declarations[rule].body if isinstance(rule, str) else rule
-    body = inline_calls(machine, body)
+    return inline_calls(machine, body)
+
+
+def _verdict(body: RuleExpr) -> PgaVerdict:
+    """Classify a body whose calls are already inlined."""
     offending: List[Tuple[Optional[tuple], str]] = []
     _collect_offending(body, offending)
     return PgaVerdict(not offending, offending)
+
+
+def classify_pga(machine: MachineDef, rule: Union[str, RuleExpr]) -> PgaVerdict:
+    """Judge whether a rule uses only assignment, par, and if."""
+    return _verdict(_inlined(machine, rule))
 
 
 def _conj(guard: Optional[Term], extra: Term) -> Term:
@@ -130,11 +138,10 @@ def _clauses(op: RuleExpr, guard: Optional[Term], out: List[Tuple[Optional[Term]
 
 def normalize(machine: MachineDef, rule: Union[str, RuleExpr]) -> NormalForm:
     """Flatten a PGA rule into par of if-guarded assignments."""
-    verdict = classify_pga(machine, rule)
+    body = _inlined(machine, rule)
+    verdict = _verdict(body)
     if not verdict.is_pga:
         raise NotPGA(verdict.offending)
-    body = machine.declarations[rule].body if isinstance(rule, str) else rule
-    body = inline_calls(machine, body)
     raw: List[Tuple[Optional[Term], Assign]] = []
     _clauses(body, None, raw)
     return NormalForm([(g if g is not None else Lit(TRUE), a) for g, a in raw])

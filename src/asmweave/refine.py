@@ -28,11 +28,10 @@ from .interp import (
     eval_term,
     initial_state,
     override_state,
-    state_digest,
 )
 from .multiagent import agent_successors
 from .parser import App, MachineDef, Term, parse_machine, parse_term
-from .state import State, fire
+from .state import State
 from .values import Value
 
 
@@ -116,22 +115,16 @@ def _successors(machine: MachineDef, state: State, budget: int):
     stalled = False
     inconsistent = []
     if machine.agents:
-        any_updates = False
         for aid, rule in machine.agents:
             succs, bad = agent_successors(machine, state, aid, rule, budget)
-            for us, resolutions in succs:
-                any_updates = True
-                progressed.append(((aid,), fire(state, us), us, resolutions))
+            progressed.extend(((aid,), res) for res in succs)
             # an inconsistent single-agent update set ends a run
             inconsistent.extend(((aid,), res) for res in bad)
-        stalled = not any_updates and not inconsistent
+        stalled = not progressed and not inconsistent
     else:
         for res in enumerate_steps(state, machine, machine.main, budget):
             if isinstance(res, Progressed):
-                if len(res.fired) == 0:
-                    stalled = True
-                else:
-                    progressed.append(((), res.next_state, res.fired, res.resolutions))
+                progressed.append(((), res))
             elif isinstance(res, Stalled):
                 stalled = True
             else:
@@ -174,12 +167,11 @@ def enumerate_runs(
             if stalled or (not progressed and not inconsistent):
                 runs.append(Run(states, steps, "stalled"))
             for sched, res in inconsistent:
-                bad = steps + [TraceStep(state_digest(state), res.attempted,
-                                         res.resolutions, sched)]
+                bad = steps + [TraceStep(res.attempted, res.resolutions, sched)]
                 runs.append(Run(states, bad, "inconsistent"))
-            for sched, nxt, us, resolutions in progressed:
-                ext = steps + [TraceStep(state_digest(state), us, resolutions, sched)]
-                stack.append((nxt, states + [nxt], ext))
+            for sched, res in progressed:
+                ext = steps + [TraceStep(res.fired, res.resolutions, sched)]
+                stack.append((res.next_state, states + [res.next_state], ext))
     except _Truncated:
         return runs, True
     return runs, False
@@ -331,7 +323,7 @@ def parse_manifest(text: str, base_dir: Path) -> List[RefinementStep]:
             path = (base_dir / rest).resolve()
             try:
                 current[head] = (path, path.read_text(encoding="utf-8"))
-            except OSError as e:
+            except (OSError, UnicodeDecodeError) as e:
                 raise ManifestError(f"line {lineno}: cannot read {path}: {e}") from None
         elif head == "observe":
             if ":" not in rest or "~" not in rest:
@@ -374,7 +366,7 @@ def check_chain(manifest_path: Union[str, Path]) -> List[Tuple[str, RefinementVe
     path = Path(manifest_path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ManifestError(f"cannot read manifest {path}: {e}") from None
     steps = parse_manifest(text, path.parent)
     return [(s.name, check_refinement(s.spec)) for s in steps]

@@ -122,6 +122,8 @@ def parse_scenario(text: str, source_path: Optional[Path] = None) -> Scenario:
             if not colon:
                 raise ManifestError(f"line {lineno}: expected 'assert <k>: <condition>'")
             k = _line_int(idx_text.strip(), lineno, "assert index")
+            if k < 0:
+                raise ManifestError(f"line {lineno}: assert indices are non-negative")
             sc.assertions.append((k, cond.strip()))
         elif head.startswith("final"):
             cond = rest
@@ -239,7 +241,7 @@ def run_scenario(source: Union[Scenario, str, Path], base_dir: Optional[Path] = 
     machine_file = (base_dir / sc.machine_path).resolve()
     try:
         machine = parse_machine(machine_file.read_text(encoding="utf-8"))
-    except (OSError, AsmError) as e:
+    except (OSError, UnicodeDecodeError, AsmError) as e:
         return ScenarioReport(sc.name, [], [], error=f"cannot load machine: {e}")
 
     try:
@@ -343,7 +345,7 @@ def run_suite(directory: Union[str, Path]) -> SuiteReport:
     for f in files:
         try:
             reports.append(run_scenario(f))
-        except (OSError, AsmError) as e:
+        except (OSError, UnicodeDecodeError, AsmError) as e:
             reports.append(ScenarioReport(f.name, [], [], error=str(e)))
     return SuiteReport(reports, warnings)
 

@@ -1,11 +1,13 @@
 """End-to-end checks of the command-line interface and its exit statuses
 (0 = success, 1 = semantic failure, 2 = usage/parse error)."""
+import random
 import subprocess
 import sys
 
 import pytest
 
 from conftest import MODELS, cli_env
+from asmweave import cli
 
 
 def asmweave(*args, env_extra=None):
@@ -58,6 +60,31 @@ def test_scenario_bad_integer_exits_2(tmp_path):
     r = asmweave("scenario", scn)
     assert r.returncode == 2
     assert "line 3" in r.stderr and "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("command",
+                         ["run", "fmt", "explore", "skeleton", "check-refine", "scenario"])
+def test_non_utf8_input_exits_2(tmp_path, command):
+    bad = tmp_path / "bad.in"
+    bad.write_bytes(b"\xff\xfe" + "machine M\n".encode("utf-16-le"))
+    r = asmweave(command, bad)
+    assert r.returncode == 2
+    assert "can't decode" in r.stderr and "Traceback" not in r.stderr
+
+
+def test_fuzz_fmt_bytes_never_escapes(tmp_path, capsys):
+    # flipped bytes give non-UTF-8 text, bad tokens and broken structure;
+    # fmt only parses and prints, so no mutated bound can make a case slow
+    rng = random.Random(31)
+    sources = [p.read_bytes() for p in sorted(MODELS.glob("*.asm"))]
+    for case in range(400):
+        data = bytearray(rng.choice(sources))
+        for _ in range(rng.randrange(1, 4)):
+            data[rng.randrange(len(data))] = rng.randrange(256)
+        target = tmp_path / f"mutated{case}.asm"
+        target.write_bytes(bytes(data))
+        assert cli.main(["fmt", "--stdout", str(target)]) in (0, 2)
+    capsys.readouterr()
 
 
 def test_run_parse_error_exits_2(tmp_path):

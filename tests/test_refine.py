@@ -177,6 +177,12 @@ def test_manifest_errors():
             parse_manifest(f"step s\nbounds {bounds}\n", base)
 
 
+def test_manifest_non_utf8_machine_names_its_line(tmp_path):
+    (tmp_path / "bad.asm").write_bytes(b"\xff\xfemachine M\n")
+    with pytest.raises(ManifestError, match="line 2"):
+        parse_manifest("step s\nabstract bad.asm\n", tmp_path)
+
+
 def test_init_link_aligns_initial_states():
     base = MODELS / "chains"
     misaligned = """

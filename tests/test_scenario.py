@@ -120,7 +120,7 @@ def test_parse_scenario_rejects_bad_lines():
         parse_scenario("scenario x\n")  # no machine
 
 
-@pytest.mark.parametrize("line", ["seed abc", "steps x", "steps -1"])
+@pytest.mark.parametrize("line", ["seed abc", "steps x", "steps -1", "assert -1: a = 1"])
 def test_bad_scenario_integer_names_its_line(line):
     with pytest.raises(ManifestError, match="line 3"):
         parse_scenario(f"scenario x\nmachine m.asm\n{line}\n")
@@ -130,12 +130,19 @@ def test_bad_file_in_suite_fails_alone(tmp_path):
     swap = model_path("swap.asm")
     (tmp_path / "a_bad.scn").write_text(f"scenario bad\nmachine {swap}\nseed abc\n",
                                         encoding="utf-8")
+    (tmp_path / "a_binary.scn").write_bytes(b"\xff\xfescenario binary\n")
+    (tmp_path / "binary.asm").write_bytes(b"\xff\xfemachine M\n")
+    (tmp_path / "a_binary_machine.scn").write_text(
+        "scenario binary_machine\nmachine binary.asm\nsteps 1\n", encoding="utf-8")
     (tmp_path / "b_good.scn").write_text(
         f"scenario good\nmachine {swap}\nsteps 1\nfinal: a = 2\n", encoding="utf-8")
     suite = run_suite(tmp_path)
-    assert [(r.name, r.passed) for r in suite.reports] == [("a_bad.scn", False),
-                                                           ("good", True)]
+    assert [(r.name, r.passed) for r in suite.reports] == [
+        ("a_bad.scn", False), ("a_binary.scn", False), ("binary_machine", False),
+        ("good", True)]
     assert "line 3" in suite.reports[0].error
+    assert "can't decode" in suite.reports[1].error
+    assert "cannot load machine" in suite.reports[2].error
     assert suite.exit_status == 1
 
 
