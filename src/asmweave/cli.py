@@ -15,11 +15,18 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from .errors import AsmError, ManifestError, ParseError, ResolveError
-from .interp import Resolver, export_trace_jsonl, run
-from .multiagent import Interleaving, Synchronous, explore, ma_run
-from .normalform import classify_pga, equivalence_check, normalize
-from .parser import parse_machine, parse_term, pp_rule_expr, pretty_print
+from .errors import (
+    AsmError,
+    ManifestError,
+    NotPGA,
+    ParseError,
+    ResolveError,
+    SourceEncodingError,
+)
+from .interp import Interleaving, Resolver, Synchronous, export_trace_jsonl, ma_run, run
+from .multiagent import explore
+from .normalform import equivalence_check, normalize
+from .parser import parse_machine, parse_term, pp_rule_expr, pretty_print, read_source
 from .refine import BudgetExhausted, Fail, Pass, check_chain
 from .scenario import run_scenario, run_suite, skeleton
 from .state import FunctionKind, Location
@@ -42,8 +49,7 @@ def _non_negative(text: str) -> int:
 
 
 def _load_machine(path: str):
-    text = Path(path).read_text(encoding="utf-8")
-    return parse_machine(text)
+    return parse_machine(read_source(path))
 
 
 def _print_state(state) -> None:
@@ -83,14 +89,14 @@ def cmd_normalize(args) -> int:
     if rule not in machine.declarations:
         print(f"rule {rule!r} is not declared", file=sys.stderr)
         return EXIT_USAGE
-    verdict = classify_pga(machine, rule)
-    if not verdict.is_pga:
+    try:
+        nf = normalize(machine, rule)
+    except NotPGA as e:
         print(f"rule {rule} is not a parallel guarded assignment; offending constructs:")
-        for pos, name in verdict.offending:
+        for pos, name in e.offending:
             where = f"{pos[0]}:{pos[1]}" if pos else "?"
             print(f"  {where}: {name}")
         return EXIT_SEMANTIC
-    nf = normalize(machine, rule)
     print(f"rule {rule} is a parallel guarded assignment; normal form:")
     print(pp_rule_expr(nf.to_rule(), 1))
     space = _machine_space(machine)
@@ -198,13 +204,11 @@ def cmd_explore(args) -> int:
 
 
 def cmd_fmt(args) -> int:
-    path = Path(args.machine)
-    machine = parse_machine(path.read_text(encoding="utf-8"))
-    text = pretty_print(machine)
+    text = pretty_print(_load_machine(args.machine))
     if args.stdout:
         sys.stdout.write(text)
     else:
-        path.write_text(text, encoding="utf-8")
+        Path(args.machine).write_text(text, encoding="utf-8")
     return EXIT_OK
 
 
@@ -279,7 +283,7 @@ def main(argv: Optional[list] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ParseError, ResolveError, ManifestError, OSError, UnicodeDecodeError) as e:
+    except (ParseError, ResolveError, SourceEncodingError, ManifestError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except AsmError as e:

@@ -19,6 +19,10 @@ class ParseError(AsmError):
         self.expected = expected
 
 
+class SourceEncodingError(AsmError):
+    """Raised when a source file is not UTF-8; the message names the file."""
+
+
 class ResolveError(AsmError):
     """Raised after parsing when names, arities, or kinds do not check out.
 

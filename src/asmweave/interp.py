@@ -10,16 +10,28 @@ through the resolver. What a step does with its update set is decided in
 one place, `_outcome`: a clash is Inconsistent, an empty set is Stalled
 (unless the step may stutter), and anything else fires into Progressed.
 
+Every step is a step of an agent set over one shared state, taken by
+`ma_step` under one of three schedulers: synchronous (all agents step
+against the same pre-state and their update sets are unioned),
+interleaving (one schedulable agent per step, picked through the
+resolver) and a scripted order. Each agent loops its own rule with the
+implicit `self` input bound to its id. A machine without agent lines is
+the anonymous agent "": it has no `self`, its draw keys are unscoped and
+its steps name no schedule. `step` and `run` are `ma_step` and `ma_run`
+for that agent, so `run`, `explore` and refinement agree on what a plain
+machine does, and a counterexample `explore` exports for it replays with
+`run`.
+
 Nondeterminism is funneled through `Resolver`: seeded draws are a pure
 function of (seed, step, resolution key), and scripted draws replay
 recorded or hand-written choices. One enumerator, `_probe`, forks over
-every possible draw, on the agent's view of the state when an agent is
-given; `enumerate_steps`, `enumerate_update_sets` and the interleaving
-scheduler's progress check all consume it. `enumerate_steps` deduplicates
-and orders its outcomes by update set (by clash set when inconsistent),
-so each distinct successor is fired once. Resolution keys combine the
-choose label with a digest of the lexical bindings in scope, not the
-visit order, which keeps par children order-independent.
+every possible draw on an agent's view of the state; `enumerate_steps`,
+`enumerate_update_sets` and the interleaving scheduler's progress check
+all consume it. `enumerate_steps` deduplicates and orders its outcomes by
+update set (by clash set when inconsistent), so each distinct successor
+is fired once. Resolution keys combine the choose label with a digest of
+the lexical bindings in scope, not the visit order, which keeps par
+children order-independent.
 
 Traces record states, not digests: `Trace.digests` hashes the recorded
 states only when a trace is compared or exported.
@@ -29,7 +41,7 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import (
@@ -547,7 +559,7 @@ def _update_set(op, state, env, resolver, machine, max_depth, depth) -> UpdateSe
 
 
 # ---------------------------------------------------------------------------
-# Steps, runs, traces
+# Steps
 
 
 @dataclass(frozen=True)
@@ -594,16 +606,156 @@ def rule_body(machine: MachineDef, rule: str) -> RuleExpr:
     return decl.body
 
 
-def step(state: State, machine: MachineDef, rule: str, resolver: Resolver,
-         max_call_depth: int = DEFAULT_CALL_DEPTH) -> StepResult:
-    """One loop iteration: inject monitored input, evaluate, fire."""
-    body = rule_body(machine, rule)
+SELF_LOC = Location("self", ())
+
+
+def _agent_view(state: State, agent: str) -> State:
+    """The state an agent's rule reads: the shared state with `self` bound.
+    The anonymous agent "" has no `self`."""
+    return state.with_content({SELF_LOC: SymV(agent)}) if agent else state
+
+
+@dataclass(frozen=True)
+class AgentSet:
+    machine: MachineDef
+    agents: Tuple[Tuple[str, str], ...]  # (agent id, rule name)
+
+    @staticmethod
+    def of(machine: MachineDef) -> "AgentSet":
+        """A machine without agent lines is the anonymous agent "" looping main."""
+        return AgentSet(machine, machine.agents or (("", machine.main),))
+
+
+@dataclass(frozen=True)
+class Synchronous:
+    pass
+
+
+@dataclass(frozen=True)
+class Interleaving:
+    pass
+
+
+@dataclass(frozen=True)
+class ScriptedOrder:
+    order: Tuple[str, ...]
+
+
+Scheduler = object  # Synchronous | Interleaving | ScriptedOrder
+
+
+@dataclass
+class MaStepResult:
+    result: StepResult
+    scheduled: Tuple[str, ...]
+    # per-agent writers of each clashing location, filled on inconsistency
+    provenance: Dict[Location, List[Tuple[str, Value]]] = field(default_factory=dict)
+
+
+def _agent_update_set(machine, state, aid, rule, resolver, max_call_depth) -> UpdateSet:
+    resolver.set_agent(aid)
+    try:
+        return _update_set(rule_body(machine, rule), _agent_view(state, aid),
+                           Env.empty(), resolver, machine, max_call_depth, 0)
+    finally:
+        resolver.set_agent("")
+
+
+def _schedule_of(aids: Tuple[str, ...]) -> Tuple[str, ...]:
+    """The schedule a trace records: the anonymous agent "" is not named."""
+    return () if aids == ("",) else aids
+
+
+def _scheduled(res: StepResult, aids: Tuple[str, ...]) -> MaStepResult:
+    """A stalled step schedules nobody."""
+    return MaStepResult(res, () if isinstance(res, Stalled) else _schedule_of(aids))
+
+
+def _can_progress(machine, state, aid, rule,
+                  max_call_depth: int = DEFAULT_CALL_DEPTH, budget: int = 4096) -> bool:
+    """True when some resolution of this agent's rule yields updates. An
+    agent with more than `budget` resolutions is assumed schedulable."""
+    try:
+        return any(len(us) > 0 for us, _ in _probe(
+            rule_body(machine, rule), state, machine, budget, max_call_depth, aid))
+    except BranchBudgetExceeded:
+        return True
+
+
+def ma_step(
+    machine: MachineDef,
+    state: State,
+    scheduler: Scheduler,
+    resolver: Resolver,
+    step_index: int = 0,
+    max_call_depth: int = DEFAULT_CALL_DEPTH,
+    agents: Optional[Tuple[Tuple[str, str], ...]] = None,
+) -> MaStepResult:
+    """One loop iteration: inject monitored input, evaluate the scheduled
+    agents' rules against the same state, and decide the outcome."""
+    if agents is None:
+        agents = AgentSet.of(machine).agents
     injections = resolver.begin_step(state)
     eval_state = state.with_content(injections) if injections else state
     moved = eval_state.content != state.content
-    us = _update_set(body, eval_state, Env.empty(), resolver, machine,
-                     max_call_depth, 0)
-    return _outcome(eval_state, us, resolver.end_step(), stutter=moved)
+
+    if isinstance(scheduler, Synchronous):
+        sets = [_agent_update_set(machine, eval_state, aid, rule, resolver, max_call_depth)
+                for aid, rule in agents]
+        union = UpdateSet.empty()
+        for us in sets:
+            union = union.union(us)
+        out = _scheduled(_outcome(eval_state, union, resolver.end_step(), moved),
+                         tuple(aid for aid, _ in agents))
+        if isinstance(out.result, Inconsistent):
+            out.provenance = {
+                loc: [(aid, u.val) for (aid, _), us in zip(agents, sets)
+                      for u in us.updates if u.loc == loc]
+                for loc, _ in out.result.clashes}
+        return out
+
+    if isinstance(scheduler, ScriptedOrder):
+        if step_index >= len(scheduler.order):
+            return _scheduled(_outcome(eval_state, UpdateSet.empty(),
+                                       resolver.end_step()), ())
+        aid = scheduler.order[step_index]
+        by_id = dict(agents)
+        if aid not in by_id:
+            raise EvalError(f"scheduled agent {aid!r} does not exist")
+        us = _agent_update_set(machine, eval_state, aid, by_id[aid], resolver,
+                               max_call_depth)
+        # an explicitly scripted agent may stutter with no updates
+        return _scheduled(_outcome(eval_state, us, resolver.end_step(), stutter=True),
+                          (aid,))
+
+    if isinstance(scheduler, Interleaving):
+        schedulable = [
+            (aid, rule) for aid, rule in agents
+            if _can_progress(machine, eval_state, aid, rule, max_call_depth)
+        ]
+        if not schedulable:
+            # monitored input alone still moves the state
+            return _scheduled(_outcome(eval_state, UpdateSet.empty(),
+                                       resolver.end_step(), moved), ())
+        aid = resolver.schedule([a for a, _ in schedulable])
+        us = _agent_update_set(machine, eval_state, aid, dict(schedulable)[aid],
+                               resolver, max_call_depth)
+        # the picked agent's own draws may still give no updates; it stutters
+        return _scheduled(_outcome(eval_state, us, resolver.end_step(), stutter=True),
+                          (aid,))
+
+    raise TypeError(f"unknown scheduler: {scheduler!r}")
+
+
+def step(state: State, machine: MachineDef, rule: str, resolver: Resolver,
+         max_call_depth: int = DEFAULT_CALL_DEPTH) -> StepResult:
+    """One loop iteration of `rule`, run as the anonymous agent."""
+    return ma_step(machine, state, Synchronous(), resolver, 0, max_call_depth,
+                   (("", rule),)).result
+
+
+# ---------------------------------------------------------------------------
+# Runs and traces
 
 
 @dataclass
@@ -619,7 +771,7 @@ class Trace:
     provenance: str
     steps: List[TraceStep]
     states: List[State]  # pre-states plus, after a progressed step, the post-state
-    outcome: str  # stalled | budget | inconsistent
+    outcome: str  # stalled | budget | inconsistent | violation
     clashes: tuple = ()
     # draws of the final, stalling evaluation (not a step of its own)
     tail_resolutions: Tuple[ResEntry, ...] = ()
@@ -679,6 +831,41 @@ def override_state(machine: MachineDef, state: State, entries) -> State:
     return State(machine.sig, content, statics)
 
 
+def ma_run(
+    machine: MachineDef,
+    scheduler: Scheduler,
+    max_steps: int,
+    resolver: Optional[Resolver] = None,
+    start: Optional[State] = None,
+    max_call_depth: int = DEFAULT_CALL_DEPTH,
+    agents: Optional[Tuple[Tuple[str, str], ...]] = None,
+) -> Trace:
+    """Iterate `ma_step` from `start` until a step stalls, clashes, or
+    `max_steps` have run, and record the trace."""
+    resolver = resolver if resolver is not None else Resolver.seeded(0)
+    if agents is None:
+        agents = AgentSet.of(machine).agents
+    state = start if start is not None else initial_state(machine)
+    provenance = f"seed:{resolver.seed}" if resolver.script is None else "scripted"
+    trace = Trace(machine.name, provenance, [], [state], "budget")
+    for k in range(max_steps):
+        out = ma_step(machine, state, scheduler, resolver, k, max_call_depth, agents)
+        result = out.result
+        if isinstance(result, Stalled):
+            trace.outcome = "stalled"
+            trace.tail_resolutions = result.resolutions
+            return trace
+        if isinstance(result, Inconsistent):
+            trace.steps.append(TraceStep(result.attempted, result.resolutions, out.scheduled))
+            trace.outcome = "inconsistent"
+            trace.clashes = result.clashes
+            return trace
+        trace.steps.append(TraceStep(result.fired, result.resolutions, out.scheduled))
+        state = result.next_state
+        trace.states.append(state)
+    return trace
+
+
 def run(
     machine: MachineDef,
     max_steps: int,
@@ -687,36 +874,9 @@ def run(
     start: Optional[State] = None,
     max_call_depth: int = DEFAULT_CALL_DEPTH,
 ) -> Trace:
-    """Iterate `step` until it stalls, clashes, or the step budget runs out."""
-    resolver = resolver if resolver is not None else Resolver.seeded(0)
-    rule = rule or machine.main
-    return _run_trace(
-        machine, resolver, start, max_steps,
-        lambda state, k: (step(state, machine, rule, resolver, max_call_depth), ()))
-
-
-def _run_trace(machine: MachineDef, resolver: Resolver, start: Optional[State],
-               max_steps: int, step_fn) -> Trace:
-    """Record the trace of `step_fn(state, k) -> (StepResult, scheduled)`
-    from `start` until a step stalls, clashes, or `max_steps` have run."""
-    state = start if start is not None else initial_state(machine)
-    provenance = f"seed:{resolver.seed}" if resolver.script is None else "scripted"
-    trace = Trace(machine.name, provenance, [], [state], "budget")
-    for k in range(max_steps):
-        result, scheduled = step_fn(state, k)
-        if isinstance(result, Stalled):
-            trace.outcome = "stalled"
-            trace.tail_resolutions = result.resolutions
-            return trace
-        if isinstance(result, Inconsistent):
-            trace.steps.append(TraceStep(result.attempted, result.resolutions, scheduled))
-            trace.outcome = "inconsistent"
-            trace.clashes = result.clashes
-            return trace
-        trace.steps.append(TraceStep(result.fired, result.resolutions, scheduled))
-        state = result.next_state
-        trace.states.append(state)
-    return trace
+    """Run `rule` (default: main) as the anonymous agent."""
+    return ma_run(machine, Synchronous(), max_steps, resolver, start, max_call_depth,
+                  (("", rule or machine.main),))
 
 
 def export_trace_jsonl(trace: Trace) -> str:
@@ -744,33 +904,24 @@ def export_trace_jsonl(trace: Trace) -> str:
 # ---------------------------------------------------------------------------
 # Exhaustive enumeration
 
-SELF_LOC = Location("self", ())
-
-
-def _agent_view(state: State, agent: str) -> State:
-    """The state an agent's rule reads: the shared state with `self` bound."""
-    return state.with_content({SELF_LOC: SymV(agent)})
-
 
 def _probe(body: RuleExpr, state: State, machine: Optional[MachineDef], bound: int,
            max_call_depth: int, agent: str = ""):
     """Evaluate `body` once for every combination of choose/abstract draws,
-    on `agent`'s view of `state` when an agent is given.
+    on `agent`'s view of `state`.
 
     Depth first: an evaluation that reaches an unresolved draw is dropped
     and re-run once per candidate with that draw fixed. Yields
     (update set, resolutions) per completed evaluation, and raises
     BranchBudgetExceeded once the combinations pass `bound`.
     """
-    if agent:
-        state = _agent_view(state, agent)
+    state = _agent_view(state, agent)
     pending: List[Dict[str, Value]] = [{}]
     leaves = 0
     while pending:
         script = pending.pop()
         resolver = Resolver(probe=script)
-        if agent:
-            resolver.set_agent(agent)
+        resolver.set_agent(agent)
         resolver.begin_step(state)
         try:
             us = _update_set(body, state, Env.empty(), resolver, machine,

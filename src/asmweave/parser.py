@@ -13,10 +13,11 @@ point.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from pathlib import Path
+from typing import Dict, List, Optional, Tuple, Union
 
 from .background import background_arity, is_background
-from .errors import ParseError, ResolveError
+from .errors import ParseError, ResolveError, SourceEncodingError
 from .state import FuncDecl, FunctionKind, Signature
 from .values import FALSE, TRUE, UNDEF, IntV, SetV, StrV, SymV, Value, mkset, show_value
 
@@ -774,6 +775,14 @@ def parse_machine(text: str) -> MachineDef:
     return _Resolver(_Parser(_tokenize(text)).machine()).resolve()
 
 
+def read_source(path: Union[str, Path]) -> str:
+    """The text of a UTF-8 source file (a machine or a scenario)."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise SourceEncodingError(f"{path}: {e}") from None
+
+
 def parse_term(text: str, sig: Optional[Signature] = None) -> Term:
     """Parse a closed term; resolve names against `sig` when given."""
     p = _Parser(_tokenize(text))
@@ -787,29 +796,6 @@ def parse_term(text: str, sig: Optional[Signature] = None) -> Term:
     if r.diags:
         raise ResolveError(sorted(r.diags))
     return resolved
-
-
-def label_chooses(op: RuleExpr, prefix: str) -> RuleExpr:
-    """Assign `<prefix>.choose<k>` labels to every choose in a built tree."""
-    counter = [0]
-
-    def walk(o: RuleExpr) -> RuleExpr:
-        if isinstance(o, Par):
-            return Par(tuple(walk(c) for c in o.children), o.pos)
-        if isinstance(o, If):
-            return If(o.guard, walk(o.then_op),
-                      walk(o.else_op) if o.else_op is not None else None, o.pos)
-        if isinstance(o, Let):
-            return Let(o.var, o.binding, walk(o.body), o.pos)
-        if isinstance(o, Forall):
-            return Forall(o.var, o.domain, o.guard, walk(o.body), o.pos)
-        if isinstance(o, Choose):
-            counter[0] += 1
-            return Choose(o.var, o.domain, o.guard, walk(o.body), o.pos,
-                          f"{prefix}.choose{counter[0]}")
-        return o
-
-    return walk(op)
 
 
 # ---------------------------------------------------------------------------

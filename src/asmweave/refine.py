@@ -1,10 +1,13 @@
 """Bounded checking that a refined machine implements an abstract one.
 
-Both machines are run exhaustively up to their step and branch bounds.
-Each run is projected onto the observation terms of its side, consecutive
-duplicate observations are collapsed (so machines at different step
-granularities compare), and the check passes when every refined
-observation sequence is accounted for by some abstract one. A refined run
+Both machines are run exhaustively up to their step and branch bounds,
+one agent step at a time; a machine without agents is its anonymous agent,
+stepped exactly as `run` steps it. Runs are `Trace`s, so a FAIL
+counterexample is the refined run itself. Each run is projected onto the
+observation terms of its side, consecutive duplicate observations are
+collapsed (so machines at different step granularities compare), and the
+check passes when every refined observation sequence is accounted for by
+some abstract one. A refined run
 cut off by its step bound only needs to be a prefix of an abstract
 sequence; a run that genuinely stalled must be matched exactly.
 
@@ -20,16 +23,17 @@ from typing import List, Optional, Tuple, Union
 
 from .errors import BranchBudgetExceeded, ManifestError
 from .interp import (
+    AgentSet,
     Progressed,
     Stalled,
     Trace,
     TraceStep,
+    _schedule_of,
     enumerate_steps,
     eval_term,
     initial_state,
     override_state,
 )
-from .multiagent import agent_successors
 from .parser import App, MachineDef, Term, parse_machine, parse_term
 from .state import State
 from .values import Value
@@ -93,18 +97,6 @@ RefinementVerdict = Union[Pass, Fail, BudgetExhausted]
 # Run enumeration
 
 
-@dataclass
-class Run:
-    states: List[State]
-    steps: List[TraceStep]
-    marker: str
-
-    def to_trace(self, name: str) -> Trace:
-        outcome = {"stalled": "stalled", "budget": "budget",
-                   "inconsistent": "inconsistent"}[self.marker]
-        return Trace(name, "scripted", list(self.steps), list(self.states), outcome)
-
-
 class _Truncated(Exception):
     pass
 
@@ -114,21 +106,19 @@ def _successors(machine: MachineDef, state: State, budget: int):
     progressed = []
     stalled = False
     inconsistent = []
-    if machine.agents:
-        for aid, rule in machine.agents:
-            succs, bad = agent_successors(machine, state, aid, rule, budget)
-            progressed.extend(((aid,), res) for res in succs)
-            # an inconsistent single-agent update set ends a run
-            inconsistent.extend(((aid,), res) for res in bad)
-        stalled = not progressed and not inconsistent
-    else:
-        for res in enumerate_steps(state, machine, machine.main, budget):
+    for aid, rule in AgentSet.of(machine).agents:
+        sched = _schedule_of((aid,))
+        for res in enumerate_steps(state, machine, rule, budget, agent=aid):
             if isinstance(res, Progressed):
-                progressed.append(((), res))
+                progressed.append((sched, res))
             elif isinstance(res, Stalled):
                 stalled = True
             else:
-                inconsistent.append(((), res))
+                # an inconsistent single-agent update set ends a run
+                inconsistent.append((sched, res))
+    if machine.agents:
+        # interleaving: an agent with nothing to do leaves the others to move
+        stalled = not progressed and not inconsistent
     return progressed, stalled, inconsistent
 
 
@@ -137,14 +127,14 @@ def enumerate_runs(
     max_steps: int,
     budget: int,
     start: Optional[State] = None,
-) -> Tuple[List[Run], bool]:
-    """Depth-first enumeration of all runs up to `max_steps`.
+) -> Tuple[List[Trace], bool]:
+    """Depth-first enumeration of all runs up to `max_steps`, as traces.
 
     The second component reports truncation: the branch budget cut the
     enumeration short, so the run list is incomplete.
     """
     init = start if start is not None else initial_state(machine)
-    runs: List[Run] = []
+    runs: List[Trace] = []
     spent = [0]
 
     def charge(n: int) -> None:
@@ -157,18 +147,19 @@ def enumerate_runs(
         while stack:
             state, states, steps = stack.pop()
             if len(steps) >= max_steps:
-                runs.append(Run(states, steps, "budget"))
+                runs.append(Trace(machine.name, "scripted", steps, states, "budget"))
                 continue
             try:
                 progressed, stalled, inconsistent = _successors(machine, state, budget)
             except BranchBudgetExceeded:
                 raise _Truncated() from None
             charge(len(progressed) + len(inconsistent))
-            if stalled or (not progressed and not inconsistent):
-                runs.append(Run(states, steps, "stalled"))
+            if stalled:
+                runs.append(Trace(machine.name, "scripted", steps, states, "stalled"))
             for sched, res in inconsistent:
                 bad = steps + [TraceStep(res.attempted, res.resolutions, sched)]
-                runs.append(Run(states, bad, "inconsistent"))
+                runs.append(Trace(machine.name, "scripted", bad, states,
+                                  "inconsistent", res.clashes))
             for sched, res in progressed:
                 ext = steps + [TraceStep(res.fired, res.resolutions, sched)]
                 stack.append((res.next_state, states + [res.next_state], ext))
@@ -181,24 +172,18 @@ def enumerate_runs(
 # Observation
 
 
-def observe(trace_or_run: Union[Trace, Run], spec: RefinementSpec, side: str) -> ObservationSeq:
-    """Project a run onto the side's observation terms, stutter-compressed."""
+def observe(trace: Trace, spec: RefinementSpec, side: str) -> ObservationSeq:
+    """Project a run onto the side's observation terms, stutter-compressed.
+    A run cut off at a violation counts as cut off by the step bound."""
     if side == "abstract":
         terms = [abs_t for _, abs_t, _ in spec.observations]
     elif side == "refined":
         terms = [ref_t for _, _, ref_t in spec.observations]
     else:
         raise ValueError(f"side must be abstract or refined, not {side!r}")
-    if isinstance(trace_or_run, Trace):
-        states = trace_or_run.states
-        marker = {"stalled": "stalled", "budget": "budget",
-                  "inconsistent": "inconsistent",
-                  "violation": "budget"}[trace_or_run.outcome]
-    else:
-        states = trace_or_run.states
-        marker = trace_or_run.marker
+    marker = "budget" if trace.outcome == "violation" else trace.outcome
     seq: List[Tuple[Value, ...]] = []
-    for s in states:
+    for s in trace.states:
         obs = tuple(eval_term(t, s) for t in terms)
         if not seq or seq[-1] != obs:
             seq.append(obs)
@@ -233,7 +218,7 @@ def check_refinement(spec: RefinementSpec) -> RefinementVerdict:
     abstract_seqs = [observe(r, spec, "abstract") for r in abs_runs]
     stats = RefineStats(len(abs_runs), len(ref_runs), abs_trunc, ref_trunc)
 
-    first_fail: Optional[Tuple[Run, ObservationSeq]] = None
+    first_fail: Optional[Tuple[Trace, ObservationSeq]] = None
     undecided = False
     for r in ref_runs:
         o = observe(r, spec, "refined")
@@ -259,7 +244,7 @@ def check_refinement(spec: RefinementSpec) -> RefinementVerdict:
         r, o = first_fail
         nearest = sorted(abstract_seqs,
                          key=lambda a: -_common_prefix_len(a.tuples, o.tuples))[:3]
-        return Fail(stats, r.to_trace(spec.refined.name), o, nearest)
+        return Fail(stats, r, o, nearest)
     if undecided or ref_trunc:
         return BudgetExhausted(stats)
     return Pass(stats)

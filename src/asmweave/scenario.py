@@ -13,7 +13,8 @@ language internals:
     final: a = 1
 
 `step k:` entries feed monitored bindings, choice-script entries, and the
-scheduled agent for the k-th step (1-based). `assert k:` conditions are
+scheduled agent for the k-th step (1-based); a machine without agents
+runs as the anonymous agent and takes no `schedule`. `assert k:` conditions are
 evaluated in the state reached after step k (`assert 0:` checks the
 initial state); `final:` conditions are evaluated in the last state. Every
 assertion is evaluated even after failures, and the report carries the
@@ -29,14 +30,15 @@ from .errors import AsmError, ManifestError
 from .interp import (
     ResEntry,
     Resolver,
+    ScriptedOrder,
+    Synchronous,
     Trace,
     eval_term,
     initial_state,
+    ma_run,
     override_state,
-    run,
 )
-from .multiagent import ScriptedOrder, Synchronous, ma_run
-from .parser import App, MachineDef, Term, parse_machine, parse_term, pp_term
+from .parser import App, MachineDef, Term, parse_machine, parse_term, pp_term, read_source
 from .refine import _parse_override
 from .state import FunctionKind, Location, State
 from .values import BoolV, Value, show_value
@@ -191,6 +193,10 @@ def _compile_steps(sc: Scenario, machine: MachineDef, n_steps: int) -> _Script:
                 entries[k - 1].append(ResEntry(
                     "abstract", loc.show(), "", _literal_value(val_text, machine)))
             elif cmd.startswith("schedule "):
+                if not machine.agents:
+                    # a plain machine is the anonymous agent, which no line can name
+                    raise ManifestError(f"step {k}: {cmd!r}: machine {machine.name} "
+                                        "has no agents to schedule")
                 aid = cmd[len("schedule "):].strip()
                 if k in schedule:
                     raise ManifestError(f"step {k} schedules two agents")
@@ -233,15 +239,15 @@ def run_scenario(source: Union[Scenario, str, Path], base_dir: Optional[Path] = 
         sc = source
     else:
         path = Path(source)
-        sc = parse_scenario(path.read_text(encoding="utf-8"), path)
+        sc = parse_scenario(read_source(path), path)
     if base_dir is None:
         base_dir = sc.source_path.parent if sc.source_path else Path(".")
 
     warnings: List[str] = []
     machine_file = (base_dir / sc.machine_path).resolve()
     try:
-        machine = parse_machine(machine_file.read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, AsmError) as e:
+        machine = parse_machine(read_source(machine_file))
+    except (OSError, AsmError) as e:
         return ScenarioReport(sc.name, [], [], error=f"cannot load machine: {e}")
 
     try:
@@ -261,12 +267,10 @@ def run_scenario(source: Union[Scenario, str, Path], base_dir: Optional[Path] = 
                 if k not in script.schedule:
                     raise ManifestError(f"step {k} lacks a schedule entry")
                 order.append(script.schedule[k])
-            trace = ma_run(machine, ScriptedOrder(tuple(order)), n_steps,
-                           resolver, start)
-        elif machine.agents:
-            trace = ma_run(machine, Synchronous(), n_steps, resolver, start)
+            scheduler = ScriptedOrder(tuple(order))
         else:
-            trace = run(machine, n_steps, resolver, start=start)
+            scheduler = Synchronous()
+        trace = ma_run(machine, scheduler, n_steps, resolver, start)
     except (AsmError, OSError) as e:
         return ScenarioReport(sc.name, [], warnings, error=str(e))
 
@@ -345,7 +349,7 @@ def run_suite(directory: Union[str, Path]) -> SuiteReport:
     for f in files:
         try:
             reports.append(run_scenario(f))
-        except (OSError, UnicodeDecodeError, AsmError) as e:
+        except (OSError, AsmError) as e:
             reports.append(ScenarioReport(f.name, [], [], error=str(e)))
     return SuiteReport(reports, warnings)
 
@@ -358,7 +362,7 @@ def skeleton(machine_path: Union[str, Path]) -> str:
     """Emit a scenario template for a machine: every monitored and abstract
     function that may need bindings, plus an empty assertion block."""
     path = Path(machine_path)
-    machine = parse_machine(path.read_text(encoding="utf-8"))
+    machine = parse_machine(read_source(path))
     lines = [
         f"// scenario template for machine {machine.name}",
         f"scenario {machine.name.lower()}_example",

@@ -70,6 +70,7 @@ def test_non_utf8_input_exits_2(tmp_path, command):
     r = asmweave(command, bad)
     assert r.returncode == 2
     assert "can't decode" in r.stderr and "Traceback" not in r.stderr
+    assert "bad.in" in r.stderr
 
 
 def test_fuzz_fmt_bytes_never_escapes(tmp_path, capsys):

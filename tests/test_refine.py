@@ -213,8 +213,8 @@ machine S
     runs, truncated = enumerate_runs(stopper, 10, 10_000)
     assert not truncated
     assert len(runs) == 1
-    assert runs[0].marker == "stalled"
+    assert runs[0].outcome == "stalled"
     clash = parse_machine(
         "machine C controlled x rule Main = par x := 1 x := 2 endpar main Main")
     runs2, _ = enumerate_runs(clash, 10, 10_000)
-    assert runs2[0].marker == "inconsistent"
+    assert runs2[0].outcome == "inconsistent"

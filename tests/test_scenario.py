@@ -134,15 +134,20 @@ def test_bad_file_in_suite_fails_alone(tmp_path):
     (tmp_path / "binary.asm").write_bytes(b"\xff\xfemachine M\n")
     (tmp_path / "a_binary_machine.scn").write_text(
         "scenario binary_machine\nmachine binary.asm\nsteps 1\n", encoding="utf-8")
+    # a plain machine is the anonymous agent, which a schedule line cannot name
+    (tmp_path / "a_plain_schedule.scn").write_text(
+        f"scenario plain_schedule\nmachine {swap}\nstep 1: schedule main\n",
+        encoding="utf-8")
     (tmp_path / "b_good.scn").write_text(
         f"scenario good\nmachine {swap}\nsteps 1\nfinal: a = 2\n", encoding="utf-8")
     suite = run_suite(tmp_path)
     assert [(r.name, r.passed) for r in suite.reports] == [
         ("a_bad.scn", False), ("a_binary.scn", False), ("binary_machine", False),
-        ("good", True)]
+        ("plain_schedule", False), ("good", True)]
     assert "line 3" in suite.reports[0].error
     assert "can't decode" in suite.reports[1].error
     assert "cannot load machine" in suite.reports[2].error
+    assert "step 1: 'schedule main'" in suite.reports[3].error
     assert suite.exit_status == 1
 
 

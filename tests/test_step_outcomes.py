@@ -1,5 +1,6 @@
-"""Step outcomes are decided once, successors are fired once, and trace
-digests are derived from the recorded states."""
+"""Step outcomes are decided once, successors are fired once, trace
+digests are derived from the recorded states, and a machine without
+agents is one anonymous agent to run, explore and refinement alike."""
 import hashlib
 import json
 import random
@@ -19,7 +20,7 @@ from asmweave.multiagent import AgentSet, Interleaving, Synchronous, explore, ma
 from asmweave.parser import parse_term
 from asmweave.refine import Fail, RefinementSpec, check_chain, check_refinement
 from asmweave.state import Location, fire, state_digest
-from asmweave.values import show_value
+from asmweave.values import IntV, show_value
 
 SAFETY = ("detected implies (active('m0) = false and active('m1) = false "
           "and active('m2) = false)")
@@ -102,3 +103,75 @@ def test_trace_digests_come_from_states():
     for _, verdict in check_chain(MODELS / "chains" / "chain_broken.refine"):
         if isinstance(verdict, Fail):
             _check_digests(verdict.counterexample)
+
+
+# sha256 of the exports of `run` (`ma_run` synchronous, then interleaving,
+# for a machine with agents) at seed 5 for 25 steps, recorded with the
+# separate plain-machine step function that `run` used before it became
+# `ma_run` of the anonymous agent
+RUN_EXPORTS = {
+    "accumulator.asm": "4438e5f97137eb58f41b9915b09d97e0dc1192eb58c30bb0dd255b96014d7c87",
+    "choose_out.asm": "d26a8a4d3fa88e6c721291b3bdc5836167a2031e2c725c7d3f336254487f3cc4",
+    "coin.asm": "c70fa3d105281aa4d5fe19123689cc142d205d78659d3f6e75de9e8baa45212e",
+    "ring3.asm": "d10280c83b751527cf4584ffbf27400607407e1cf3c91c6438accdc1db261887",
+    "ring3_mutant.asm": "d10280c83b751527cf4584ffbf27400607407e1cf3c91c6438accdc1db261887",
+    "ring5.asm": "2e3d550633a336746785eb1c0de9798522992331fe3f7ac25baf9e2cd7d621c0",
+    "round_robin.asm": "9991fc6a91b96f064369324c8e8139733bbd964b9bd69e110043c30915dfef0e",
+    "rr_broken.asm": "9031ff800a0b0e00bad97399e2ad75c3ec44cbdbffc1cfffbc0b4b6971520b4d",
+    "rr_stutter.asm": "803a9d9befb66d2152014045c65b325dcbfbcd08c5654de169724f7e1835c0b8",
+    "rr_table.asm": "a1000d3e5f1ff5fe812de72c666cc4863ab95c949afde949ec301c86ec03e00b",
+    "swap.asm": "033b8621bfcf442ac9d19ee6bec99e8d255e0bc4d9d7839555defd4c80f2f8cc",
+}
+# the same for 50 rulegen machines (random.Random(47), depth 4), concatenated
+RULEGEN_RUN_EXPORTS = "f12e2f9ff0b82da087400b2703d5520624b7604f08bb45da1fefa6d70b29a07d"
+
+
+# accumulator stalls at once without input, so it is fed inc = 1..25
+MONITORED = {"accumulator.asm": [{Location("inc"): IntV(k)} for k in range(1, 26)]}
+
+
+def _run_exports(machine, monitored=None) -> str:
+    if machine.agents:
+        traces = [ma_run(machine, s, 25, Resolver.seeded(5, monitored=monitored))
+                  for s in (Synchronous(), Interleaving())]
+    else:
+        traces = [run(machine, 25, Resolver.seeded(5, monitored=monitored))]
+    return "".join(export_trace_jsonl(t) for t in traces)
+
+
+def test_run_exports_are_pinned():
+    exports = {f.name: _run_exports(load_model(f.name), MONITORED.get(f.name))
+               for f in sorted(MODELS.glob("*.asm"))}
+    assert all(exports.values())
+    assert {name: hashlib.sha256(text.encode("utf-8")).hexdigest()
+            for name, text in exports.items()} == RUN_EXPORTS
+    rng = random.Random(47)
+    text = "".join(_run_exports(random_machine(rng, f"P{i}", depth=4)) for i in range(50))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == RULEGEN_RUN_EXPORTS
+
+
+def _assert_replays(machine, cx) -> None:
+    replay = run(machine, len(cx.steps), Resolver.scripted(cx.as_script()))
+    assert replay.digests() == cx.digests()
+    assert all(st.schedule == () for st in cx.steps)
+
+
+def test_plain_machine_counterexamples_replay():
+    for name, cond in (("choose_out.asm", "out != 3"), ("coin.asm", "heads != true")):
+        m = load_model(name)
+        report = explore(m, 3, assertion=parse_term(cond, m.sig))
+        assert len(report.counterexample.steps) == 1
+        _assert_replays(m, report.counterexample)
+    rng = random.Random(53)
+    with_draws = 0
+    for i in range(120):
+        m = random_machine(rng, f"R{i}", depth=4)
+        init = initial_state(m)
+        # violated once any of the four scalar locations first changes
+        cond = " and ".join(f"{loc} = {show_value(init.content[Location(loc)])}"
+                            for loc in ("b1", "b2", "n1", "n2"))
+        cx = explore(m, 4, assertion=parse_term(cond, m.sig)).counterexample
+        if cx is not None:
+            _assert_replays(m, cx)
+            with_draws += any(st.resolutions for st in cx.steps)
+    assert with_draws >= 10
