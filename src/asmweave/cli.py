@@ -67,6 +67,11 @@ def cmd_run(args) -> int:
     machine = _load_machine(args.machine)
     resolver = Resolver.seeded(args.seed)
     if machine.agents and args.agents != "single":
+        if args.rule is not None:
+            # each agent loops its own rule; only the single scheduler runs one
+            print("error: --rule needs --agents single on a machine with agents",
+                  file=sys.stderr)
+            return EXIT_USAGE
         scheduler = Synchronous() if args.agents == "sync" else Interleaving()
         trace = ma_run(machine, scheduler, args.steps, resolver)
     else:

@@ -17,7 +17,8 @@ interleaving (one schedulable agent per step, picked through the
 resolver) and a scripted order. Each agent loops its own rule with the
 implicit `self` input bound to its id. A machine without agent lines is
 the anonymous agent "": it has no `self`, its draw keys are unscoped and
-its steps name no schedule. `step` and `run` are `ma_step` and `ma_run`
+its steps name no schedule; with nobody to pick among, interleaving steps
+it as synchronous does. `step` and `run` are `ma_step` and `ma_run`
 for that agent, so `run`, `explore` and refinement agree on what a plain
 machine does, and a counterexample `explore` exports for it replays with
 `run`.
@@ -699,7 +700,10 @@ def ma_step(
     eval_state = state.with_content(injections) if injections else state
     moved = eval_state.content != state.content
 
-    if isinstance(scheduler, Synchronous):
+    # the lone anonymous agent needs no pick, so interleaving steps it
+    # exactly as the synchronous scheduler does: no probe, no schedule draw
+    lone = len(agents) == 1 and agents[0][0] == ""
+    if isinstance(scheduler, Synchronous) or (lone and isinstance(scheduler, Interleaving)):
         sets = [_agent_update_set(machine, eval_state, aid, rule, resolver, max_call_depth)
                 for aid, rule in agents]
         union = UpdateSet.empty()

@@ -1,17 +1,18 @@
 """Bounded exploration of agent sets over one shared state.
 
 `explore` walks every agent's every resolution breadth-first,
-deduplicating states, and reports the shortest trace to a state
-violating a safety assertion. A machine without agent lines is explored
-as the anonymous agent "", exactly as `run` steps it, so its
-counterexamples replay with `run`. The step semantics (agent sets, the
-three schedulers, `ma_step`, `ma_run`) live in `interp` and are
-re-exported here.
+deduplicating states by their exact content (`State.key`, no hash), and
+reports the shortest trace to a state violating a safety assertion. A
+machine without agent lines is explored as the anonymous agent "",
+exactly as `run` steps it, so its counterexamples replay with `run`.
+The step semantics (agent sets, the three schedulers, `ma_step`,
+`ma_run`) live in `interp` and are re-exported here.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from functools import cached_property
+from typing import List, Optional, Tuple
 
 from .errors import GuardNotBoolean
 # the step semantics are re-exported: SELF_LOC, AgentSet, the schedulers,
@@ -48,7 +49,13 @@ class ExploreReport:
     violating_state: Optional[State]
     inconsistent_branches: int
     complete: bool = False  # frontier emptied before the depth bound
-    visited_digests: frozenset = frozenset()
+    # every distinct state, kept when the search ends without a violation
+    visited: Tuple[State, ...] = ()
+
+    @cached_property
+    def visited_digests(self) -> frozenset:
+        """The controlled digests of the visited states, hashed on first read."""
+        return frozenset(controlled_digest(s) for s in self.visited)
 
 
 def agent_successors(
@@ -86,8 +93,10 @@ def explore(
 ) -> ExploreReport:
     """Breadth-first search over all interleavings and resolutions.
 
-    States are deduplicated by their controlled content. The first
-    violation found is the shortest, by BFS order.
+    States are deduplicated by their exact content. `fire` writes only
+    controlled locations, so within one search the rest of the content is
+    that of the start state, and equal content means equal controlled
+    content. The first violation found is the shortest, by BFS order.
     """
     agents = AgentSet.of(machine).agents
     init = start if start is not None else initial_state(machine)
@@ -96,7 +105,7 @@ def explore(
     states: List[State] = [init]
     parents: List[int] = [-1]
     via: List[Optional[Tuple[str, Progressed]]] = [None]
-    index: Dict[str, int] = {controlled_digest(init): 0}
+    seen = {init.key()}
     inconsistent = 0
 
     def build_trace(idx: int) -> Trace:
@@ -127,18 +136,17 @@ def explore(
                 inconsistent += len(bad)
                 for res in succs:
                     nxt = res.next_state
-                    digest = controlled_digest(nxt)
-                    if digest in index:
+                    if nxt.key() in seen:
                         continue
+                    seen.add(nxt.key())
                     states.append(nxt)
                     parents.append(idx)
                     via.append((aid, res))
                     new_idx = len(states) - 1
-                    index[digest] = new_idx
                     if assertion is not None and not _check_assertion(assertion, nxt):
                         return ExploreReport(len(states), build_trace(new_idx),
                                              nxt, inconsistent)
                     next_frontier.append(new_idx)
         frontier = next_frontier
     return ExploreReport(len(states), None, None, inconsistent,
-                         complete=not frontier, visited_digests=frozenset(index))
+                         complete=not frontier, visited=tuple(states))

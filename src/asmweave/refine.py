@@ -11,6 +11,12 @@ some abstract one. A refined run
 cut off by its step bound only needs to be a prefix of an abstract
 sequence; a run that genuinely stalled must be matched exactly.
 
+Runs share their states, so the work is done per distinct state, told
+apart by its exact content (`State.key`): `enumerate_runs` expands each
+once and charges the branch budget on every visit, `observe` evaluates
+each once per side, and each refined sequence is matched by set lookups
+in indexes built over the abstract sequences.
+
 Verdicts are three-valued. When the abstract side was truncated in a way
 that could still hide a match, the result is BudgetExhausted rather than
 Fail; a Pass is only reported when every refined run was enumerated.
@@ -19,9 +25,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
-from .errors import BranchBudgetExceeded, ManifestError
+from .errors import BranchBudgetExceeded, ManifestError, SourceEncodingError
 from .interp import (
     AgentSet,
     Progressed,
@@ -34,7 +40,7 @@ from .interp import (
     initial_state,
     override_state,
 )
-from .parser import App, MachineDef, Term, parse_machine, parse_term
+from .parser import App, MachineDef, Term, parse_machine, parse_term, read_source
 from .state import State
 from .values import Value
 
@@ -136,6 +142,8 @@ def enumerate_runs(
     init = start if start is not None else initial_state(machine)
     runs: List[Trace] = []
     spent = [0]
+    # each distinct state is expanded once; a revisit is still charged
+    expanded: Dict[frozenset, tuple] = {}
 
     def charge(n: int) -> None:
         spent[0] += n
@@ -149,10 +157,13 @@ def enumerate_runs(
             if len(steps) >= max_steps:
                 runs.append(Trace(machine.name, "scripted", steps, states, "budget"))
                 continue
-            try:
-                progressed, stalled, inconsistent = _successors(machine, state, budget)
-            except BranchBudgetExceeded:
-                raise _Truncated() from None
+            key = state.key()
+            if key not in expanded:
+                try:
+                    expanded[key] = _successors(machine, state, budget)
+                except BranchBudgetExceeded:
+                    raise _Truncated() from None
+            progressed, stalled, inconsistent = expanded[key]
             charge(len(progressed) + len(inconsistent))
             if stalled:
                 runs.append(Trace(machine.name, "scripted", steps, states, "stalled"))
@@ -172,9 +183,12 @@ def enumerate_runs(
 # Observation
 
 
-def observe(trace: Trace, spec: RefinementSpec, side: str) -> ObservationSeq:
+def observe(trace: Trace, spec: RefinementSpec, side: str,
+            seen: Optional[Dict[frozenset, tuple]] = None) -> ObservationSeq:
     """Project a run onto the side's observation terms, stutter-compressed.
-    A run cut off at a violation counts as cut off by the step bound."""
+    A run cut off at a violation counts as cut off by the step bound.
+    `seen` maps state keys to observation tuples; pass one dict for all runs
+    of one side, so each distinct state is observed once."""
     if side == "abstract":
         terms = [abs_t for _, abs_t, _ in spec.observations]
     elif side == "refined":
@@ -182,16 +196,19 @@ def observe(trace: Trace, spec: RefinementSpec, side: str) -> ObservationSeq:
     else:
         raise ValueError(f"side must be abstract or refined, not {side!r}")
     marker = "budget" if trace.outcome == "violation" else trace.outcome
+    seen = {} if seen is None else seen
     seq: List[Tuple[Value, ...]] = []
     for s in trace.states:
-        obs = tuple(eval_term(t, s) for t in terms)
+        obs = seen.get(s.key())
+        if obs is None:
+            obs = seen[s.key()] = tuple(eval_term(t, s) for t in terms)
         if not seq or seq[-1] != obs:
             seq.append(obs)
     return ObservationSeq(tuple(seq), marker)
 
 
-def _is_prefix(shorter: tuple, longer: tuple) -> bool:
-    return len(shorter) <= len(longer) and longer[: len(shorter)] == shorter
+def _prefixes(t: tuple) -> List[tuple]:
+    return [t[:n] for n in range(len(t) + 1)]
 
 
 def _common_prefix_len(a: tuple, b: tuple) -> int:
@@ -215,26 +232,29 @@ def check_refinement(spec: RefinementSpec) -> RefinementVerdict:
                              spec.refined_init)
     abs_runs, abs_trunc = enumerate_runs(spec.abstract, a_steps, budget, a_start)
     ref_runs, ref_trunc = enumerate_runs(spec.refined, r_steps, budget, r_start)
-    abstract_seqs = [observe(r, spec, "abstract") for r in abs_runs]
+    abs_seen: Dict[frozenset, tuple] = {}
+    abstract_seqs = [observe(r, spec, "abstract", abs_seen) for r in abs_runs]
     stats = RefineStats(len(abs_runs), len(ref_runs), abs_trunc, ref_trunc)
+    # indexes over the abstract sequences: a refined run is matched by a few
+    # set lookups, not by a scan of every abstract run
+    exact = {(a.marker, a.tuples) for a in abstract_seqs}
+    prefixes = {p for _, t in exact for p in _prefixes(t)}
+    cut_by_bound = {t for marker, t in exact if marker == "budget"}
 
+    ref_seen: Dict[frozenset, tuple] = {}
     first_fail: Optional[Tuple[Trace, ObservationSeq]] = None
     undecided = False
     for r in ref_runs:
-        o = observe(r, spec, "refined")
+        o = observe(r, spec, "refined", ref_seen)
         if o.marker == "budget":
-            matched = any(_is_prefix(o.tuples, a.tuples) for a in abstract_seqs)
+            matched = o.tuples in prefixes
         else:
-            matched = any(a.marker == o.marker and a.tuples == o.tuples
-                          for a in abstract_seqs)
+            matched = (o.marker, o.tuples) in exact
         if matched:
             continue
         # a truncated abstract run whose observations are a prefix of this
         # one could still extend to a match at larger abstract bounds
-        possible = abs_trunc or any(
-            a.marker == "budget" and _is_prefix(a.tuples, o.tuples)
-            for a in abstract_seqs
-        )
+        possible = abs_trunc or any(p in cut_by_bound for p in _prefixes(o.tuples))
         if possible:
             undecided = True
         elif first_fail is None:
@@ -306,10 +326,7 @@ def parse_manifest(text: str, base_dir: Path) -> List[RefinementStep]:
             raise ManifestError(f"line {lineno}: {head!r} before any 'step'")
         if head in ("abstract", "refined"):
             path = (base_dir / rest).resolve()
-            try:
-                current[head] = (path, path.read_text(encoding="utf-8"))
-            except (OSError, UnicodeDecodeError) as e:
-                raise ManifestError(f"line {lineno}: cannot read {path}: {e}") from None
+            current[head] = (path, _read(path, f"line {lineno}: cannot read"))
         elif head == "observe":
             if ":" not in rest or "~" not in rest:
                 raise ManifestError(
@@ -338,6 +355,17 @@ def parse_manifest(text: str, base_dir: Path) -> List[RefinementStep]:
     return steps
 
 
+def _read(path: Path, failure: str) -> str:
+    """`read_source`, with a failure reported as a ManifestError that
+    starts with `failure` and names the path."""
+    try:
+        return read_source(path)
+    except SourceEncodingError as e:  # its message starts with the path
+        raise ManifestError(f"{failure} {e}") from None
+    except OSError as e:
+        raise ManifestError(f"{failure} {path}: {e}") from None
+
+
 def _parse_override(text: str, machine: MachineDef) -> Tuple[App, Term]:
     lhs_text, rhs_text = text.split(":=", 1)
     lhs = parse_term(lhs_text.strip(), machine.sig)
@@ -349,9 +377,5 @@ def _parse_override(text: str, machine: MachineDef) -> Tuple[App, Term]:
 def check_chain(manifest_path: Union[str, Path]) -> List[Tuple[str, RefinementVerdict]]:
     """Check every step of a refinement chain manifest, in order."""
     path = Path(manifest_path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as e:
-        raise ManifestError(f"cannot read manifest {path}: {e}") from None
-    steps = parse_manifest(text, path.parent)
+    steps = parse_manifest(_read(path, "cannot read manifest"), path.parent)
     return [(s.name, check_refinement(s.spec)) for s in steps]

@@ -108,7 +108,7 @@ class State:
     monitored-injection helpers all return fresh states.
     """
 
-    __slots__ = ("sig", "content", "statics")
+    __slots__ = ("sig", "content", "statics", "_key")
 
     def __init__(
         self,
@@ -125,6 +125,15 @@ class State:
         self.statics: Dict[Location, Value] = {
             k: v for k, v in (statics or {}).items() if v is not UNDEF
         }
+        self._key: Optional[frozenset] = None
+
+    def key(self) -> frozenset:
+        """The content items as a frozenset: equal exactly when the contents
+        are equal, so a search over one signature and one set of statics can
+        deduplicate on it. Built on first use; a plain run never needs it."""
+        if self._key is None:
+            self._key = frozenset(self.content.items())
+        return self._key
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, State):

@@ -42,6 +42,13 @@ def test_bad_seed_env_variable_exits_2():
     assert "--seed" in r.stderr and "'zz'" in r.stderr
 
 
+def test_run_rule_on_machine_with_agents_needs_single():
+    r = asmweave("run", MODELS / "ring3.asm", "--rule", "Nope", "--steps", 2)
+    assert r.returncode == 2
+    assert "--rule" in r.stderr and "--agents single" in r.stderr
+    assert r.stdout == ""
+
+
 @pytest.mark.parametrize("args", [
     ("run", MODELS / "swap.asm", "--steps", -1),
     ("explore", MODELS / "ring3.asm", "--depth", -1),

@@ -1,6 +1,7 @@
 import itertools
 
 from conftest import load_model
+from asmweave import multiagent, state
 from asmweave.interp import Inconsistent, Progressed, Resolver, initial_state
 from asmweave.multiagent import (
     Interleaving,
@@ -190,6 +191,16 @@ def test_explore_subsumes_seeded_sampling():
         t = ma_run(RING, Interleaving(), depth, Resolver.seeded(seed))
         for s in t.states:
             assert controlled_digest(s) in rep.visited_digests
+
+
+def test_explore_dedup_survives_digest_collisions(monkeypatch):
+    # every state digests alike; exact state keys still tell them apart
+    for module in (state, multiagent):
+        monkeypatch.setattr(module, "controlled_digest", lambda s: "0" * 16)
+    held = explore(RING, 12, assertion=parse_term(SAFETY, RING.sig))
+    assert held.states_visited == 199 and held.counterexample is None
+    bad = explore(RING_MUTANT, 12, assertion=parse_term(SAFETY, RING_MUTANT.sig))
+    assert len(bad.counterexample.steps) == 6
 
 
 def test_explore_counterexample_replays():

@@ -1,0 +1,76 @@
+"""The cached refinement check (each distinct state expanded and observed
+once, abstract sequences matched through indexes) gives exactly the
+results of the uncached oracle in `refine_oracle`."""
+import dataclasses
+import random
+
+import refine_oracle
+from conftest import MODELS
+from rulegen import random_machine
+from asmweave import refine
+from asmweave.interp import export_trace_jsonl
+from asmweave.parser import parse_term
+from asmweave.refine import Fail, RefinementSpec, parse_manifest
+
+
+def _summary(verdict) -> tuple:
+    """Everything a verdict reports, with the counterexample as exported."""
+    out = (type(verdict).__name__, dataclasses.astuple(verdict.stats))
+    if isinstance(verdict, Fail):
+        out += (verdict.observed, tuple(verdict.nearest_abstract),
+                export_trace_jsonl(verdict.counterexample))
+    return out
+
+
+def _runs(module, machine, steps, budget) -> tuple:
+    runs, truncated = module.enumerate_runs(machine, steps, budget)
+    return truncated, [(t.outcome, t.clashes, t.steps, t.states) for t in runs]
+
+
+def _assert_agrees(spec) -> tuple:
+    """The checker's summary, asserted equal to the oracle's, with equal
+    run lists on both sides."""
+    got = _summary(refine.check_refinement(spec))
+    assert got == _summary(refine_oracle.check_refinement(spec))
+    a_steps, r_steps, budget = spec.bounds
+    for machine, steps in ((spec.abstract, a_steps), (spec.refined, r_steps)):
+        assert (_runs(refine, machine, steps, budget)
+                == _runs(refine_oracle, machine, steps, budget))
+    return got
+
+
+def _chain_steps(name: str):
+    path = MODELS / "chains" / name
+    return parse_manifest(path.read_text(encoding="utf-8"), path.parent)
+
+
+def test_bundled_chains_agree_with_the_oracle():
+    verdicts = [_assert_agrees(s.spec)[0]
+                for name in ("chain_ok.refine", "chain_broken.refine")
+                for s in _chain_steps(name)]
+    assert {"Pass", "Fail"} <= set(verdicts)
+
+
+def test_chain_ok_at_bounds_7_agrees_with_the_oracle():
+    for s in _chain_steps("chain_ok.refine"):
+        spec = dataclasses.replace(s.spec, bounds=(7, 7, 10_000))
+        assert _assert_agrees(spec)[0] == "Pass"
+
+
+def test_rulegen_pairs_agree_with_the_oracle():
+    rng = random.Random(61)
+    machines = [random_machine(rng, f"O{i}", depth=4) for i in range(40)]
+    verdicts, truncated = [], 0
+    for i in range(200):
+        abstract, refined = rng.choice(machines), rng.choice(machines)
+        loc = rng.choice(("b1", "n1", "b2"))
+        obs = ((loc, parse_term(loc, abstract.sig), parse_term(loc, refined.sig)),)
+        # tight budgets truncate one side or both
+        budget = rng.choice((3, 8, 30, 2000))
+        spec = RefinementSpec(abstract, refined, obs,
+                              (rng.randrange(1, 5), rng.randrange(1, 5), budget))
+        verdict, (_, _, abstract_truncated, refined_truncated) = _assert_agrees(spec)[:2]
+        verdicts.append(verdict)
+        truncated += abstract_truncated or refined_truncated
+    assert {"Pass", "Fail", "BudgetExhausted"} <= set(verdicts)
+    assert truncated >= 20

@@ -7,6 +7,7 @@ import random
 
 from conftest import MODELS, load_model
 from rulegen import random_machine
+from asmweave import interp
 from asmweave.interp import (
     SELF_LOC,
     Progressed,
@@ -17,7 +18,7 @@ from asmweave.interp import (
     run,
 )
 from asmweave.multiagent import AgentSet, Interleaving, Synchronous, explore, ma_run
-from asmweave.parser import parse_term
+from asmweave.parser import parse_machine, parse_term
 from asmweave.refine import Fail, RefinementSpec, check_chain, check_refinement
 from asmweave.state import Location, fire, state_digest
 from asmweave.values import IntV, show_value
@@ -175,3 +176,30 @@ def test_plain_machine_counterexamples_replay():
             _assert_replays(m, cx)
             with_draws += any(st.resolutions for st in cx.steps)
     assert with_draws >= 10
+
+
+def test_lone_anonymous_agent_interleaves_without_a_pick(monkeypatch):
+    def no_probe(*args, **kwargs):
+        raise AssertionError("the lone anonymous agent was probed")
+
+    monkeypatch.setattr(interp, "_can_progress", no_probe)
+    for name in ("choose_out.asm", "coin.asm"):
+        m = load_model(name)
+        trace = ma_run(m, Interleaving(), 4, Resolver.seeded(1))
+        exported = export_trace_jsonl(trace)
+        assert len(trace.steps) == 4 and '"kind":"schedule"' not in exported
+        # the same step as `run` takes, and it replays under either
+        assert exported == export_trace_jsonl(run(m, 4, Resolver.seeded(1)))
+        script = trace.as_script()
+        replay = ma_run(m, Interleaving(), 4, Resolver.scripted(script))
+        assert export_trace_jsonl(replay) == exported
+        assert run(m, 4, Resolver.scripted(script)).digests() == trace.digests()
+    # a draw that yields no updates stalls, as under `run`, even though
+    # another draw would have made progress
+    m = parse_machine("machine M controlled a rule Main = "
+                      "choose x in {0, 1} do if x = 1 then a := x main Main")
+    for seed in range(6):
+        trace = ma_run(m, Interleaving(), 3, Resolver.seeded(seed))
+        plain = run(m, 3, Resolver.seeded(seed))
+        assert (trace.outcome, export_trace_jsonl(trace)) == (
+            plain.outcome, export_trace_jsonl(plain))
