@@ -48,8 +48,23 @@ def _non_negative(text: str) -> int:
     return value
 
 
+class UsageError(AsmError):
+    """A command line the machine it names cannot serve; exits 2."""
+
+
 def _load_machine(path: str):
     return parse_machine(read_source(path))
+
+
+def _rule(machine, name: Optional[str]) -> str:
+    """The rule `--rule` names, else main: one declared without parameters."""
+    name = name or machine.main
+    decl = machine.declarations.get(name)
+    if decl is None:
+        raise UsageError(f"rule {name!r} is not declared")
+    if decl.formals:
+        raise UsageError(f"rule {name!r} has parameters; --rule needs a rule without any")
+    return name
 
 
 def _print_state(state) -> None:
@@ -69,13 +84,11 @@ def cmd_run(args) -> int:
     if machine.agents and args.agents != "single":
         if args.rule is not None:
             # each agent loops its own rule; only the single scheduler runs one
-            print("error: --rule needs --agents single on a machine with agents",
-                  file=sys.stderr)
-            return EXIT_USAGE
+            raise UsageError("--rule needs --agents single on a machine with agents")
         scheduler = Synchronous() if args.agents == "sync" else Interleaving()
         trace = ma_run(machine, scheduler, args.steps, resolver)
     else:
-        trace = run(machine, args.steps, resolver, rule=args.rule)
+        trace = run(machine, args.steps, resolver, rule=_rule(machine, args.rule))
     if args.trace:
         Path(args.trace).write_text(export_trace_jsonl(trace), encoding="utf-8")
     _print_state(trace.final_state)
@@ -90,10 +103,7 @@ def cmd_run(args) -> int:
 
 def cmd_normalize(args) -> int:
     machine = _load_machine(args.machine)
-    rule = args.rule or machine.main
-    if rule not in machine.declarations:
-        print(f"rule {rule!r} is not declared", file=sys.stderr)
-        return EXIT_USAGE
+    rule = _rule(machine, args.rule)
     try:
         nf = normalize(machine, rule)
     except NotPGA as e:
@@ -288,7 +298,8 @@ def main(argv: Optional[list] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ParseError, ResolveError, SourceEncodingError, ManifestError, OSError) as e:
+    except (ParseError, ResolveError, SourceEncodingError, ManifestError, UsageError,
+            OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except AsmError as e:

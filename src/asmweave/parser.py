@@ -1,10 +1,21 @@
-"""Concrete syntax for machines: lexer, parser, resolver, pretty-printer.
+"""Concrete syntax for machines: lexer, parser and pretty-printer.
 
 The language covers assignment, par, if/then/else, let, rule calls, forall,
 choose, and skip, plus machine/signature/init/main/agent declarations and
 `//` line comments. `parse_machine` returns a fully resolved machine: names
 bound, arities checked, assignment targets verified controlled, and every
 choose construct labelled `<rule>.choose<k>` for use in choice scripts.
+
+Parsing is one pass. The signature is complete before the first rule, so
+the parser resolves each name where it reads it; only rule calls wait for
+the last rule, since a rule may call one declared after it. Resolution
+problems are raised together, sorted, once the whole text has parsed; a
+syntax error wins over them.
+
+One operator table, `_LEVEL` with its associativity sets, drives both the
+parser's precedence climbing and `pp_term`. Bracket nesting and operator
+applications both count toward `_MAX_DEPTH`, so every term the parser
+accepts is shallow enough to print and to evaluate recursively.
 
 `pretty_print` emits a canonical rendering; parsing it back yields a
 structurally equal machine, and pretty-printing that text again is a fixed
@@ -243,16 +254,59 @@ def _tokenize(text: str) -> List[Token]:
 
 
 # ---------------------------------------------------------------------------
-# Parser (produces an unresolved tree; bare identifiers parse as Var)
+# Parser (one pass: names are resolved where they are read)
+
+# One operator table for the parser and the printer. A higher level binds
+# tighter. "not" and "neg" (written "-") are prefix; the other operators
+# are binary and associate to the left or to the right as listed, the
+# comparisons not at all (`a = b = c` does not parse).
+_LEVEL = {"implies": 1, "or": 2, "and": 3, "not": 4,
+          "=": 5, "!=": 5, "<": 5, "<=": 5, ">": 5, ">=": 5,
+          "+": 6, "-": 6, "*": 7, "div": 7, "mod": 7, "neg": 8}
+
+_LEFT_ASSOC = {"or", "and", "+", "-", "*", "div", "mod"}
+
+_RIGHT_ASSOC = {"implies"}
+
+_PREFIX = {"not": "not", "-": "neg"}  # token -> operator
+
+_BINARY = _LEVEL.keys() - _PREFIX.values()
 
 _MAX_DEPTH = 400
 
+_KIND_OF = {
+    "static": FunctionKind.STATIC,
+    "controlled": FunctionKind.CONTROLLED,
+    "monitored": FunctionKind.MONITORED,
+    "abstract": FunctionKind.ABSTRACT,
+}
+
+_CONSTANTS = {"true": TRUE, "false": FALSE, "undef": UNDEF}
+
+_LITERALS = {"NAT": lambda text: IntV(int(text)), "STRING": StrV, "SYM": SymV}
+
 
 class _Parser:
-    def __init__(self, tokens: List[Token]) -> None:
+    """Recursive descent over the tokens, resolving names as it reads.
+
+    Without a signature (`parse_term(text)`, and codomain hints, which come
+    before the signature is complete) bare identifiers stay `Var` and
+    nothing is checked. Resolution problems are collected in `diags` and
+    raised together by the caller once the text has parsed, so a
+    `ParseError` wins over them.
+    """
+
+    def __init__(self, tokens: List[Token], sig: Optional[Signature] = None) -> None:
         self.tokens = tokens
         self.i = 0
         self.depth = 0
+        self.height = 0  # height of the term parsed last
+        self.sig = sig
+        self.scope: frozenset = frozenset()  # bound variables
+        self.diags: List[Tuple[int, int, str]] = []
+        self.rules: Dict[str, int] = {}  # rule name -> number of formals
+        self.calls: List[Tuple[str, int, Pos]] = []  # checked after the last rule
+        self.rule, self.chooses = "", 0  # the rule being read, for choose labels
 
     def peek(self) -> Token:
         return self.tokens[self.i]
@@ -286,57 +340,82 @@ class _Parser:
     def _exit(self) -> None:
         self.depth -= 1
 
+    def err(self, pos: Pos, msg: str) -> None:
+        self.diags.append((pos[0], pos[1], msg))
+
     # -- machine ------------------------------------------------------------
 
-    def machine(self) -> "_RawMachine":
+    def machine(self) -> MachineDef:
         self.expect("machine")
         name = self.expect("IDENT").value
-        sigdecls: List[Tuple[str, str, int, Optional[SetV], Pos]] = []
-        while self.peek().type in ("static", "controlled", "monitored", "abstract"):
-            sigdecls.extend(self.sigdecl())
-        rules: List[RuleDecl] = []
+        funcs: List[FuncDecl] = []
+        while self.peek().type in _KIND_OF:
+            self.sigdecl(funcs)
+        # every agent reads its own id through this implicit input
+        funcs.append(FuncDecl("self", 0, FunctionKind.MONITORED, auto=True))
+        # canonical order so structural equality survives reordered sources
+        funcs.sort(key=lambda d: (_KIND_ORDER[d.kind], d.name))
+        self.sig = Signature(tuple(funcs))
         if not self.at("rule"):
             t = self.peek()
             raise ParseError("expected at least one rule declaration", t.line, t.col,
                              expected="rule")
+        decls: Dict[str, RuleDecl] = {}
         while self.at("rule"):
-            rules.append(self.ruledecl())
-        init: List[Tuple[App, Term, Pos]] = []
+            rd = self.ruledecl()
+            decls[rd.name] = rd
+        init: List[Tuple[App, Term]] = []
         if self.accept("init"):
             self.expect("{")
             while not self.at("}"):
-                lhs = self.lhsterm()
-                self.expect(":=")
-                rhs = self.term()
-                init.append((lhs, rhs, lhs.pos))
+                self.init_entry(init)
             self.expect("}")
         tok = self.expect("main")
-        main = self.expect("IDENT")
-        agents: List[Tuple[str, str, Pos]] = []
+        main = self.expect("IDENT").value
+        self.check_rule(main, (tok.line, tok.col), "main rule")
+        agents: List[Tuple[str, str]] = []
         while self.at("agent"):
             t = self.next()
             aid = self.expect("IDENT").value
             self.expect("runs")
             rname = self.expect("IDENT").value
-            agents.append((aid, rname, (t.line, t.col)))
+            if aid in (a for a, _ in agents):
+                self.err((t.line, t.col), f"duplicate agent id {aid!r}")
+            self.check_rule(rname, (t.line, t.col), "agent rule")
+            agents.append((aid, rname))
         self.expect("EOF")
-        return _RawMachine(name, sigdecls, rules, init, (main.value, (tok.line, tok.col)), agents)
+        for rname, nargs, pos in self.calls:
+            if rname not in self.rules:
+                self.err(pos, f"call to undeclared rule {rname!r}")
+            elif self.rules[rname] != nargs:
+                self.err(pos, f"rule {rname!r} takes {self.rules[rname]} argument(s), "
+                              f"got {nargs}")
+        return MachineDef(name, self.sig, decls, tuple(init), main, tuple(agents))
 
-    def sigdecl(self) -> List[Tuple[str, str, int, Optional[SetV], Pos]]:
+    def check_rule(self, rname: str, pos: Pos, what: str) -> None:
+        """`main` and agent rules: declared, and without parameters."""
+        if rname not in self.rules:
+            self.err(pos, f"{what} {rname!r} is not declared")
+        elif self.rules[rname] != 0:
+            self.err(pos, f"{what} {rname!r} must have no parameters")
+
+    def sigdecl(self, funcs: List[FuncDecl]) -> None:
         kind = self.next().value
-        out = []
         while True:
             t = self.expect("IDENT")
-            arity = 0
-            if self.accept("/"):
-                arity = int(self.expect("NAT").value)
-            codomain = None
-            if self.accept(":"):
-                codomain = self.set_literal()
-            out.append((kind, t.value, arity, codomain, (t.line, t.col)))
+            pos = (t.line, t.col)
+            arity = int(self.expect("NAT").value) if self.accept("/") else 0
+            codomain = self.set_literal() if self.accept(":") else None
+            if t.value == "self":
+                self.err(pos, "'self' is implicitly declared and cannot be redeclared")
+            elif any(d.name == t.value for d in funcs):
+                self.err(pos, f"duplicate function declaration {t.value!r}")
+            else:
+                if codomain is not None and kind != "abstract":
+                    self.err(pos, f"codomain hint on non-abstract function {t.value!r}")
+                funcs.append(FuncDecl(t.value, arity, _KIND_OF[kind], codomain))
             if not self.accept(","):
                 break
-        return out
 
     def set_literal(self) -> SetV:
         t = self.peek()
@@ -348,6 +427,7 @@ class _Parser:
 
     def ruledecl(self) -> RuleDecl:
         tok = self.expect("rule")
+        pos = (tok.line, tok.col)
         name = self.expect("IDENT").value
         formals: List[str] = []
         if self.accept("("):
@@ -357,29 +437,51 @@ class _Parser:
                     formals.append(self.expect("IDENT").value)
             self.expect(")")
         self.expect("=")
+        if name in self.rules:
+            self.err(pos, f"duplicate rule declaration {name!r}")
+        self.rules[name] = len(formals)
+        if len(set(formals)) != len(formals):
+            self.err(pos, f"duplicate formal parameter in rule {name!r}")
+        self.rule, self.chooses, self.scope = name, 0, frozenset(formals)
         body = self.op()
-        return RuleDecl(name, tuple(formals), body, (tok.line, tok.col))
+        self.scope = frozenset()
+        return RuleDecl(name, tuple(formals), body, pos)
+
+    def init_entry(self, init: List[Tuple[App, Term]]) -> None:
+        mark = len(self.diags)
+        lhs = self.lhsterm()
+        self.expect(":=")
+        rhs = self.term()
+        decl = self.sig.get(lhs.fname)
+        if decl is None:
+            problem = f"init target {lhs.fname!r} is not declared"
+        elif decl.kind == FunctionKind.ABSTRACT:
+            problem = f"init cannot set abstract function {lhs.fname!r}"
+        elif decl.arity != len(lhs.args):
+            problem = f"init target {lhs.fname!r} has arity {decl.arity}"
+        else:
+            init.append((lhs, rhs))
+            return
+        del self.diags[mark:]  # the terms of a rejected entry are not checked
+        self.err(lhs.pos, problem)
 
     # -- rule operations ------------------------------------------------------
 
     def lhsterm(self) -> App:
         t = self.expect("IDENT")
-        args: List[Term] = []
+        args: Tuple[Term, ...] = ()
         if self.accept("("):
-            if not self.at(")"):
-                args.append(self.term())
-                while self.accept(","):
-                    args.append(self.term())
-            self.expect(")")
-        return App(t.value, tuple(args), (t.line, t.col))
+            args = self.terms(")")
+        return App(t.value, args, (t.line, t.col))
 
     def op(self) -> RuleExpr:
         self._enter()
         try:
             t = self.peek()
+            pos = (t.line, t.col)
             if t.type == "skip":
                 self.next()
-                return Par((), (t.line, t.col))
+                return Par((), pos)
             if t.type == "par":
                 self.next()
                 children: List[RuleExpr] = []
@@ -389,7 +491,7 @@ class _Parser:
                                          self.peek().col, expected="endpar")
                     children.append(self.op())
                 self.expect("endpar")
-                return Par(tuple(children), (t.line, t.col))
+                return Par(tuple(children), pos)
             if t.type == "if":
                 self.next()
                 guard = self.term()
@@ -398,27 +500,35 @@ class _Parser:
                 else_op = None
                 if self.accept("else"):
                     else_op = self.op()
-                return If(guard, then_op, else_op, (t.line, t.col))
+                return If(guard, then_op, else_op, pos)
             if t.type == "let":
                 self.next()
                 var = self.expect("IDENT").value
                 self.expect("=")
                 binding = self.term()
                 self.expect("in")
+                outer, self.scope = self.scope, self.scope | {var}
                 body = self.op()
-                return Let(var, binding, body, (t.line, t.col))
+                self.scope = outer
+                return Let(var, binding, body, pos)
             if t.type in ("forall", "choose"):
                 self.next()
+                if t.type == "choose":  # labels number chooses in source order
+                    self.chooses += 1
+                    label = f"{self.rule}.choose{self.chooses}"
                 var = self.expect("IDENT").value
                 self.expect("in")
                 domain = self.term()
+                outer, self.scope = self.scope, self.scope | {var}
                 guard = None
                 if self.accept("with"):
                     guard = self.term()
                 self.expect("do")
                 body = self.op()
-                cls = Forall if t.type == "forall" else Choose
-                return cls(var, domain, guard, body, (t.line, t.col))
+                self.scope = outer
+                if t.type == "forall":
+                    return Forall(var, domain, guard, body, pos)
+                return Choose(var, domain, guard, body, pos, label)
             if t.type == "(":  # parenthesized operation, e.g. par A (if c then B) endpar
                 self.next()
                 inner = self.op()
@@ -427,11 +537,12 @@ class _Parser:
             if t.type == "IDENT":
                 head = self.lhsterm()
                 if self.accept(":="):
-                    rhs = self.term()
-                    return Assign(head, rhs, head.pos)
+                    self.check_target(head)
+                    return Assign(head, self.term(), pos)
                 # a call requires the parenthesized form R(...)
                 if self.tokens[self.i - 1].type == ")":
-                    return Call(head.fname, head.args, head.pos)
+                    self.calls.append((head.fname, len(head.args), pos))
+                    return Call(head.fname, head.args, pos)
                 nxt = self.peek()
                 raise ParseError("expected ':=' or call arguments", nxt.line, nxt.col,
                                  expected=":=")
@@ -439,141 +550,122 @@ class _Parser:
         finally:
             self._exit()
 
+    def check_target(self, lhs: App) -> None:
+        decl = self.sig.get(lhs.fname)
+        if decl is None:
+            self.err(lhs.pos, f"assignment to undeclared function {lhs.fname!r}")
+        elif decl.kind != FunctionKind.CONTROLLED:
+            self.err(lhs.pos, f"assignment to {decl.kind.value} function {lhs.fname!r}")
+        elif decl.arity != len(lhs.args):
+            self.err(lhs.pos, f"{lhs.fname!r} has arity {decl.arity}")
+
     # -- terms ---------------------------------------------------------------
 
-    def term(self) -> Term:
+    def term(self, level: int = 1) -> Term:
+        """The operators of `level` or tighter, by precedence climbing on _LEVEL."""
         self._enter()
         try:
-            return self.implies_term()
+            t = self.peek()
+            prefix = _PREFIX.get(t.type)
+            if prefix is not None and _LEVEL[prefix] >= level:
+                self.next()
+                top = _LEVEL[prefix]
+                left = self.apply(prefix, (self.term(top),), t, self.height)
+            else:
+                top = _LEVEL["neg"] + 1  # above the tightest level
+                left = self.atom()
+            # after an operator only looser ones may follow, or the same
+            # level again when it associates to the left
+            while self.peek().type in _BINARY and level <= _LEVEL[self.peek().type] < top:
+                t = self.next()
+                my, below = _LEVEL[t.type], self.height
+                right = self.term(my if t.type in _RIGHT_ASSOC else my + 1)
+                left = self.apply(t.type, (left, right), t, max(below, self.height))
+                top = my + 1 if t.type in _LEFT_ASSOC else my
+            return left
         finally:
             self._exit()
 
-    def implies_term(self) -> Term:
-        left = self.or_term()
-        t = self.peek()
-        if self.accept("implies"):
-            right = self.implies_term()  # right-associative
-            return App("implies", (left, right), (t.line, t.col))
-        return left
+    def terms(self, close: str, first: Optional[Term] = None) -> Tuple[Term, ...]:
+        """Comma-separated terms up to `close`; `height` becomes the tallest one's."""
+        out, tallest = [], 0
+        if first is not None:
+            out, tallest = [first], self.height
+        elif not self.at(close):
+            out.append(self.term())
+            tallest = self.height
+        while out and self.accept(","):
+            out.append(self.term())
+            tallest = max(tallest, self.height)
+        self.expect(close)
+        self.height = tallest
+        return tuple(out)
 
-    def or_term(self) -> Term:
-        left = self.and_term()
-        while self.at("or"):
-            t = self.next()
-            right = self.and_term()
-            left = App("or", (left, right), (t.line, t.col))
-        return left
+    def apply(self, fname: str, args: Tuple[Term, ...], t: Token, below: int) -> App:
+        """The application node over arguments at most `below` high, checked
+        against the signature; each application counts toward _MAX_DEPTH."""
+        self.height = below + 1
+        if self.depth + self.height > _MAX_DEPTH:
+            raise ParseError("nesting too deep", t.line, t.col)
+        pos = (t.line, t.col)
+        if self.sig is not None:
+            decl = self.sig.get(fname)
+            if decl is not None:
+                if decl.arity != len(args):
+                    self.err(pos, f"{fname!r} has arity {decl.arity}, got {len(args)}")
+            elif is_background(fname):
+                want = background_arity(fname)
+                if want is not None and want != len(args):
+                    self.err(pos, f"{fname!r} expects {want} argument(s), got {len(args)}")
+            elif fname in self.scope:
+                self.err(pos, f"bound variable {fname!r} cannot take arguments")
+            else:
+                self.err(pos, f"unknown function {fname!r}")
+        return App(fname, args, pos)
 
-    def and_term(self) -> Term:
-        left = self.not_term()
-        while self.at("and"):
-            t = self.next()
-            right = self.not_term()
-            left = App("and", (left, right), (t.line, t.col))
-        return left
-
-    def not_term(self) -> Term:
-        if self.at("not"):
-            t = self.next()
-            return App("not", (self.not_term(),), (t.line, t.col))
-        return self.cmp_term()
-
-    def cmp_term(self) -> Term:
-        left = self.add_term()
-        t = self.peek()
-        if t.type in ("=", "!=", "<", "<=", ">", ">="):
-            self.next()
-            right = self.add_term()
-            return App(t.type, (left, right), (t.line, t.col))
-        return left
-
-    def add_term(self) -> Term:
-        left = self.mul_term()
-        while self.peek().type in ("+", "-"):
-            t = self.next()
-            right = self.mul_term()
-            left = App(t.type, (left, right), (t.line, t.col))
-        return left
-
-    def mul_term(self) -> Term:
-        left = self.unary_term()
-        while self.peek().type in ("*", "div", "mod"):
-            t = self.next()
-            right = self.unary_term()
-            left = App(t.type, (left, right), (t.line, t.col))
-        return left
-
-    def unary_term(self) -> Term:
-        if self.at("-"):
-            t = self.next()
-            return App("neg", (self.unary_term(),), (t.line, t.col))
-        return self.atom()
+    def name(self, t: Token) -> Term:
+        """A bare identifier: a bound variable, else a 0-ary function."""
+        pos = (t.line, t.col)
+        if self.sig is None or t.value in self.scope:
+            return Var(t.value, pos)
+        decl = self.sig.get(t.value)
+        if decl is None:
+            self.err(pos, f"unknown name {t.value!r}")
+            return Var(t.value, pos)
+        if decl.arity != 0:
+            self.err(pos, f"{t.value!r} has arity {decl.arity}, used without arguments")
+        return App(t.value, (), pos)
 
     def atom(self) -> Term:
         self._enter()
         try:
-            t = self.peek()
-            if t.type == "NAT":
-                self.next()
-                return Lit(IntV(int(t.value)), (t.line, t.col))
-            if t.type == "STRING":
-                self.next()
-                return Lit(StrV(t.value), (t.line, t.col))
-            if t.type == "SYM":
-                self.next()
-                return Lit(SymV(t.value), (t.line, t.col))
-            if t.type == "true":
-                self.next()
-                return Lit(TRUE, (t.line, t.col))
-            if t.type == "false":
-                self.next()
-                return Lit(FALSE, (t.line, t.col))
-            if t.type == "undef":
-                self.next()
-                return Lit(UNDEF, (t.line, t.col))
+            t = self.next()
+            self.height = 0
+            if t.type in _LITERALS:
+                return Lit(_LITERALS[t.type](t.value), (t.line, t.col))
+            if t.type in _CONSTANTS:
+                return Lit(_CONSTANTS[t.type], (t.line, t.col))
             if t.type == "IDENT":
-                self.next()
                 if self.accept("("):
-                    args: List[Term] = []
-                    if not self.at(")"):
-                        args.append(self.term())
-                        while self.accept(","):
-                            args.append(self.term())
-                    self.expect(")")
-                    return App(t.value, tuple(args), (t.line, t.col))
-                return Var(t.value, (t.line, t.col))
+                    return self.apply(t.value, self.terms(")"), t, self.height)
+                return self.name(t)
             if t.type == "(":
-                self.next()
                 inner = self.term()
                 self.expect(")")
                 return inner
             if t.type == "{":
-                self.next()
                 if self.accept("}"):
-                    return App("mkset", (), (t.line, t.col))
+                    return self.apply("mkset", (), t, 0)
                 first = self.term()
                 if self.accept(".."):
+                    below = self.height
                     hi = self.term()
                     self.expect("}")
-                    return App("mkrange", (first, hi), (t.line, t.col))
-                elems = [first]
-                while self.accept(","):
-                    elems.append(self.term())
-                self.expect("}")
-                return App("mkset", tuple(elems), (t.line, t.col))
+                    return self.apply("mkrange", (first, hi), t, max(below, self.height))
+                return self.apply("mkset", self.terms("}", first), t, self.height)
             raise ParseError(f"expected a term, found {t.type!r}", t.line, t.col)
         finally:
             self._exit()
-
-
-@dataclass
-class _RawMachine:
-    name: str
-    sigdecls: List[Tuple[str, str, int, Optional[SetV], Pos]]
-    rules: List[RuleDecl]
-    init: List[Tuple[App, Term, Pos]]
-    main: Tuple[str, Pos]
-    agents: List[Tuple[str, str, Pos]]
 
 
 def _const_eval(t: Term) -> Optional[Value]:
@@ -596,183 +688,16 @@ def _const_eval(t: Term) -> Optional[Value]:
     return None
 
 
-# ---------------------------------------------------------------------------
-# Resolution
-
-_KIND_OF = {
-    "static": FunctionKind.STATIC,
-    "controlled": FunctionKind.CONTROLLED,
-    "monitored": FunctionKind.MONITORED,
-    "abstract": FunctionKind.ABSTRACT,
-}
-
-
-class _Resolver:
-    def __init__(self, raw: _RawMachine) -> None:
-        self.raw = raw
-        self.diags: List[Tuple[int, int, str]] = []
-
-    def err(self, pos: Optional[Pos], msg: str) -> None:
-        ln, co = pos if pos else (0, 0)
-        self.diags.append((ln, co, msg))
-
-    def build_sig(self) -> Signature:
-        decls: List[FuncDecl] = []
-        seen = set()
-        for kind, name, arity, codomain, pos in self.raw.sigdecls:
-            if name == "self":
-                self.err(pos, "'self' is implicitly declared and cannot be redeclared")
-                continue
-            if name in seen:
-                self.err(pos, f"duplicate function declaration {name!r}")
-                continue
-            if codomain is not None and kind != "abstract":
-                self.err(pos, f"codomain hint on non-abstract function {name!r}")
-            seen.add(name)
-            decls.append(FuncDecl(name, arity, _KIND_OF[kind], codomain))
-        # every agent reads its own id through this implicit input
-        decls.append(FuncDecl("self", 0, FunctionKind.MONITORED, auto=True))
-        # canonical order so structural equality survives reordered sources
-        decls.sort(key=lambda d: (_KIND_ORDER[d.kind], d.name))
-        return Signature(tuple(decls))
-
-    def resolve(self) -> MachineDef:
-        sig = self.build_sig()
-        rule_arity: Dict[str, int] = {}
-        for rd in self.raw.rules:
-            if rd.name in rule_arity:
-                self.err(rd.pos, f"duplicate rule declaration {rd.name!r}")
-            rule_arity[rd.name] = len(rd.formals)
-            if len(set(rd.formals)) != len(rd.formals):
-                self.err(rd.pos, f"duplicate formal parameter in rule {rd.name!r}")
-
-        decls: Dict[str, RuleDecl] = {}
-        for rd in self.raw.rules:
-            counter = [0]
-            body = self.rule_expr(rd.body, sig, rule_arity, set(rd.formals), rd.name, counter)
-            decls[rd.name] = RuleDecl(rd.name, rd.formals, body, rd.pos)
-
-        init: List[Tuple[App, Term]] = []
-        for lhs, rhs, pos in self.raw.init:
-            decl = sig.get(lhs.fname)
-            if decl is None:
-                self.err(pos, f"init target {lhs.fname!r} is not declared")
-                continue
-            if decl.kind == FunctionKind.ABSTRACT:
-                self.err(pos, f"init cannot set abstract function {lhs.fname!r}")
-                continue
-            if decl.arity != len(lhs.args):
-                self.err(pos, f"init target {lhs.fname!r} has arity {decl.arity}")
-                continue
-            args = tuple(self.term(a, sig, set()) for a in lhs.args)
-            init.append((App(lhs.fname, args, lhs.pos), self.term(rhs, sig, set())))
-
-        main, main_pos = self.raw.main
-        if main not in rule_arity:
-            self.err(main_pos, f"main rule {main!r} is not declared")
-        elif rule_arity[main] != 0:
-            self.err(main_pos, f"main rule {main!r} must have no parameters")
-
-        agents: List[Tuple[str, str]] = []
-        agent_ids = set()
-        for aid, rname, pos in self.raw.agents:
-            if aid in agent_ids:
-                self.err(pos, f"duplicate agent id {aid!r}")
-            agent_ids.add(aid)
-            if rname not in rule_arity:
-                self.err(pos, f"agent rule {rname!r} is not declared")
-            elif rule_arity[rname] != 0:
-                self.err(pos, f"agent rule {rname!r} must have no parameters")
-            agents.append((aid, rname))
-
-        if self.diags:
-            raise ResolveError(sorted(self.diags))
-        return MachineDef(self.raw.name, sig, decls, tuple(init), main, tuple(agents))
-
-    def term(self, t: Term, sig: Signature, scope: set) -> Term:
-        if isinstance(t, Lit):
-            return t
-        if isinstance(t, Var):
-            if t.name in scope:
-                return t
-            decl = sig.get(t.name)
-            if decl is not None:
-                if decl.arity != 0:
-                    self.err(t.pos, f"{t.name!r} has arity {decl.arity}, used without arguments")
-                return App(t.name, (), t.pos)
-            self.err(t.pos, f"unknown name {t.name!r}")
-            return t
-        if isinstance(t, App):
-            args = tuple(self.term(a, sig, scope) for a in t.args)
-            decl = sig.get(t.fname)
-            if decl is not None:
-                if decl.arity != len(args):
-                    self.err(t.pos, f"{t.fname!r} has arity {decl.arity}, got {len(args)}")
-            elif is_background(t.fname):
-                want = background_arity(t.fname)
-                if want is not None and want != len(args):
-                    self.err(t.pos, f"{t.fname!r} expects {want} argument(s), got {len(args)}")
-            elif t.fname in scope:
-                self.err(t.pos, f"bound variable {t.fname!r} cannot take arguments")
-            else:
-                self.err(t.pos, f"unknown function {t.fname!r}")
-            return App(t.fname, args, t.pos)
-        raise TypeError(f"not a term: {t!r}")
-
-    def rule_expr(
-        self,
-        op: RuleExpr,
-        sig: Signature,
-        rules: Dict[str, int],
-        scope: set,
-        rname: str,
-        counter: List[int],
-    ) -> RuleExpr:
-        rec = lambda o, sc: self.rule_expr(o, sig, rules, sc, rname, counter)
-        if isinstance(op, Assign):
-            decl = sig.get(op.lhs.fname)
-            if decl is None:
-                self.err(op.pos, f"assignment to undeclared function {op.lhs.fname!r}")
-            elif decl.kind != FunctionKind.CONTROLLED:
-                self.err(op.pos,
-                         f"assignment to {decl.kind.value} function {op.lhs.fname!r}")
-            elif decl.arity != len(op.lhs.args):
-                self.err(op.pos, f"{op.lhs.fname!r} has arity {decl.arity}")
-            lhs_args = tuple(self.term(a, sig, scope) for a in op.lhs.args)
-            return Assign(App(op.lhs.fname, lhs_args, op.lhs.pos),
-                          self.term(op.rhs, sig, scope), op.pos)
-        if isinstance(op, Par):
-            return Par(tuple(rec(c, scope) for c in op.children), op.pos)
-        if isinstance(op, If):
-            return If(self.term(op.guard, sig, scope), rec(op.then_op, scope),
-                      rec(op.else_op, scope) if op.else_op is not None else None, op.pos)
-        if isinstance(op, Let):
-            return Let(op.var, self.term(op.binding, sig, scope),
-                       rec(op.body, scope | {op.var}), op.pos)
-        if isinstance(op, Call):
-            if op.rname not in rules:
-                self.err(op.pos, f"call to undeclared rule {op.rname!r}")
-            elif rules[op.rname] != len(op.args):
-                self.err(op.pos,
-                         f"rule {op.rname!r} takes {rules[op.rname]} argument(s), "
-                         f"got {len(op.args)}")
-            return Call(op.rname, tuple(self.term(a, sig, scope) for a in op.args), op.pos)
-        if isinstance(op, Forall):
-            return Forall(op.var, self.term(op.domain, sig, scope),
-                          self.term(op.guard, sig, scope | {op.var}) if op.guard else None,
-                          rec(op.body, scope | {op.var}), op.pos)
-        if isinstance(op, Choose):
-            counter[0] += 1
-            label = f"{rname}.choose{counter[0]}"
-            return Choose(op.var, self.term(op.domain, sig, scope),
-                          self.term(op.guard, sig, scope | {op.var}) if op.guard else None,
-                          rec(op.body, scope | {op.var}), op.pos, label)
-        raise TypeError(f"not a rule expression: {op!r}")
+def _resolved(p: _Parser, result):
+    if p.diags:
+        raise ResolveError(sorted(p.diags))
+    return result
 
 
 def parse_machine(text: str) -> MachineDef:
     """Parse and resolve machine source text."""
-    return _Resolver(_Parser(_tokenize(text)).machine()).resolve()
+    p = _Parser(_tokenize(text))
+    return _resolved(p, p.machine())
 
 
 def read_source(path: Union[str, Path]) -> str:
@@ -785,27 +710,14 @@ def read_source(path: Union[str, Path]) -> str:
 
 def parse_term(text: str, sig: Optional[Signature] = None) -> Term:
     """Parse a closed term; resolve names against `sig` when given."""
-    p = _Parser(_tokenize(text))
+    p = _Parser(_tokenize(text), sig)
     t = p.term()
     p.expect("EOF")
-    if sig is None:
-        return t
-    raw = _RawMachine("t", [], [], [], ("t", (0, 0)), [])
-    r = _Resolver(raw)
-    resolved = r.term(t, sig, set())
-    if r.diags:
-        raise ResolveError(sorted(r.diags))
-    return resolved
+    return _resolved(p, t)
 
 
 # ---------------------------------------------------------------------------
 # Pretty printer
-
-_LEVEL = {"implies": 1, "or": 2, "and": 3, "not": 4,
-          "=": 5, "!=": 5, "<": 5, "<=": 5, ">": 5, ">=": 5,
-          "+": 6, "-": 6, "*": 7, "div": 7, "mod": 7, "neg": 8}
-
-_LEFT_ASSOC = {"or", "and", "+", "-", "*", "div", "mod"}
 
 
 def pp_term(t: Term, level: int = 0) -> str:
@@ -818,21 +730,17 @@ def pp_term(t: Term, level: int = 0) -> str:
         return t.fname
     if t.fname == "mkset":
         return "{" + ", ".join(pp_term(a) for a in t.args) + "}"
-    if t.fname == "mkrange":
+    if t.fname == "mkrange" and len(t.args) == 2:
         return "{" + pp_term(t.args[0]) + " .. " + pp_term(t.args[1]) + "}"
     my = _LEVEL.get(t.fname)
-    if my is None or (my is not None and len(t.args) not in (1, 2)):
+    if my is None or len(t.args) != (1 if t.fname in _PREFIX.values() else 2):
         return f"{t.fname}({', '.join(pp_term(a) for a in t.args)})"
-    if t.fname == "not":
-        text = f"not {pp_term(t.args[0], 4)}"
-    elif t.fname == "neg":
-        text = f"-{pp_term(t.args[0], 8)}"
-    elif t.fname == "implies":  # right-associative
-        text = f"{pp_term(t.args[0], 2)} implies {pp_term(t.args[1], 1)}"
-    elif t.fname in _LEFT_ASSOC:
-        text = f"{pp_term(t.args[0], my)} {t.fname} {pp_term(t.args[1], my + 1)}"
-    else:  # comparisons: non-associative
-        text = f"{pp_term(t.args[0], my + 1)} {t.fname} {pp_term(t.args[1], my + 1)}"
+    if len(t.args) == 1:
+        text = ("not " if t.fname == "not" else "-") + pp_term(t.args[0], my)
+    else:
+        left = my if t.fname in _LEFT_ASSOC else my + 1
+        right = my if t.fname in _RIGHT_ASSOC else my + 1
+        text = f"{pp_term(t.args[0], left)} {t.fname} {pp_term(t.args[1], right)}"
     return f"({text})" if my < level else text
 
 

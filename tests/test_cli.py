@@ -49,6 +49,45 @@ def test_run_rule_on_machine_with_agents_needs_single():
     assert r.stdout == ""
 
 
+PARAM_RULE = """
+machine P
+  controlled x
+  rule Set(a) = x := a
+  rule Main = Set(1)
+  main Main
+"""
+
+
+@pytest.mark.parametrize("command, rule", [
+    ("run", "Nope"), ("normalize", "Nope"), ("run", "Set"), ("normalize", "Set"),
+])
+def test_rule_option_names_a_declared_rule_without_parameters(tmp_path, capsys,
+                                                              command, rule):
+    machine = tmp_path / "p.asm"
+    machine.write_text(PARAM_RULE, encoding="utf-8")
+    assert cli.main([command, str(machine), "--rule", rule]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"rule {rule!r}" in err
+    assert ("not declared" if rule == "Nope" else "has parameters") in err
+
+
+def test_run_rule_on_swap(capsys):
+    assert cli.main(["run", str(MODELS / "swap.asm"), "--rule", "Nope"]) == 2
+    assert cli.main(["run", str(MODELS / "swap.asm"), "--rule", "Main", "--steps", "1"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["a = 2", "b = 1"]
+
+
+@pytest.mark.parametrize("rhs", ["1" + " + 1" * 19_999, "not " * 20_000 + "true"])
+@pytest.mark.parametrize("command", [["fmt", "--stdout"], ["run"]])
+def test_deep_term_exits_2(tmp_path, capsys, rhs, command):
+    machine = tmp_path / "deep.asm"
+    machine.write_text(f"machine D controlled x rule R = x := {rhs} main R",
+                       encoding="utf-8")
+    assert cli.main([*command, str(machine)]) == 2
+    assert "nesting too deep" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("args", [
     ("run", MODELS / "swap.asm", "--steps", -1),
     ("explore", MODELS / "ring3.asm", "--depth", -1),

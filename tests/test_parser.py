@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -145,6 +146,36 @@ def test_round_trip_preserves_operator_structure():
         assert parse_term(pp_term(t), m.sig) == t, text
 
 
+def test_printer_and_parser_share_the_operator_table():
+    # random trees over every operator print and parse back to themselves
+    from asmweave.parser import _LEVEL, _PREFIX, Var
+
+    rng = random.Random(5)
+    prefix = sorted(_PREFIX.values())
+    binary = sorted(set(_LEVEL) - set(prefix))
+
+    def tree(depth):
+        roll = rng.random()
+        if depth == 0 or roll < 0.2:
+            return Lit(IntV(rng.randrange(3))) if rng.random() < 0.5 else Var("v")
+        if roll < 0.35:
+            return App(rng.choice(prefix), (tree(depth - 1),))
+        return App(rng.choice(binary), (tree(depth - 1), tree(depth - 1)))
+
+    for _ in range(2000):
+        t = tree(5)
+        assert parse_term(pp_term(t)) == t, pp_term(t)
+
+
+def test_operator_names_declared_as_functions_print_as_calls():
+    src = ("machine M controlled x, neg/2, mkrange/1 "
+           "rule R = par x := neg(1, 2) x := mkrange(1) endpar main R")
+    m = parse_machine(src)
+    printed = pretty_print(m)
+    assert "neg(1, 2)" in printed and "mkrange(1)" in printed
+    assert parse_machine(printed) == m
+
+
 def test_sym_and_string_literals():
     m = parse_machine("machine M controlled x rule R = x := 'white main R")
     from asmweave.values import SymV, StrV
@@ -159,9 +190,12 @@ def test_comments_are_ignored():
 
 
 def test_deep_nesting_is_a_parse_error_not_a_crash():
-    src = "machine M controlled x rule R = x := " + "(" * 2000 + "1" + ")" * 2000 + " main R"
-    with pytest.raises(ParseError):
-        parse_machine(src)
+    for rhs in ["(" * 2000 + "1" + ")" * 2000,
+                "1" + " + 1" * 19_999,  # operator applications count like brackets
+                "not " * 20_000 + "true"]:
+        src = "machine M controlled x rule R = x := " + rhs + " main R"
+        with pytest.raises(ParseError, match="nesting too deep"):
+            parse_machine(src)
 
 
 def test_grouped_sig_decl_with_arities():
@@ -207,3 +241,12 @@ def test_fuzz_parser_never_crashes_small():
             parse_machine(text)
         except AsmError:
             pass  # any toolkit error is fine; crashes are not
+
+
+def test_parse_results_are_pinned():
+    # the digest was recorded before the parser resolved names in one pass;
+    # any change to a result, an error message or a position changes it
+    from parse_corpus import results
+
+    digest = hashlib.sha256("\n".join(results()).encode("utf-8")).hexdigest()
+    assert digest == "77771ddc34febbeaf6b91f8520268eb36e13e43f2cb3cc20c0bc12e0d3c0b354"
