@@ -34,6 +34,11 @@ def background_arity(name: str) -> Optional[int]:
     return _REGISTRY[name][0]
 
 
+def background_op(name: str) -> Tuple[Optional[int], Callable[..., Value]]:
+    """The (arity, implementation) registered under `name`."""
+    return _REGISTRY[name]
+
+
 def apply_background(name: str, args: Tuple[Value, ...]) -> Value:
     entry = _REGISTRY.get(name)
     if entry is None:

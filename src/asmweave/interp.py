@@ -10,6 +10,16 @@ through the resolver. What a step does with its update set is decided in
 one place, `_outcome`: a clash is Inconsistent, an empty set is Stalled
 (unless the step may stutter), and anything else fires into Progressed.
 
+Terms and rules are compiled into Python closures (Feeley & Lapalme,
+"Using closures for code generation", 1987). A node is compiled on its
+first evaluation against a signature, and the node itself holds the
+closure together with that signature, so closures live and die with the
+tree and no table outlives a machine. A rule call site instantiates its
+callee once per machine and keeps that compiled instantiation, so the
+substitution, and the choose labels it names, happen once per site and
+not once per evaluation. `eval_term`, `update_set` and `_probe` run the
+closures; the tree walk they replaced is the test oracle.
+
 Every step is a step of an agent set over one shared state, taken by
 `ma_step` under one of three schedulers: synchronous (all agents step
 against the same pre-state and their update sets are unioned),
@@ -57,7 +67,7 @@ from .errors import (
     UnboundedAbstract,
     UnboundVariable,
 )
-from .background import apply_background, is_background
+from .background import background_op, is_background
 from .parser import (
     App,
     Assign,
@@ -77,6 +87,7 @@ from .parser import (
 from .state import (
     FunctionKind,
     Location,
+    Signature,
     State,
     Update,
     UpdateSet,
@@ -135,15 +146,17 @@ class Env:
             raise UnboundVariable(f"unbound variable {name!r}", pos) from None
 
     def ctx_digest(self) -> str:
-        if not self.bindings:
-            return ""
-        blob = "|".join(
-            f"{k}={show_value(self.bindings[k])}" for k in sorted(self.bindings)
-        )
-        return hashlib.sha256(blob.encode()).hexdigest()[:8]
+        return _ctx_digest(self.bindings)
 
 
 _EMPTY_ENV = Env()
+
+
+def _ctx_digest(bindings: Dict[str, Value]) -> str:
+    if not bindings:
+        return ""
+    blob = "|".join(f"{k}={show_value(bindings[k])}" for k in sorted(bindings))
+    return hashlib.sha256(blob.encode()).hexdigest()[:8]
 
 
 # ---------------------------------------------------------------------------
@@ -346,46 +359,6 @@ def _parse_loc_label(label: str, state: State) -> Location:
 
 
 # ---------------------------------------------------------------------------
-# Term evaluation
-
-
-def eval_term(t: Term, state: State, env: Optional[Env] = None,
-              resolver: Optional[Resolver] = None) -> Value:
-    env = env or Env.empty()
-    if isinstance(t, Lit):
-        return t.value
-    if isinstance(t, Var):
-        return env.get(t.name, t.pos)
-    if isinstance(t, App):
-        decl = state.sig.get(t.fname)
-        args = tuple(eval_term(a, state, env, resolver) for a in t.args)
-        if decl is not None:
-            if decl.arity != len(args):
-                raise ArityMismatch(
-                    f"{t.fname!r} has arity {decl.arity}, got {len(args)}", t.pos)
-            if decl.kind == FunctionKind.STATIC:
-                return state.static_value(Location(t.fname, args))
-            if decl.kind == FunctionKind.ABSTRACT:
-                if resolver is None:
-                    raise EvalError(
-                        f"abstract function {t.fname!r} needs a resolver", t.pos)
-                return resolver.abstract(t.fname, args, decl.codomain, decl.arity, t.pos)
-            return state.content.get(Location(t.fname, args), UNDEF)
-        if is_background(t.fname):
-            return apply_background(t.fname, args)
-        raise EvalError(f"unknown function {t.fname!r}", t.pos)
-    raise TypeError(f"not a term: {t!r}")
-
-
-def _guard_value(guard: Term, state: State, env: Env, resolver) -> bool:
-    v = eval_term(guard, state, env, resolver)
-    if not isinstance(v, BoolV):
-        raise GuardNotBoolean(
-            f"guard {pp_term(guard)} evaluated to {show_value(v)}", guard.pos)
-    return v.b
-
-
-# ---------------------------------------------------------------------------
 # Capture-avoiding substitution for rule calls
 
 
@@ -476,7 +449,266 @@ def instantiate_call(machine: MachineDef, rname: str, args: Tuple[Term, ...]) ->
 
 
 # ---------------------------------------------------------------------------
-# Update sets
+# Evaluation: each node is compiled once into a closure
+#
+# A term compiles to `fn(state, env, resolver) -> Value` and a rule to
+# `fn(state, env, resolver, cx, depth, out)`, which adds the rule's updates
+# to the set `out`; `env` is a dict of the lexical bindings, never mutated,
+# and `cx` is the pair (machine, max call depth). The compiler binds what
+# the signature fixes: a function's declaration, a background operation,
+# a location whose arguments are literals, a choose label. Every check the
+# tree walk in `tests/interp_oracle.py` makes while evaluating (arity,
+# unknown function, unbound variable, guard, range, call depth, missing
+# resolver or machine) stays in the closure, and raises the same error
+# after the same evaluations.
+
+
+def _compiled(node, sig: Signature, compile_node):
+    """The closure of `node` against `sig`, compiled on first use and kept
+    on the node with `sig`, so it lives exactly as long as the tree."""
+    held = getattr(node, "_compiled", None)
+    if held is not None and held[0] is sig:
+        return held[1]
+    fn = compile_node(node, sig)
+    if isinstance(node, (Term, RuleExpr)):
+        object.__setattr__(node, "_compiled", (sig, fn))
+    return fn
+
+
+def _term(t: Term, sig: Signature):
+    return _compiled(t, sig, _compile_term)
+
+
+def _rule(op: RuleExpr, sig: Signature):
+    return _compiled(op, sig, _compile_rule)
+
+
+def _values(args):
+    """Closure building the tuple of `args`' values, left to right."""
+    if not args:
+        return lambda s, e, r: ()
+    if len(args) == 1:
+        a0, = args
+        return lambda s, e, r: (a0(s, e, r),)
+    if len(args) == 2:
+        a0, a1 = args
+        return lambda s, e, r: (a0(s, e, r), a1(s, e, r))
+    return lambda s, e, r: tuple([a(s, e, r) for a in args])
+
+
+def _failing(args, error):
+    """Closure evaluating `args`, then raising `error()`."""
+    values = _values(args)
+
+    def fail(s, e, r):
+        values(s, e, r)
+        raise error()
+    return fail
+
+
+def _compile_term(t: Term, sig: Signature):
+    if isinstance(t, Lit):
+        value = t.value
+        return lambda s, e, r: value
+    if isinstance(t, Var):
+        name, pos = t.name, t.pos
+
+        def var(s, e, r):
+            try:
+                return e[name]
+            except KeyError:
+                raise UnboundVariable(f"unbound variable {name!r}", pos) from None
+        return var
+    if isinstance(t, App):
+        return _compile_app(t, sig)
+
+    def not_a_term(s, e, r):
+        raise TypeError(f"not a term: {t!r}")
+    return not_a_term
+
+
+def _compile_app(t: App, sig: Signature):
+    fname, pos = t.fname, t.pos
+    args = tuple(_term(a, sig) for a in t.args)
+    n = len(args)
+    decl = sig.get(fname)
+    if decl is None:
+        if not is_background(fname):
+            return _failing(args, lambda: EvalError(f"unknown function {fname!r}", pos))
+        arity, op = background_op(fname)
+        if arity is not None and arity != n:
+            return _failing(args, lambda: ArityMismatch(
+                f"{fname!r} expects {arity} argument(s), got {n}"))
+        if n == 1:
+            a0, = args
+            return lambda s, e, r: op(a0(s, e, r))
+        if n == 2:
+            a0, a1 = args
+            return lambda s, e, r: op(a0(s, e, r), a1(s, e, r))
+        values = _values(args)
+        return lambda s, e, r: op(*values(s, e, r))
+    if decl.arity != n:
+        return _failing(args, lambda: ArityMismatch(
+            f"{fname!r} has arity {decl.arity}, got {n}", pos))
+    values = _values(args)
+    if decl.kind == FunctionKind.ABSTRACT:
+        codomain, arity = decl.codomain, decl.arity
+
+        def abstract(s, e, r):
+            vals = values(s, e, r)
+            if r is None:
+                raise EvalError(f"abstract function {fname!r} needs a resolver", pos)
+            return r.abstract(fname, vals, codomain, arity, pos)
+        return abstract
+    static = decl.kind == FunctionKind.STATIC
+    if all(isinstance(a, Lit) for a in t.args):
+        loc = Location(fname, tuple(a.value for a in t.args))
+        if static:
+            return lambda s, e, r: s.statics.get(loc, UNDEF)
+        return lambda s, e, r: s.content.get(loc, UNDEF)
+    if static:
+        return lambda s, e, r: s.statics.get(Location(fname, values(s, e, r)), UNDEF)
+    if n == 1:
+        a0, = args
+        return lambda s, e, r: s.content.get(Location(fname, (a0(s, e, r),)), UNDEF)
+    return lambda s, e, r: s.content.get(Location(fname, values(s, e, r)), UNDEF)
+
+
+def _not_boolean(guard: Term, v: Value) -> GuardNotBoolean:
+    return GuardNotBoolean(f"guard {pp_term(guard)} evaluated to {show_value(v)}",
+                           guard.pos)
+
+
+def _compile_rule(op: RuleExpr, sig: Signature):
+    if isinstance(op, Assign):
+        return _compile_assign(op, sig)
+    if isinstance(op, Par):
+        children = tuple(_rule(c, sig) for c in op.children)
+        if not children:
+            return lambda s, e, r, cx, d, out: None
+        if len(children) == 1:
+            return children[0]
+
+        def par(s, e, r, cx, d, out):
+            for child in children:
+                child(s, e, r, cx, d, out)
+        return par
+    if isinstance(op, If):
+        return _compile_if(op, sig)
+    if isinstance(op, Let):
+        binding, body, var = _term(op.binding, sig), _rule(op.body, sig), op.var
+
+        def let(s, e, r, cx, d, out):
+            inner = dict(e)
+            inner[var] = binding(s, e, r)
+            body(s, inner, r, cx, d, out)
+        return let
+    if isinstance(op, Call):
+        return _compile_call(op, sig)
+    if isinstance(op, (Forall, Choose)):
+        return _compile_binder(op, sig)
+
+    def not_a_rule(s, e, r, cx, d, out):
+        raise TypeError(f"not a rule expression: {op!r}")
+    return not_a_rule
+
+
+def _compile_assign(op: Assign, sig: Signature):
+    fname, rhs = op.lhs.fname, _term(op.rhs, sig)
+    if all(isinstance(a, Lit) for a in op.lhs.args):
+        loc = Location(fname, tuple(a.value for a in op.lhs.args))
+        return lambda s, e, r, cx, d, out: out.add(Update(loc, rhs(s, e, r)))
+    values = _values(tuple(_term(a, sig) for a in op.lhs.args))
+
+    def assign(s, e, r, cx, d, out):
+        loc = Location(fname, values(s, e, r))
+        out.add(Update(loc, rhs(s, e, r)))
+    return assign
+
+
+def _compile_if(op: If, sig: Signature):
+    guard_term = op.guard
+    guard, then_op = _term(guard_term, sig), _rule(op.then_op, sig)
+    else_op = _rule(op.else_op, sig) if op.else_op is not None else None
+
+    def if_(s, e, r, cx, d, out):
+        v = guard(s, e, r)
+        if not isinstance(v, BoolV):
+            raise _not_boolean(guard_term, v)
+        if v.b:
+            then_op(s, e, r, cx, d, out)
+        elif else_op is not None:
+            else_op(s, e, r, cx, d, out)
+    return if_
+
+
+def _compile_call(op: Call, sig: Signature):
+    rname, args, pos = op.rname, op.args, op.pos
+    site = [None, None]  # the machine last seen here, and its compiled body
+
+    def call(s, e, r, cx, d, out):
+        machine, max_depth = cx
+        if machine is None:
+            raise EvalError(f"rule call {rname!r} outside a machine context", pos)
+        if d >= max_depth:
+            raise CallDepthExceeded(f"call depth {max_depth} exceeded at {rname!r}", pos)
+        if site[0] is not machine:
+            site[1] = _rule(instantiate_call(machine, rname, args), sig)
+            site[0] = machine
+        site[1](s, e, r, cx, d + 1, out)
+    return call
+
+
+def _compile_binder(op, sig: Signature):
+    """forall and choose: bind `op.var` to each element of the range that
+    satisfies the guard; forall runs the body for each, choose for the one
+    element the resolver picks."""
+    var, pos, guard_term = op.var, op.pos, op.guard
+    domain, body = _term(op.domain, sig), _rule(op.body, sig)
+    guard = _term(guard_term, sig) if guard_term is not None else None
+    what = "forall" if isinstance(op, Forall) else "choose"
+
+    def elements(s, e, r):
+        """(element, env binding it) for each element passing the guard."""
+        dom = domain(s, e, r)
+        if not isinstance(dom, SetV):
+            raise RangeNotSet(f"{what} range evaluated to {show_value(dom)}", pos)
+        for v in dom:  # canonical order
+            inner = dict(e)
+            inner[var] = v
+            if guard is not None:
+                g = guard(s, inner, r)
+                if not isinstance(g, BoolV):
+                    raise _not_boolean(guard_term, g)
+                if not g.b:
+                    continue
+            yield v, inner
+
+    if what == "forall":
+        def forall(s, e, r, cx, d, out):
+            for _, inner in elements(s, e, r):
+                body(s, inner, r, cx, d, out)
+        return forall
+
+    label = op.label or (f"choose@{pos[0]}:{pos[1]}" if pos else "choose")
+
+    def choose(s, e, r, cx, d, out):
+        candidates = [v for v, _ in elements(s, e, r)]
+        if not candidates:
+            return  # idle gracefully when nothing satisfies
+        if r is None:
+            raise EvalError("choose needs a resolver", pos)
+        picked = r.choose(label, _ctx_digest(e), candidates, pos)
+        inner = dict(e)
+        inner[var] = picked
+        body(s, inner, r, cx, d, out)
+    return choose
+
+
+def eval_term(t: Term, state: State, env: Optional[Env] = None,
+              resolver: Optional[Resolver] = None) -> Value:
+    """The value of `t` in `state` under `env`'s bindings."""
+    return _term(t, state.sig)(state, env.bindings if env is not None else {}, resolver)
 
 
 def update_set(
@@ -488,75 +720,10 @@ def update_set(
     max_call_depth: int = DEFAULT_CALL_DEPTH,
 ) -> UpdateSet:
     """Update set of one rule evaluation; does not fire it."""
-    return _update_set(op, state, env or Env.empty(), resolver, machine,
-                       max_call_depth, 0)
-
-
-def _update_set(op, state, env, resolver, machine, max_depth, depth) -> UpdateSet:
-    if isinstance(op, Assign):
-        args = tuple(eval_term(a, state, env, resolver) for a in op.lhs.args)
-        val = eval_term(op.rhs, state, env, resolver)
-        return UpdateSet.of([Update(Location(op.lhs.fname, args), val)])
-    if isinstance(op, Par):
-        out = UpdateSet.empty()
-        for child in op.children:
-            out = out.union(_update_set(child, state, env, resolver, machine,
-                                        max_depth, depth))
-        return out
-    if isinstance(op, If):
-        if _guard_value(op.guard, state, env, resolver):
-            return _update_set(op.then_op, state, env, resolver, machine,
-                               max_depth, depth)
-        if op.else_op is not None:
-            return _update_set(op.else_op, state, env, resolver, machine,
-                               max_depth, depth)
-        return UpdateSet.empty()
-    if isinstance(op, Let):
-        val = eval_term(op.binding, state, env, resolver)
-        return _update_set(op.body, state, env.bind(op.var, val), resolver,
-                           machine, max_depth, depth)
-    if isinstance(op, Call):
-        if machine is None:
-            raise EvalError(f"rule call {op.rname!r} outside a machine context", op.pos)
-        if depth >= max_depth:
-            raise CallDepthExceeded(
-                f"call depth {max_depth} exceeded at {op.rname!r}", op.pos)
-        body = instantiate_call(machine, op.rname, op.args)
-        return _update_set(body, state, env, resolver, machine, max_depth, depth + 1)
-    if isinstance(op, Forall):
-        domain = eval_term(op.domain, state, env, resolver)
-        if not isinstance(domain, SetV):
-            raise RangeNotSet(
-                f"forall range evaluated to {show_value(domain)}", op.pos)
-        out = UpdateSet.empty()
-        for v in domain:  # canonical order
-            inner = env.bind(op.var, v)
-            if op.guard is not None and not _guard_value(op.guard, state, inner, resolver):
-                continue
-            out = out.union(_update_set(op.body, state, inner, resolver, machine,
-                                        max_depth, depth))
-        return out
-    if isinstance(op, Choose):
-        domain = eval_term(op.domain, state, env, resolver)
-        if not isinstance(domain, SetV):
-            raise RangeNotSet(
-                f"choose range evaluated to {show_value(domain)}", op.pos)
-        candidates = []
-        for v in domain:
-            inner = env.bind(op.var, v)
-            if op.guard is None or _guard_value(op.guard, state, inner, resolver):
-                candidates.append(v)
-        if not candidates:
-            return UpdateSet.empty()  # idle gracefully when nothing satisfies
-        if resolver is None:
-            raise EvalError("choose needs a resolver", op.pos)
-        label = op.label
-        if not label:
-            label = f"choose@{op.pos[0]}:{op.pos[1]}" if op.pos else "choose"
-        picked = resolver.choose(label, env.ctx_digest(), candidates, op.pos)
-        return _update_set(op.body, state, env.bind(op.var, picked), resolver,
-                           machine, max_depth, depth)
-    raise TypeError(f"not a rule expression: {op!r}")
+    out: set = set()
+    _rule(op, state.sig)(state, env.bindings if env is not None else {}, resolver,
+                         (machine, max_call_depth), 0, out)
+    return UpdateSet(frozenset(out))
 
 
 # ---------------------------------------------------------------------------
@@ -656,8 +823,8 @@ class MaStepResult:
 def _agent_update_set(machine, state, aid, rule, resolver, max_call_depth) -> UpdateSet:
     resolver.set_agent(aid)
     try:
-        return _update_set(rule_body(machine, rule), _agent_view(state, aid),
-                           Env.empty(), resolver, machine, max_call_depth, 0)
+        return update_set(rule_body(machine, rule), _agent_view(state, aid), None,
+                          resolver, machine, max_call_depth)
     finally:
         resolver.set_agent("")
 
@@ -928,8 +1095,7 @@ def _probe(body: RuleExpr, state: State, machine: Optional[MachineDef], bound: i
         resolver.set_agent(agent)
         resolver.begin_step(state)
         try:
-            us = _update_set(body, state, Env.empty(), resolver, machine,
-                             max_call_depth, 0)
+            us = update_set(body, state, None, resolver, machine, max_call_depth)
         except _Fork as f:
             if leaves + len(pending) + len(f.candidates) > bound:
                 raise BranchBudgetExceeded(bound) from None

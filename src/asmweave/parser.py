@@ -23,6 +23,7 @@ point.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
@@ -166,90 +167,64 @@ class Token:
     col: int
 
 
+# One scanner for every token. `\w` is exactly `str.isalnum()` or "_", so
+# a word may hold any letter or digit, but it must start with a letter or
+# "_"; numbers are ASCII digits only. A string is closed unless `close`
+# fails to match; a character nothing else takes is `bad`.
+_TOKEN = re.compile("|".join([
+    r"(?P<space>[ \t\r\n]+)",
+    r"(?P<comment>//[^\n]*)",
+    r"(?P<NAT>[0-9]+)",
+    r"(?P<word>\w+)",
+    r"(?P<SYM>'\w*)",
+    r'(?P<STRING>"(?:[^"\\\n]|\\[\s\S])*(?P<close>")?)',
+    "(?P<punct>" + "|".join(map(re.escape, _PUNCT)) + ")",
+    r"(?P<bad>[\s\S])",
+]))
+
+_ESCAPE = re.compile(r"\\([\s\S])")
+
+
+def _unescape(m: re.Match) -> str:
+    return {"n": "\n", "t": "\t"}.get(m[1], m[1])
+
+
+def _is_word_start(ch: str) -> bool:
+    return ch.isalpha() or ch == "_"
+
+
 def _tokenize(text: str) -> List[Token]:
     tokens: List[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-
-    def advance(k: int = 1) -> None:
-        nonlocal i, line, col
-        for _ in range(k):
-            if i < n and text[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r\n":
-            advance()
-            continue
-        if text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                advance()
-            continue
-        if ch.isdigit():
-            ln, co = line, col
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(Token("NAT", text[i:j], ln, co))
-            advance(j - i)
-            continue
-        if ch.isalpha() or ch == "_":
-            ln, co = line, col
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            tokens.append(Token(word if word in KEYWORDS else "IDENT", word, ln, co))
-            advance(j - i)
-            continue
-        if ch == "'":
-            ln, co = line, col
-            j = i + 1
-            if j >= n or not (text[j].isalpha() or text[j] == "_"):
-                raise ParseError("expected identifier after '", ln, co)
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(Token("SYM", text[i + 1 : j], ln, co))
-            advance(j - i)
-            continue
-        if ch == '"':
-            ln, co = line, col
-            j = i + 1
-            buf = []
-            while True:
-                if j >= n:
-                    raise ParseError("unterminated string literal", ln, co)
-                c = text[j]
-                if c == '"':
-                    j += 1
-                    break
-                if c == "\\":
-                    if j + 1 >= n:
-                        raise ParseError("unterminated escape in string", ln, co)
-                    esc = text[j + 1]
-                    buf.append({"n": "\n", "t": "\t"}.get(esc, esc))
-                    j += 2
-                    continue
-                if c == "\n":
-                    raise ParseError("unterminated string literal", ln, co)
-                buf.append(c)
-                j += 1
-            tokens.append(Token("STRING", "".join(buf), ln, co))
-            advance(j - i)
-            continue
-        for p in _PUNCT:
-            if text.startswith(p, i):
-                tokens.append(Token(p, p, line, col))
-                advance(len(p))
-                break
+    line, line_start = 1, 0  # the current line and the index it starts at
+    for m in _TOKEN.finditer(text):
+        kind, value, i = m.lastgroup, m.group(), m.start()
+        col = i - line_start + 1
+        if kind == "space" or kind == "comment":
+            pass
+        elif kind == "word":
+            if not _is_word_start(value[0]):
+                raise ParseError(f"unexpected character {value[0]!r}", line, col)
+            tokens.append(Token(value if value in KEYWORDS else "IDENT", value, line, col))
+        elif kind == "punct":
+            tokens.append(Token(value, value, line, col))
+        elif kind == "NAT":
+            tokens.append(Token("NAT", value, line, col))
+        elif kind == "SYM":
+            if len(value) == 1 or not _is_word_start(value[1]):
+                raise ParseError("expected identifier after '", line, col)
+            tokens.append(Token("SYM", value[1:], line, col))
+        elif kind == "STRING":
+            if m.group("close") is None:
+                # the body stops short of a backslash only at the end of the text
+                what = "escape in string" if text[m.end():] == "\\" else "string literal"
+                raise ParseError(f"unterminated {what}", line, col)
+            tokens.append(Token("STRING", _ESCAPE.sub(_unescape, value[1:-1]), line, col))
         else:
-            raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("EOF", "", line, col))
+            raise ParseError(f"unexpected character {value!r}", line, col)
+        if "\n" in value:
+            line += value.count("\n")
+            line_start = i + value.rindex("\n") + 1
+    tokens.append(Token("EOF", "", line, len(text) - line_start + 1))
     return tokens
 
 

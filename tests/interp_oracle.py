@@ -1,0 +1,152 @@
+"""The tree-walking evaluator that the compiled one replaced, kept as the
+oracle for `asmweave.interp`: every evaluation walks the syntax tree and
+picks each node's case with `isinstance`, and every rule call substitutes
+its arguments afresh. `eval_term` and `update_set` take the arguments of
+their namesakes in `asmweave.interp`, so a test can put them in its place."""
+from __future__ import annotations
+
+from typing import Optional
+
+from asmweave.background import apply_background, is_background
+from asmweave.errors import (
+    ArityMismatch,
+    CallDepthExceeded,
+    EvalError,
+    GuardNotBoolean,
+    RangeNotSet,
+)
+from asmweave.interp import DEFAULT_CALL_DEPTH, Env, Resolver, instantiate_call
+from asmweave.parser import (
+    App,
+    Assign,
+    Call,
+    Choose,
+    Forall,
+    If,
+    Let,
+    Lit,
+    MachineDef,
+    Par,
+    RuleExpr,
+    Term,
+    Var,
+    pp_term,
+)
+from asmweave.state import FunctionKind, Location, State, Update, UpdateSet
+from asmweave.values import UNDEF, BoolV, SetV, Value, show_value
+
+def eval_term(t: Term, state: State, env: Optional[Env] = None,
+              resolver: Optional[Resolver] = None) -> Value:
+    env = env or Env.empty()
+    if isinstance(t, Lit):
+        return t.value
+    if isinstance(t, Var):
+        return env.get(t.name, t.pos)
+    if isinstance(t, App):
+        decl = state.sig.get(t.fname)
+        args = tuple(eval_term(a, state, env, resolver) for a in t.args)
+        if decl is not None:
+            if decl.arity != len(args):
+                raise ArityMismatch(
+                    f"{t.fname!r} has arity {decl.arity}, got {len(args)}", t.pos)
+            if decl.kind == FunctionKind.STATIC:
+                return state.static_value(Location(t.fname, args))
+            if decl.kind == FunctionKind.ABSTRACT:
+                if resolver is None:
+                    raise EvalError(
+                        f"abstract function {t.fname!r} needs a resolver", t.pos)
+                return resolver.abstract(t.fname, args, decl.codomain, decl.arity, t.pos)
+            return state.content.get(Location(t.fname, args), UNDEF)
+        if is_background(t.fname):
+            return apply_background(t.fname, args)
+        raise EvalError(f"unknown function {t.fname!r}", t.pos)
+    raise TypeError(f"not a term: {t!r}")
+
+
+def _guard_value(guard: Term, state: State, env: Env, resolver) -> bool:
+    v = eval_term(guard, state, env, resolver)
+    if not isinstance(v, BoolV):
+        raise GuardNotBoolean(
+            f"guard {pp_term(guard)} evaluated to {show_value(v)}", guard.pos)
+    return v.b
+
+
+
+def update_set(
+    op: RuleExpr,
+    state: State,
+    env: Optional[Env] = None,
+    resolver: Optional[Resolver] = None,
+    machine: Optional[MachineDef] = None,
+    max_call_depth: int = DEFAULT_CALL_DEPTH,
+) -> UpdateSet:
+    """Update set of one rule evaluation; does not fire it."""
+    return _update_set(op, state, env or Env.empty(), resolver, machine,
+                       max_call_depth, 0)
+
+
+def _update_set(op, state, env, resolver, machine, max_depth, depth) -> UpdateSet:
+    if isinstance(op, Assign):
+        args = tuple(eval_term(a, state, env, resolver) for a in op.lhs.args)
+        val = eval_term(op.rhs, state, env, resolver)
+        return UpdateSet.of([Update(Location(op.lhs.fname, args), val)])
+    if isinstance(op, Par):
+        out = UpdateSet.empty()
+        for child in op.children:
+            out = out.union(_update_set(child, state, env, resolver, machine,
+                                        max_depth, depth))
+        return out
+    if isinstance(op, If):
+        if _guard_value(op.guard, state, env, resolver):
+            return _update_set(op.then_op, state, env, resolver, machine,
+                               max_depth, depth)
+        if op.else_op is not None:
+            return _update_set(op.else_op, state, env, resolver, machine,
+                               max_depth, depth)
+        return UpdateSet.empty()
+    if isinstance(op, Let):
+        val = eval_term(op.binding, state, env, resolver)
+        return _update_set(op.body, state, env.bind(op.var, val), resolver,
+                           machine, max_depth, depth)
+    if isinstance(op, Call):
+        if machine is None:
+            raise EvalError(f"rule call {op.rname!r} outside a machine context", op.pos)
+        if depth >= max_depth:
+            raise CallDepthExceeded(
+                f"call depth {max_depth} exceeded at {op.rname!r}", op.pos)
+        body = instantiate_call(machine, op.rname, op.args)
+        return _update_set(body, state, env, resolver, machine, max_depth, depth + 1)
+    if isinstance(op, Forall):
+        domain = eval_term(op.domain, state, env, resolver)
+        if not isinstance(domain, SetV):
+            raise RangeNotSet(
+                f"forall range evaluated to {show_value(domain)}", op.pos)
+        out = UpdateSet.empty()
+        for v in domain:  # canonical order
+            inner = env.bind(op.var, v)
+            if op.guard is not None and not _guard_value(op.guard, state, inner, resolver):
+                continue
+            out = out.union(_update_set(op.body, state, inner, resolver, machine,
+                                        max_depth, depth))
+        return out
+    if isinstance(op, Choose):
+        domain = eval_term(op.domain, state, env, resolver)
+        if not isinstance(domain, SetV):
+            raise RangeNotSet(
+                f"choose range evaluated to {show_value(domain)}", op.pos)
+        candidates = []
+        for v in domain:
+            inner = env.bind(op.var, v)
+            if op.guard is None or _guard_value(op.guard, state, inner, resolver):
+                candidates.append(v)
+        if not candidates:
+            return UpdateSet.empty()  # idle gracefully when nothing satisfies
+        if resolver is None:
+            raise EvalError("choose needs a resolver", op.pos)
+        label = op.label
+        if not label:
+            label = f"choose@{op.pos[0]}:{op.pos[1]}" if op.pos else "choose"
+        picked = resolver.choose(label, env.ctx_digest(), candidates, op.pos)
+        return _update_set(op.body, state, env.bind(op.var, picked), resolver,
+                           machine, max_depth, depth)
+    raise TypeError(f"not a rule expression: {op!r}")

@@ -140,6 +140,14 @@ def test_run_parse_error_exits_2(tmp_path):
     r = asmweave("run", bad)
     assert r.returncode == 2
     assert r.stderr.strip()
+    # numbers are ASCII digits only: neither a traceback nor a silent 3
+    for digit in ("²", "٣"):
+        bad.write_text(f"machine D controlled a rule R = a := {digit} main R",
+                       encoding="utf-8")
+        r = asmweave("run", bad)
+        assert r.returncode == 2
+        assert f"unexpected character {digit!r}" in r.stderr
+        assert "Traceback" not in r.stderr
 
 
 def test_run_missing_file_exits_2():
