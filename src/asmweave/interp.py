@@ -35,25 +35,26 @@ machine does, and a counterexample `explore` exports for it replays with
 
 Nondeterminism is funneled through `Resolver`: seeded draws are a pure
 function of (seed, step, resolution key), and scripted draws replay
-recorded or hand-written choices. One enumerator, `_probe`, forks over
-every possible draw on an agent's view of the state; `enumerate_steps`,
-`enumerate_update_sets` and the interleaving scheduler's progress check
-all consume it. `enumerate_steps` deduplicates and orders its outcomes by
-update set (by clash set when inconsistent), so each distinct successor
-is fired once. Resolution keys combine the choose label with a digest of
-the lexical bindings in scope, not the visit order, which keeps par
-children order-independent.
+recorded or hand-written choices. One enumerator, `_probe`, evaluates an
+agent's rule to its end once per combination of draws, replaying a stack
+of choice points; `enumerate_steps`, `enumerate_update_sets` and the
+interleaving scheduler's progress check all consume it. `enumerate_steps`
+deduplicates and orders its outcomes by update set (by clash set when
+inconsistent), so each distinct successor is fired once. Resolution keys
+combine the choose label with a digest of the lexical bindings in scope,
+not the visit order, which keeps par children order-independent.
 
 Traces record states, not digests: `Trace.digests` hashes the recorded
 states only when a trace is compared or exported.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import sys
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import (
     ArityMismatch,
@@ -183,14 +184,6 @@ class ResEntry:
                         decode_value(obj["value"]))
 
 
-class _Fork(Exception):
-    """Internal signal: an unresolved draw was hit while probing."""
-
-    def __init__(self, key: str, candidates: List[Value]) -> None:
-        self.key = key
-        self.candidates = candidates
-
-
 def _prf(seed: int, key: str, n: int) -> int:
     h = hashlib.sha256(f"{seed}|{key}".encode()).digest()
     return int.from_bytes(h[:8], "big") % n
@@ -205,7 +198,7 @@ class Resolver:
 
     Seeded mode draws as a pure function of (seed, step, resolution key).
     Scripted mode consumes per-step tagged entries, optionally falling back
-    to a seed for anything unscripted. Probe mode is internal to `_probe`.
+    to a seed for anything unscripted; `_Replay` enumerates for `_probe`.
     """
 
     def __init__(
@@ -214,12 +207,10 @@ class Resolver:
         seed: Optional[int] = None,
         script: Optional[Sequence[Sequence[ResEntry]]] = None,
         monitored: Optional[Sequence[Dict[Location, Value]]] = None,
-        probe: Optional[Dict[str, Value]] = None,
     ) -> None:
         self.seed = seed
         self.script = [list(s) for s in script] if script is not None else None
         self.monitored = list(monitored) if monitored is not None else None
-        self.probe = probe
         self.step_index = 0
         self._occ: Dict[str, int] = {}
         self._abs_cache: Dict[str, Value] = {}
@@ -287,18 +278,12 @@ class Resolver:
     # -- draws ----------------------------------------------------------------
 
     def _draw(self, kind: str, label: str, key: str, candidates: List[Value], pos) -> Value:
-        if self.probe is not None:
-            if key in self.probe:
-                val = self.probe[key]
-            else:
-                raise _Fork(key, candidates)
-        else:
-            val = self._scripted_value(kind, key, label)
-            if val is None:
-                if self.seed is None:
-                    raise ScriptViolation(
-                        f"no scripted resolution for {key!r} and no fallback seed", pos)
-                val = candidates[_prf(self.seed, f"{self.step_index}|{key}", len(candidates))]
+        val = self._scripted_value(kind, key, label)
+        if val is None:
+            if self.seed is None:
+                raise ScriptViolation(
+                    f"no scripted resolution for {key!r} and no fallback seed", pos)
+            val = candidates[_prf(self.seed, f"{self.step_index}|{key}", len(candidates))]
         if val not in candidates:
             raise ScriptViolation(
                 f"scripted value {show_value(val)} for {key!r} is not admissible", pos)
@@ -319,15 +304,8 @@ class Resolver:
         key = f"abs:{scoped}"
         if key in self._abs_cache:
             return self._abs_cache[key]
-        if codomain is None:
-            if arity == 0:
-                codomain = BOOLS  # a bare abstract condition is true or false
-            elif self.probe is not None:
-                raise UnboundedAbstract(
-                    f"abstract function {fname!r} has no codomain hint", pos)
-            else:
-                codomain = BOOLS
-        candidates = sorted(codomain.elems, key=value_key)
+        # an abstract function without a codomain hint is true or false
+        candidates = sorted((BOOLS if codomain is None else codomain).elems, key=value_key)
         if not candidates:
             raise UnboundedAbstract(f"abstract function {fname!r} has empty codomain", pos)
         val = self._draw("abstract", scoped, key, candidates, pos)
@@ -401,7 +379,7 @@ def _subst_binder(var: str, mapping: Dict[str, Term]):
     return new, inner, Var(new)
 
 
-def _subst_rule(op: RuleExpr, mapping: Dict[str, Term], suffix: str) -> RuleExpr:
+def _subst_rule(op: RuleExpr, mapping: Dict[str, Term], suffix: Callable[[], str]) -> RuleExpr:
     if isinstance(op, Assign):
         lhs = App(op.lhs.fname,
                   tuple(_subst_term(a, mapping) for a in op.lhs.args), op.lhs.pos)
@@ -432,19 +410,21 @@ def _subst_rule(op: RuleExpr, mapping: Dict[str, Term], suffix: str) -> RuleExpr
         body = _subst_rule(op.body, inner, suffix)
         if isinstance(op, Forall):
             return Forall(var, domain, guard, body, op.pos)
-        return Choose(var, domain, guard, body, op.pos, op.label + suffix)
+        return Choose(var, domain, guard, body, op.pos, op.label + suffix())
     raise TypeError(f"not a rule expression: {op!r}")
 
 
 def instantiate_call(machine: MachineDef, rname: str, args: Tuple[Term, ...]) -> RuleExpr:
-    """Substitute argument terms for the formals of a declared rule."""
+    """Substitute argument terms for the formals of a declared rule. The
+    choose-label suffix hashes the printed arguments, so it is computed
+    only if the body holds a `choose`."""
     decl = machine.declarations[rname]
     mapping = dict(zip(decl.formals, args))
-    if mapping:
+
+    @functools.cache
+    def suffix() -> str:
         blob = "|".join(f"{k}={pp_term(mapping[k])}" for k in sorted(mapping))
-        suffix = "~" + hashlib.sha256(blob.encode()).hexdigest()[:8]
-    else:
-        suffix = ""
+        return "~" + hashlib.sha256(blob.encode()).hexdigest()[:8] if mapping else ""
     return _subst_rule(decl.body, mapping, suffix)
 
 
@@ -881,7 +861,7 @@ def ma_step(
         if isinstance(out.result, Inconsistent):
             out.provenance = {
                 loc: [(aid, u.val) for (aid, _), us in zip(agents, sets)
-                      for u in us.updates if u.loc == loc]
+                      for u in us if u.loc == loc]
                 for loc, _ in out.result.clashes}
         return out
 
@@ -1076,36 +1056,54 @@ def export_trace_jsonl(trace: Trace) -> str:
 # Exhaustive enumeration
 
 
+class _Replay(Resolver):
+    """`_probe`'s draws. The n-th draw of an evaluation takes the current
+    candidate of choice point n, a pair [candidates, index]; a draw past
+    the stack opens a point at its last candidate."""
+
+    def __init__(self, agent: str, bound: int) -> None:
+        super().__init__()
+        self._agent, self.bound, self.points = agent, bound, []
+        self.counted = 0  # finished evaluations plus untried candidates
+
+    def _draw(self, kind: str, label: str, key: str, candidates: List[Value], pos) -> Value:
+        n = len(self._record)  # the record holds this evaluation's draws
+        if n == len(self.points):
+            if self.counted + len(candidates) > self.bound:
+                raise BranchBudgetExceeded(self.bound)
+            self.points.append([candidates, len(candidates) - 1])
+            self.counted += len(candidates) - 1
+        candidates, index = self.points[n]
+        self._record.append(ResEntry(kind, label, key, candidates[index]))
+        return candidates[index]
+
+    def abstract(self, fname, args, codomain, arity, pos) -> Value:
+        if codomain is None and arity:
+            raise UnboundedAbstract(f"abstract function {fname!r} has no codomain hint", pos)
+        return super().abstract(fname, args, codomain, arity, pos)
+
+
 def _probe(body: RuleExpr, state: State, machine: Optional[MachineDef], bound: int,
            max_call_depth: int, agent: str = ""):
     """Evaluate `body` once for every combination of choose/abstract draws,
-    on `agent`'s view of `state`.
-
-    Depth first: an evaluation that reaches an unresolved draw is dropped
-    and re-run once per candidate with that draw fixed. Yields
-    (update set, resolutions) per completed evaluation, and raises
-    BranchBudgetExceeded once the combinations pass `bound`.
-    """
+    on `agent`'s view of `state`; yield (update set, resolutions) for each.
+    Stateless search by replay (Godefroid, VeriSoft, POPL 1997): each
+    evaluation runs to its end, then the deepest choice point with an
+    untried candidate steps back by one: depth first, last candidate first.
+    A draw that would make the finished evaluations plus the untried
+    candidates pass `bound` raises BranchBudgetExceeded."""
     state = _agent_view(state, agent)
-    pending: List[Dict[str, Value]] = [{}]
-    leaves = 0
-    while pending:
-        script = pending.pop()
-        resolver = Resolver(probe=script)
-        resolver.set_agent(agent)
+    resolver = _Replay(agent, bound)
+    points = resolver.points
+    while True:
         resolver.begin_step(state)
-        try:
-            us = update_set(body, state, None, resolver, machine, max_call_depth)
-        except _Fork as f:
-            if leaves + len(pending) + len(f.candidates) > bound:
-                raise BranchBudgetExceeded(bound) from None
-            for v in f.candidates:
-                child = dict(script)
-                child[f.key] = v
-                pending.append(child)
-            continue
-        leaves += 1
+        us = update_set(body, state, None, resolver, machine, max_call_depth)
         yield us, resolver.end_step()
+        while points and points[-1][1] == 0:
+            points.pop()
+        if not points:
+            return
+        points[-1][1] -= 1
 
 
 def enumerate_update_sets(
@@ -1117,7 +1115,7 @@ def enumerate_update_sets(
 ) -> List[UpdateSet]:
     """All distinct update sets one rule can produce in one state."""
     return sorted({us for us, _ in _probe(op, state, machine, bound, max_call_depth)},
-                  key=repr)
+                  key=UpdateSet.key)
 
 
 def enumerate_steps(
@@ -1144,7 +1142,7 @@ def enumerate_steps(
             key = (1, tuple((loc.key(), tuple(sorted(map(value_key, vals))))
                             for loc, vals in clashes))
         else:
-            key = (0, tuple((u.loc.key(), value_key(u.val)) for u in us))
+            key = (0, us.key())
         if key not in results:
             results[key] = _outcome(state, us, resolutions)
     return [results[k] for k in sorted(results)]

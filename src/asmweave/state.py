@@ -46,9 +46,6 @@ class Signature:
     def __contains__(self, name: str) -> bool:
         return name in self._by_name
 
-    def names(self) -> List[str]:
-        return [d.name for d in self.entries]
-
     def of_kind(self, kind: FunctionKind) -> List[FuncDecl]:
         return [d for d in self.entries if d.kind == kind]
 
@@ -72,6 +69,9 @@ class Update:
     loc: Location
     val: Value
 
+    def key(self) -> tuple:
+        return (self.loc.key(), value_key(self.val))
+
 
 @dataclass(frozen=True)
 class UpdateSet:
@@ -92,10 +92,11 @@ class UpdateSet:
         return len(self.updates)
 
     def __iter__(self):
-        return iter(sorted(self.updates, key=lambda u: (u.loc.key(), value_key(u.val))))
+        return iter(sorted(self.updates, key=Update.key))
 
-    def locations(self) -> set:
-        return {u.loc for u in self.updates}
+    def key(self) -> tuple:
+        """Canonical, under every hash seed: the sorted update keys."""
+        return tuple(sorted(u.key() for u in self.updates))
 
 
 _EMPTY = UpdateSet(frozenset())

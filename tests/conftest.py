@@ -1,4 +1,7 @@
 import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 from asmweave.parser import MachineDef, parse_machine
@@ -21,3 +24,12 @@ def cli_env(extra=None) -> dict:
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     env.update(extra or {})
     return env
+
+
+def under_hash_seeds(code: str, seeds=("1", "2", "3")) -> set:
+    """The distinct stdouts of `python -c code` (dedented) under each
+    PYTHONHASHSEED."""
+    return {subprocess.run([sys.executable, "-c", textwrap.dedent(code)],
+                           env=cli_env({"PYTHONHASHSEED": seed}),
+                           capture_output=True, text=True, check=True).stdout
+            for seed in seeds}

@@ -2,20 +2,27 @@
 oracle for `asmweave.interp`: every evaluation walks the syntax tree and
 picks each node's case with `isinstance`, and every rule call substitutes
 its arguments afresh. `eval_term` and `update_set` take the arguments of
-their namesakes in `asmweave.interp`, so a test can put them in its place."""
+their namesakes in `asmweave.interp`, so a test can put them in its place.
+
+`probe` is the fork-and-restart enumerator that the replaying `_probe`
+replaced, with the same arguments and the same yields: an evaluation that
+meets an unfixed draw is dropped and run again once per candidate."""
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, List, Optional
 
+from asmweave import interp
 from asmweave.background import apply_background, is_background
 from asmweave.errors import (
     ArityMismatch,
+    BranchBudgetExceeded,
     CallDepthExceeded,
     EvalError,
     GuardNotBoolean,
     RangeNotSet,
+    UnboundedAbstract,
 )
-from asmweave.interp import DEFAULT_CALL_DEPTH, Env, Resolver, instantiate_call
+from asmweave.interp import DEFAULT_CALL_DEPTH, Env, ResEntry, Resolver, instantiate_call
 from asmweave.parser import (
     App,
     Assign,
@@ -150,3 +157,59 @@ def _update_set(op, state, env, resolver, machine, max_depth, depth) -> UpdateSe
         return _update_set(op.body, state, env.bind(op.var, picked), resolver,
                            machine, max_depth, depth)
     raise TypeError(f"not a rule expression: {op!r}")
+
+
+# ---------------------------------------------------------------------------
+# Fork-and-restart enumeration
+
+
+class _Fork(Exception):
+    """An unfixed draw was met: the evaluation is dropped."""
+
+    def __init__(self, key: str, candidates: List[Value]) -> None:
+        self.key = key
+        self.candidates = candidates
+
+
+class _Forking(Resolver):
+    """Draws the value `fixed` holds for a key, and forks on any other."""
+
+    def __init__(self, agent: str, fixed: Dict[str, Value]) -> None:
+        super().__init__()
+        self.set_agent(agent)
+        self.fixed = fixed
+
+    def _draw(self, kind, label, key, candidates, pos) -> Value:
+        if key not in self.fixed:
+            raise _Fork(key, candidates)
+        self._record.append(ResEntry(kind, label, key, self.fixed[key]))
+        return self.fixed[key]
+
+    def abstract(self, fname, args, codomain, arity, pos) -> Value:
+        if codomain is None and arity:
+            raise UnboundedAbstract(f"abstract function {fname!r} has no codomain hint", pos)
+        return super().abstract(fname, args, codomain, arity, pos)
+
+
+def probe(body: RuleExpr, state: State, machine: Optional[MachineDef], bound: int,
+          max_call_depth: int, agent: str = ""):
+    """Depth first over a stack of fixed-draw dicts, last candidate first.
+    Raises BranchBudgetExceeded at a fork once the finished evaluations,
+    the pending dicts and the new candidates together pass `bound`."""
+    state = interp._agent_view(state, agent)
+    pending: List[Dict[str, Value]] = [{}]
+    leaves = 0
+    while pending:
+        fixed = pending.pop()
+        resolver = _Forking(agent, fixed)
+        resolver.begin_step(state)
+        try:
+            us = interp.update_set(body, state, None, resolver, machine, max_call_depth)
+        except _Fork as f:
+            if leaves + len(pending) + len(f.candidates) > bound:
+                raise BranchBudgetExceeded(bound) from None
+            for v in f.candidates:
+                pending.append({**fixed, f.key: v})
+            continue
+        leaves += 1
+        yield us, resolver.end_step()

@@ -4,8 +4,9 @@ import random
 
 import pytest
 
-from conftest import load_model
+from conftest import load_model, under_hash_seeds
 from rulegen import random_machine, random_par_machine
+from asmweave import interp
 from asmweave.errors import (
     BranchBudgetExceeded,
     CallDepthExceeded,
@@ -32,7 +33,7 @@ from asmweave.interp import (
     update_set,
 )
 from asmweave.multiagent import _can_progress
-from asmweave.parser import Par, parse_machine, parse_term
+from asmweave.parser import Par, parse_machine, parse_term, pp_term
 from asmweave.state import Location, UpdateSet, conflicts
 from asmweave.values import FALSE, TRUE, UNDEF, IntV
 
@@ -179,6 +180,26 @@ machine M
     us1 = update_set(m.declarations["UseLet"].body, s, machine=m)
     us2 = update_set(m.declarations["UseCall"].body, s, machine=m)
     assert us1 == us2
+
+
+def test_choose_labels_in_a_callee_are_pinned(monkeypatch):
+    # the suffix hashes the printed arguments; it is part of the trace format
+    m = parse_machine("""
+machine M
+  controlled a, b
+  rule Set(x) = a := x
+  rule Two(s, t) = par choose v in s do a := v choose w in t with w > a do b := w endpar
+  rule Main = par Two({1, 2}, {a .. 3}) Set(a + 1) endpar
+  init { a := 1 }
+  main Main
+""")
+    printed = []
+    monkeypatch.setattr(interp, "pp_term", lambda t: printed.append(t) or pp_term(t))
+    trace = run(m, 1, Resolver.seeded(4))
+    assert [e.key for e in trace.steps[0].resolutions] == [
+        "choose:Two.choose1~05d40ec3|#0", "choose:Two.choose2~05d40ec3|#0"]
+    # printed once for both chooses of Two, never for the choose-free Set
+    assert [pp_term(t) for t in printed] == ["{1, 2}", "{a .. 3}"]
 
 
 # ---------------------------------------------------------------------------
@@ -343,6 +364,18 @@ def test_enumerate_update_sets_counts():
     m = parse_machine("machine M controlled y rule R = choose x in {1, 2} do y := x main R")
     sets = enumerate_update_sets(m.declarations["R"].body, initial_state(m), m)
     assert len(sets) == 2
+
+
+def test_enumerate_update_sets_order_ignores_the_hash_seed():
+    code = """
+        from asmweave.interp import enumerate_update_sets, initial_state
+        from asmweave.parser import parse_machine
+        m = parse_machine('machine M controlled a, b, c '
+                          'rule R = choose x in {1, 2} do par a := x b := x c := x endpar main R')
+        sets = enumerate_update_sets(m.declarations['R'].body, initial_state(m), m)
+        print([[f'{u.loc.show()}={u.val.n}' for u in us] for us in sets])
+    """
+    assert under_hash_seeds(code) == {"[['a=1', 'b=1', 'c=1'], ['a=2', 'b=2', 'c=2']]\n"}
 
 
 def test_enumerate_abstract_without_hint():

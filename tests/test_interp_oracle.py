@@ -94,22 +94,23 @@ def _drawn(state, fn) -> tuple:
     return _outcome(lambda: fn(resolver)), tuple(resolver._record)
 
 
-def _probe(body, state, machine, agent="", max_call_depth=interp.DEFAULT_CALL_DEPTH):
-    """Every (update set, resolutions) `_probe` yields, then its error if
-    it raises one."""
+def probe_results(body, state, machine, agent="", max_call_depth=interp.DEFAULT_CALL_DEPTH,
+                  bound=10_000, enumerate_=interp._probe) -> list:
+    """Every (update set, resolutions) `enumerate_` yields, then its error
+    if it raises one."""
     out = []
     try:
-        for us, resolutions in interp._probe(body, state, machine, 10_000,
-                                             max_call_depth, agent):
-            out.append((us, resolutions))
+        for item in enumerate_(body, state, machine, bound, max_call_depth, agent):
+            out.append(item)
     except AsmError as e:
         out.append(_error(e))
     return out
 
 
-def _reachable_probes(machine, depth, max_call_depth=interp.DEFAULT_CALL_DEPTH) -> int:
-    """Compare every agent's probe results in every state reachable in
-    `depth` steps; return the number of states visited."""
+def visit_reachable(machine, depth, results_of) -> int:
+    """Call `results_of(state, agent, body)` for every agent in every state
+    reachable in `depth` steps; its `probe_results` list gives the
+    successors. Return the number of states visited."""
     agents = AgentSet.of(machine).agents
     frontier = [initial_state(machine)]
     seen = {frontier[0].key()}
@@ -117,9 +118,7 @@ def _reachable_probes(machine, depth, max_call_depth=interp.DEFAULT_CALL_DEPTH) 
         nxt = []
         for state in frontier:
             for aid, rule in agents:
-                body = rule_body(machine, rule)
-                _, results = _agree(lambda: _probe(body, state, machine, aid, max_call_depth))
-                for item in results:
+                for item in results_of(state, aid, rule_body(machine, rule)):
                     if item[0] == "error":
                         continue  # the error that ended the probe
                     us = item[0]
@@ -130,6 +129,13 @@ def _reachable_probes(machine, depth, max_call_depth=interp.DEFAULT_CALL_DEPTH) 
                             nxt.append(succ)
         frontier = nxt
     return len(seen)
+
+
+def _reachable_probes(machine, depth, max_call_depth=interp.DEFAULT_CALL_DEPTH) -> int:
+    """Compare every agent's probe results in every state reachable in
+    `depth` steps; return the number of states visited."""
+    return visit_reachable(machine, depth, lambda state, aid, body: _agree(
+        lambda: probe_results(body, state, machine, aid, max_call_depth))[1])
 
 
 def test_rulegen_probes_and_runs_agree_with_the_oracle():
@@ -160,9 +166,9 @@ def test_bundled_and_calling_machines_agree_with_the_oracle():
                                              machine, 1))
         _agree(lambda: export_trace_jsonl(
             interp.run(machine, 8, Resolver.seeded(5), max_call_depth=40)))
-    _, runaway = _agree(lambda: _probe(rule_body(machines[-1], "Main"),
-                                       initial_state(machines[-1]), machines[-1],
-                                       max_call_depth=40))
+    _, runaway = _agree(lambda: probe_results(rule_body(machines[-1], "Main"),
+                                              initial_state(machines[-1]), machines[-1],
+                                              max_call_depth=40))
     assert runaway == [("error", "CallDepthExceeded", "4:41: call depth 40 exceeded at 'R'",
                         (4, 41))]
 

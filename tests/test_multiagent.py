@@ -1,6 +1,6 @@
 import itertools
 
-from conftest import load_model
+from conftest import load_model, under_hash_seeds
 from asmweave import multiagent, state
 from asmweave.interp import Inconsistent, Progressed, Resolver, initial_state
 from asmweave.multiagent import (
@@ -41,6 +41,17 @@ machine Clash
   agent a2 runs C
 """)
 
+CLASH_MANY_SOURCE = """
+machine ClashMany
+  controlled x
+  rule Many = par x := 'p x := 'q x := 'r endpar
+  rule One = x := 's
+  main Many
+  agent a1 runs Many
+  agent a2 runs One
+"""
+CLASH_MANY = parse_machine(CLASH_MANY_SOURCE)
+
 # recursion 1100 calls deep; the let keeps each call's argument a plain
 # variable, so the substituted terms do not grow with the depth
 DEEP = parse_machine("""
@@ -73,6 +84,19 @@ def test_synchronous_cross_agent_clash_with_provenance():
     assert vals == {SymV("a1"), SymV("a2")}
     writers = out.provenance[loc]
     assert sorted(aid for aid, _ in writers) == ["a1", "a2"]
+    # one agent's several writers are listed in canonical order, under
+    # every hash seed
+    out = ma_step(CLASH_MANY, initial_state(CLASH_MANY), Synchronous(), Resolver.seeded(0))
+    assert out.provenance == {Location("x"): [("a1", SymV(v)) for v in "pqr"]
+                              + [("a2", SymV("s"))]}
+    code = f"""
+        from asmweave.interp import Resolver, Synchronous, initial_state, ma_step
+        from asmweave.parser import parse_machine
+        m = parse_machine({CLASH_MANY_SOURCE!r})
+        out = ma_step(m, initial_state(m), Synchronous(), Resolver.seeded(0))
+        print([(aid, v.name) for writers in out.provenance.values() for aid, v in writers])
+    """
+    assert under_hash_seeds(code) == {"[('a1', 'p'), ('a1', 'q'), ('a1', 'r'), ('a2', 's')]\n"}
 
 
 def test_interleaving_fires_one_agent():
