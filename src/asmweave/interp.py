@@ -63,6 +63,7 @@ from .errors import (
     EvalError,
     GuardNotBoolean,
     InconsistentUpdateSet,
+    ManifestError,
     RangeNotSet,
     ScriptViolation,
     UnboundedAbstract,
@@ -83,6 +84,7 @@ from .parser import (
     RuleExpr,
     Term,
     Var,
+    parse_term,
     pp_term,
 )
 from .state import (
@@ -237,7 +239,7 @@ class Resolver:
             injections.update(self.monitored[self.step_index])
         for e in self._script_entries():
             if e.kind == "monitored":
-                injections[_parse_loc_label(e.label, state)] = e.value
+                injections[read_location(e.label, state.sig)] = e.value
         for loc, val in sorted(injections.items(), key=lambda kv: kv[0].key()):
             decl = state.sig.get(loc.fname)
             if decl is None or decl.kind != FunctionKind.MONITORED:
@@ -299,12 +301,14 @@ class Resolver:
 
     def abstract(self, fname: str, args: Tuple[Value, ...], codomain: Optional[SetV],
                  arity: int, pos) -> Value:
+        if codomain is None and arity:
+            raise UnboundedAbstract(f"abstract function {fname!r} has no codomain hint", pos)
         label = Location(fname, args).show()
         scoped = f"{self._agent}:{label}" if self._agent else label
         key = f"abs:{scoped}"
         if key in self._abs_cache:
             return self._abs_cache[key]
-        # an abstract function without a codomain hint is true or false
+        # a constant abstract function without a codomain hint is true or false
         candidates = sorted((BOOLS if codomain is None else codomain).elems, key=value_key)
         if not candidates:
             raise UnboundedAbstract(f"abstract function {fname!r} has empty codomain", pos)
@@ -317,23 +321,6 @@ class Resolver:
         vals = [SymV(a) for a in candidates]
         picked = self._draw("schedule", "sched", key, vals, pos)
         return picked.name
-
-
-def _parse_loc_label(label: str, state: State) -> Location:
-    """Inverse of Location.show() for monitored script entries."""
-    from .parser import parse_term
-
-    t = parse_term(label)
-    if isinstance(t, Var):
-        return Location(t.name, ())
-    if isinstance(t, App):
-        args = []
-        for a in t.args:
-            if not isinstance(a, Lit):
-                raise ScriptViolation(f"monitored location {label!r} must use literal arguments")
-            args.append(a.value)
-        return Location(t.fname, tuple(args))
-    raise ScriptViolation(f"cannot parse monitored location {label!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -942,15 +929,17 @@ class Trace:
         return script
 
 
+def _location(lhs: App, empty: State) -> Location:
+    return Location(lhs.fname, tuple(eval_term(a, empty) for a in lhs.args))
+
+
 def initial_state(machine: MachineDef) -> State:
     """Evaluate init entries against the empty state and build the start state."""
     empty = State(machine.sig)
     content: Dict[Location, Value] = {}
     statics: Dict[Location, Value] = {}
     for lhs, rhs in machine.init:
-        args = tuple(eval_term(a, empty) for a in lhs.args)
-        val = eval_term(rhs, empty)
-        loc = Location(lhs.fname, args)
+        loc, val = _location(lhs, empty), eval_term(rhs, empty)
         decl = machine.sig.get(lhs.fname)
         target = statics if decl.kind == FunctionKind.STATIC else content
         if loc in target and target[loc] != val:
@@ -960,18 +949,14 @@ def initial_state(machine: MachineDef) -> State:
 
 
 def override_state(machine: MachineDef, state: State, entries) -> State:
-    """Apply init-style (lhs, term) overrides to an existing state.
-
-    Terms are evaluated against the empty state, exactly like machine init
-    entries, so overrides stay order-independent.
-    """
+    """Apply init-style (lhs, term) overrides to an existing state. Terms
+    are evaluated against the empty state, as init entries are, so
+    overrides stay order-independent."""
     empty = State(machine.sig)
     content = dict(state.content)
     statics = dict(state.statics)
     for lhs, rhs in entries:
-        args = tuple(eval_term(a, empty) for a in lhs.args)
-        val = eval_term(rhs, empty)
-        loc = Location(lhs.fname, args)
+        loc, val = _location(lhs, empty), eval_term(rhs, empty)
         decl = machine.sig.get(lhs.fname)
         if decl is None:
             raise EvalError(f"override target {lhs.fname!r} is not declared", lhs.pos)
@@ -980,6 +965,24 @@ def override_state(machine: MachineDef, state: State, entries) -> State:
         else:
             content[loc] = val
     return State(machine.sig, content, statics)
+
+
+def read_override(text: str, machine: MachineDef) -> Tuple[App, Term]:
+    """Read `<location> := <term>` into an entry for `override_state`."""
+    lhs_text, rhs_text = text.split(":=", 1)
+    lhs = parse_term(lhs_text.strip(), machine.sig)
+    if not isinstance(lhs, App):
+        raise ManifestError(f"override target {lhs_text.strip()!r} is not a location")
+    return lhs, parse_term(rhs_text.strip(), machine.sig)
+
+
+def read_location(text: str, sig: Signature) -> Location:
+    """The location a term such as `f(-1, {1, 2})` names, its arguments
+    evaluated against the empty state; `Location.show` writes such terms."""
+    t = parse_term(text.strip(), sig)
+    if not isinstance(t, App):
+        raise ScriptViolation(f"{text.strip()!r} is not a location")
+    return _location(t, State(sig))
 
 
 def ma_run(
@@ -1076,11 +1079,6 @@ class _Replay(Resolver):
         candidates, index = self.points[n]
         self._record.append(ResEntry(kind, label, key, candidates[index]))
         return candidates[index]
-
-    def abstract(self, fname, args, codomain, arity, pos) -> Value:
-        if codomain is None and arity:
-            raise UnboundedAbstract(f"abstract function {fname!r} has no codomain hint", pos)
-        return super().abstract(fname, args, codomain, arity, pos)
 
 
 def _probe(body: RuleExpr, state: State, machine: Optional[MachineDef], bound: int,

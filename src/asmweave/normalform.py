@@ -3,10 +3,13 @@
 A rule built from assignment, par, and if only (after inlining
 non-recursive calls) can be flattened into a single par of guarded
 assignments by pushing guards inward and conjoining them syntactically.
-No boolean simplification is applied, so the transformation stays
-obviously structure-preserving; `equivalence_check` then certifies it
-semantically by enumerating a finite state space and comparing the update
-sets both rules produce in every state.
+One walk does both jobs: it expands each call where it meets it, records
+each assignment under the conjunction of the guards above it, and each
+let, forall and choose it passes. No boolean simplification is applied,
+so the transformation stays obviously structure-preserving;
+`equivalence_check` then certifies it semantically by enumerating a
+finite state space and comparing the update sets both rules produce in
+every state.
 """
 from __future__ import annotations
 
@@ -48,103 +51,54 @@ class NormalForm:
         return Par(tuple(If(g, a) for g, a in self.clauses))
 
 
-def inline_calls(machine: MachineDef, body: RuleExpr, stack: Tuple[str, ...] = ()) -> RuleExpr:
-    """Expand every rule call; recursion cannot be inlined and errors out."""
-    if isinstance(body, Call):
-        if body.rname in stack:
-            raise RecursiveCall(body.rname)
-        expanded = instantiate_call(machine, body.rname, body.args)
-        return inline_calls(machine, expanded, stack + (body.rname,))
-    if isinstance(body, Par):
-        return Par(tuple(inline_calls(machine, c, stack) for c in body.children), body.pos)
-    if isinstance(body, If):
-        return If(body.guard, inline_calls(machine, body.then_op, stack),
-                  inline_calls(machine, body.else_op, stack) if body.else_op else None,
-                  body.pos)
-    if isinstance(body, Let):
-        return Let(body.var, body.binding, inline_calls(machine, body.body, stack), body.pos)
-    if isinstance(body, Forall):
-        return Forall(body.var, body.domain, body.guard,
-                      inline_calls(machine, body.body, stack), body.pos)
-    if isinstance(body, Choose):
-        return Choose(body.var, body.domain, body.guard,
-                      inline_calls(machine, body.body, stack), body.pos, body.label)
-    return body
-
-
-def _collect_offending(op: RuleExpr, out: List[Tuple[Optional[tuple], str]]) -> None:
-    if isinstance(op, (Assign,)):
-        return
-    if isinstance(op, Par):
-        for c in op.children:
-            _collect_offending(c, out)
-        return
-    if isinstance(op, If):
-        _collect_offending(op.then_op, out)
-        if op.else_op is not None:
-            _collect_offending(op.else_op, out)
-        return
-    if isinstance(op, Let):
-        out.append((op.pos, "let"))
-        _collect_offending(op.body, out)
-        return
-    if isinstance(op, Forall):
-        out.append((op.pos, "forall"))
-        _collect_offending(op.body, out)
-        return
-    if isinstance(op, Choose):
-        out.append((op.pos, "choose"))
-        _collect_offending(op.body, out)
-        return
-    raise TypeError(f"not a rule expression: {op!r}")
-
-
-def _inlined(machine: MachineDef, rule: Union[str, RuleExpr]) -> RuleExpr:
-    body = machine.declarations[rule].body if isinstance(rule, str) else rule
-    return inline_calls(machine, body)
-
-
-def _verdict(body: RuleExpr) -> PgaVerdict:
-    """Classify a body whose calls are already inlined."""
-    offending: List[Tuple[Optional[tuple], str]] = []
-    _collect_offending(body, offending)
-    return PgaVerdict(not offending, offending)
-
-
-def classify_pga(machine: MachineDef, rule: Union[str, RuleExpr]) -> PgaVerdict:
-    """Judge whether a rule uses only assignment, par, and if."""
-    return _verdict(_inlined(machine, rule))
-
-
 def _conj(guard: Optional[Term], extra: Term) -> Term:
     return extra if guard is None else App("and", (guard, extra))
 
 
-def _clauses(op: RuleExpr, guard: Optional[Term], out: List[Tuple[Optional[Term], Assign]]) -> None:
-    if isinstance(op, Assign):
-        out.append((guard, op))
-        return
-    if isinstance(op, Par):
-        for c in op.children:
-            _clauses(c, guard, out)
-        return
-    if isinstance(op, If):
-        _clauses(op.then_op, _conj(guard, op.guard), out)
-        if op.else_op is not None:
-            _clauses(op.else_op, _conj(guard, App("not", (op.guard,))), out)
-        return
-    raise AsmError(f"normalize hit a non-PGA construct: {type(op).__name__}")
+def _walk(machine: MachineDef, rule: Union[str, RuleExpr]):
+    """One walk over a rule with its calls expanded in place: the guarded
+    assignments, in source order, and the let/forall/choose constructs
+    that keep the rule from being PGA, in source order."""
+    clauses: List[Tuple[Term, Assign]] = []
+    offending: List[Tuple[Optional[tuple], str]] = []
+
+    def walk(op: RuleExpr, guard: Optional[Term], stack: Tuple[str, ...]) -> None:
+        if isinstance(op, Assign):
+            clauses.append((Lit(TRUE) if guard is None else guard, op))
+        elif isinstance(op, Par):
+            for c in op.children:
+                walk(c, guard, stack)
+        elif isinstance(op, If):
+            walk(op.then_op, _conj(guard, op.guard), stack)
+            if op.else_op is not None:
+                walk(op.else_op, _conj(guard, App("not", (op.guard,))), stack)
+        elif isinstance(op, Call):
+            # recursion cannot be inlined
+            if op.rname in stack:
+                raise RecursiveCall(op.rname)
+            walk(instantiate_call(machine, op.rname, op.args), guard, stack + (op.rname,))
+        elif isinstance(op, (Let, Forall, Choose)):
+            offending.append((op.pos, type(op).__name__.lower()))
+            walk(op.body, guard, stack)
+        else:
+            raise TypeError(f"not a rule expression: {op!r}")
+
+    walk(machine.declarations[rule].body if isinstance(rule, str) else rule, None, ())
+    return clauses, offending
+
+
+def classify_pga(machine: MachineDef, rule: Union[str, RuleExpr]) -> PgaVerdict:
+    """Judge whether a rule uses only assignment, par, and if."""
+    offending = _walk(machine, rule)[1]
+    return PgaVerdict(not offending, offending)
 
 
 def normalize(machine: MachineDef, rule: Union[str, RuleExpr]) -> NormalForm:
     """Flatten a PGA rule into par of if-guarded assignments."""
-    body = _inlined(machine, rule)
-    verdict = _verdict(body)
-    if not verdict.is_pga:
-        raise NotPGA(verdict.offending)
-    raw: List[Tuple[Optional[Term], Assign]] = []
-    _clauses(body, None, raw)
-    return NormalForm([(g if g is not None else Lit(TRUE), a) for g, a in raw])
+    clauses, offending = _walk(machine, rule)
+    if offending:
+        raise NotPGA(offending)
+    return NormalForm(clauses)
 
 
 # ---------------------------------------------------------------------------

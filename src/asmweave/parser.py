@@ -26,7 +26,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from .background import background_arity, is_background
 from .errors import ParseError, ResolveError, SourceEncodingError
@@ -226,6 +226,18 @@ def _tokenize(text: str) -> List[Token]:
             line_start = i + value.rindex("\n") + 1
     tokens.append(Token("EOF", "", line, len(text) - line_start + 1))
     return tokens
+
+
+def directive_lines(text: str) -> Iterator[Tuple[int, str]]:
+    """The numbered non-blank lines of a scenario or manifest, stripped and
+    cut at a `//` comment as the tokenizer finds one, so a `//` inside a
+    string literal stays."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        cut = next((m.start() for m in _TOKEN.finditer(raw) if m.lastgroup == "comment"),
+                   len(raw))
+        line = raw[:cut].strip()
+        if line:
+            yield lineno, line
 
 
 # ---------------------------------------------------------------------------

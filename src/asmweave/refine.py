@@ -39,8 +39,9 @@ from .interp import (
     eval_term,
     initial_state,
     override_state,
+    read_override,
 )
-from .parser import App, MachineDef, Term, parse_machine, parse_term, read_source
+from .parser import App, MachineDef, Term, directive_lines, parse_machine, parse_term, read_source
 from .state import State
 from .values import Value
 
@@ -303,18 +304,15 @@ def parse_manifest(text: str, base_dir: Path) -> List[RefinementStep]:
             observations.append((label,
                                  parse_term(abs_text, abstract.sig),
                                  parse_term(ref_text, refined.sig)))
-        a_init = tuple(_parse_override(t, abstract) for t in current["init"]["abstract"])
-        r_init = tuple(_parse_override(t, refined) for t in current["init"]["refined"])
+        a_init = tuple(read_override(t, abstract) for t in current["init"]["abstract"])
+        r_init = tuple(read_override(t, refined) for t in current["init"]["refined"])
         steps.append(RefinementStep(
             current["name"],
             RefinementSpec(abstract, refined, tuple(observations),
                            current["bounds"], a_init, r_init),
             current["abstract"][0], current["refined"][0]))
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("//", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in directive_lines(text):
         words = line.split(None, 1)
         head, rest = words[0], (words[1].strip() if len(words) > 1 else "")
         if head == "step":
@@ -364,14 +362,6 @@ def _read(path: Path, failure: str) -> str:
         raise ManifestError(f"{failure} {e}") from None
     except OSError as e:
         raise ManifestError(f"{failure} {path}: {e}") from None
-
-
-def _parse_override(text: str, machine: MachineDef) -> Tuple[App, Term]:
-    lhs_text, rhs_text = text.split(":=", 1)
-    lhs = parse_term(lhs_text.strip(), machine.sig)
-    if not isinstance(lhs, App):
-        raise ManifestError(f"override target {lhs_text.strip()!r} is not a location")
-    return lhs, parse_term(rhs_text.strip(), machine.sig)
 
 
 def check_chain(manifest_path: Union[str, Path]) -> List[Tuple[str, RefinementVerdict]]:

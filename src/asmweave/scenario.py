@@ -37,9 +37,19 @@ from .interp import (
     initial_state,
     ma_run,
     override_state,
+    read_location,
+    read_override,
 )
-from .parser import App, MachineDef, Term, parse_machine, parse_term, pp_term, read_source
-from .refine import _parse_override
+from .parser import (
+    App,
+    MachineDef,
+    Term,
+    directive_lines,
+    parse_machine,
+    parse_term,
+    pp_term,
+    read_source,
+)
 from .state import FunctionKind, Location, State
 from .values import BoolV, Value, show_value
 
@@ -90,10 +100,7 @@ def parse_scenario(text: str, source_path: Optional[Path] = None) -> Scenario:
     name = None
     machine_path = None
     sc = Scenario("", "")
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("//", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in directive_lines(text):
         head, _, rest = line.partition(" ")
         rest = rest.strip()
         if head == "scenario":
@@ -153,15 +160,6 @@ def _literal_value(text: str, machine: MachineDef) -> Value:
     return eval_term(term, State(machine.sig))
 
 
-def _step_location(text: str, machine: MachineDef) -> Location:
-    empty = State(machine.sig)
-    t = parse_term(text.strip(), machine.sig)
-    if not isinstance(t, App):
-        raise ManifestError(f"{text.strip()!r} is not a location")
-    args = tuple(eval_term(a, empty) for a in t.args)
-    return Location(t.fname, args)
-
-
 @dataclass
 class _Script:
     monitored: List[Dict[Location, Value]]
@@ -177,21 +175,16 @@ def _compile_steps(sc: Scenario, machine: MachineDef, n_steps: int) -> _Script:
         if k > n_steps:
             raise ManifestError(f"step {k} is beyond the run length {n_steps}")
         for cmd in cmds:
-            if cmd.startswith("choose "):
-                rest = cmd[len("choose "):]
+            kind, _, rest = cmd.partition(" ")
+            if kind in ("choose", "abstract"):
                 label, eq, val_text = rest.partition("=")
                 if not eq:
-                    raise ManifestError(f"expected 'choose <label> = <value>': {cmd!r}")
+                    what = "<label>" if kind == "choose" else "<f(args)>"
+                    raise ManifestError(f"expected '{kind} {what} = <value>': {cmd!r}")
+                if kind == "abstract":
+                    label = read_location(label, machine.sig).show()
                 entries[k - 1].append(ResEntry(
-                    "choose", label.strip(), "", _literal_value(val_text, machine)))
-            elif cmd.startswith("abstract "):
-                rest = cmd[len("abstract "):]
-                fn_text, eq, val_text = rest.partition("=")
-                if not eq:
-                    raise ManifestError(f"expected 'abstract <f(args)> = <value>': {cmd!r}")
-                loc = _step_location(fn_text, machine)
-                entries[k - 1].append(ResEntry(
-                    "abstract", loc.show(), "", _literal_value(val_text, machine)))
+                    kind, label.strip(), "", _literal_value(val_text, machine)))
             elif cmd.startswith("schedule "):
                 if not machine.agents:
                     # a plain machine is the anonymous agent, which no line can name
@@ -203,7 +196,7 @@ def _compile_steps(sc: Scenario, machine: MachineDef, n_steps: int) -> _Script:
                 schedule[k] = aid
             elif ":=" in cmd:
                 loc_text, val_text = cmd.split(":=", 1)
-                loc = _step_location(loc_text, machine)
+                loc = read_location(loc_text, machine.sig)
                 monitored[k - 1][loc] = _literal_value(val_text, machine)
             else:
                 raise ManifestError(f"cannot parse step command {cmd!r}")
@@ -258,7 +251,7 @@ def run_scenario(source: Union[Scenario, str, Path], base_dir: Optional[Path] = 
         script = _compile_steps(sc, machine, n_steps)
         start = override_state(
             machine, initial_state(machine),
-            [_parse_override(t, machine) for t in sc.init_entries])
+            [read_override(t, machine) for t in sc.init_entries])
         resolver = Resolver.scripted(script.entries, fallback_seed=sc.seed,
                                      monitored=script.monitored)
         if script.schedule:
@@ -382,6 +375,9 @@ def skeleton(machine_path: Union[str, Path]) -> str:
     if abstracts:
         lines.append("// abstract functions drawn by the resolver:")
         for d in abstracts:
+            if d.codomain is None and d.arity:
+                lines.append(f"// {d.name}/{d.arity} cannot be drawn without a codomain hint")
+                continue
             hint = show_value(d.codomain) if d.codomain else "{false, true}"
             example = f"{d.name}({', '.join(['0'] * d.arity)})" if d.arity else d.name
             lines.append(f"// step 1: abstract {example} = ...   // from {hint}")

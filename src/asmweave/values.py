@@ -143,7 +143,7 @@ def show_value(v: Value) -> str:
     if isinstance(v, IntV):
         return str(v.n)
     if isinstance(v, StrV):
-        return '"' + v.s.replace("\\", "\\\\").replace('"', '\\"') + '"'
+        return '"' + v.s.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n") + '"'
     if isinstance(v, SymV):
         return "'" + v.name
     if isinstance(v, SetV):

@@ -8,7 +8,9 @@ that guards stay boolean in every reachable state: b1/b2 only ever
 receive booleans, n1/n2 only total integer terms, and possibly-undef
 values (reads of f) flow only into f itself, which no guard reads.
 Generated machines therefore run for any number of steps without
-evaluation errors.
+evaluation errors. `random_call_machine` moves subtrees into rules with
+parameters, recursive calls included; its machines are for the
+normalizer, not for running.
 
 The random PGA rules (assignment, par and if only) at the end use their
 own vocabulary, `PGA_BOOL_LOCS` and `PGA_INT_LOCS`, over the machine from
@@ -16,12 +18,14 @@ own vocabulary, `PGA_BOOL_LOCS` and `PGA_INT_LOCS`, over the machine from
 """
 from __future__ import annotations
 
+import functools
 import random
-from typing import List, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from asmweave.parser import (
     App,
     Assign,
+    Call,
     Choose,
     Forall,
     If,
@@ -97,28 +101,33 @@ _SMALL_RANGE = App("mkrange", (Lit(IntV(0)), Lit(IntV(2))))
 
 
 def random_rule(rng: random.Random, depth: int,
-                vars_in_scope: Tuple[str, ...] = ()) -> RuleExpr:
-    """Random rule over the shared vocabulary, any of the seven constructs."""
+                vars_in_scope: Tuple[str, ...] = (),
+                child: Optional[Callable[[int, Tuple[str, ...]], RuleExpr]] = None) -> RuleExpr:
+    """Random rule over the shared vocabulary, any of the seven constructs.
+    `child(depth, vars_in_scope)`, when given, builds each sub-rule."""
+    if child is None:
+        child = functools.partial(random_rule, rng)
     if depth <= 0:
         return _assign(rng, vars_in_scope)
     roll = rng.random()
     if roll < 0.30:
         return _assign(rng, vars_in_scope)
     if roll < 0.50:
-        children = tuple(random_rule(rng, depth - 1, vars_in_scope)
+        children = tuple(child(depth - 1, vars_in_scope)
                          for _ in range(rng.randrange(1, 4)))
         return Par(children)
     if roll < 0.70:
-        else_op = random_rule(rng, depth - 1, vars_in_scope) if rng.random() < 0.4 else None
-        return If(_bool_term(rng, vars_in_scope), random_rule(rng, depth - 1, vars_in_scope),
+        else_op = child(depth - 1, vars_in_scope) if rng.random() < 0.4 else None
+        return If(_bool_term(rng, vars_in_scope), child(depth - 1, vars_in_scope),
                   else_op)
-    var = f"v{len(vars_in_scope) + 1}"
+    # binders are v1, v2, ... from the outside in; other names are formals
+    var = f"v{sum(v.startswith('v') for v in vars_in_scope) + 1}"
     inner = vars_in_scope + (var,)
     if roll < 0.80:
         # bindings stay total so bound variables remain safe inside guards
-        return Let(var, _total_int(rng, vars_in_scope), random_rule(rng, depth - 1, inner))
+        return Let(var, _total_int(rng, vars_in_scope), child(depth - 1, inner))
     guard = _bool_term(rng, inner, 1) if rng.random() < 0.5 else None
-    body = random_rule(rng, depth - 1, inner)
+    body = child(depth - 1, inner)
     if roll < 0.90:
         return Forall(var, _SMALL_RANGE, guard, body)
     return Choose(var, _SMALL_RANGE, guard, body)
@@ -164,6 +173,43 @@ def random_par_machine(rng: random.Random, name: str = "GenPar") -> MachineDef:
     """Machine whose main body is a par of 2-4 arbitrary children."""
     children = tuple(random_rule(rng, 3) for _ in range(rng.randrange(2, 5)))
     return random_machine(rng, name, body=Par(children))
+
+
+def random_call_machine(rng: random.Random, name: str = "GenCall",
+                        depth: int = 4) -> MachineDef:
+    """Machine whose random rule has subtrees moved into rules with
+    parameters p1, p2, ..., each replaced by a call. Every rule names its
+    outermost binders v1, so most calls made under a binder pass one, and
+    the callee's binder of that name must be renamed when it is
+    substituted. About one call in four names a rule that is already
+    being built, which makes a recursive call."""
+    decls: Dict[str, RuleDecl] = {}
+    arity: Dict[str, int] = {"Main": 0}
+
+    def args(scope: Tuple[str, ...], n: int) -> Tuple[Term, ...]:
+        out = [_total_int(rng, scope) for _ in range(n)]
+        binders = [v for v in scope if v.startswith("v")]
+        if out and binders and rng.random() < 0.7:
+            out[rng.randrange(n)] = Var(rng.choice(binders))
+        return tuple(out)
+
+    def build(d: int, scope: Tuple[str, ...], stack: Tuple[str, ...]) -> RuleExpr:
+        roll = rng.random()
+        if d > 0 and roll < 0.08:
+            callee = rng.choice(stack)
+            return Call(callee, args(scope, arity[callee]))
+        if d > 0 and roll < 0.3:
+            callee = f"R{len(arity)}"
+            arity[callee] = rng.randrange(1, 4)
+            formals = tuple(f"p{i}" for i in range(1, arity[callee] + 1))
+            decls[callee] = RuleDecl(callee, formals, build(d, formals, stack + (callee,)))
+            return Call(callee, args(scope, len(formals)))
+        return random_rule(rng, d, scope, lambda d2, s2: build(d2, s2, stack))
+
+    decls["Main"] = RuleDecl("Main", (), build(depth, (), ("Main",)))
+    draft = MachineDef(name=name, sig=_SIG, declarations=decls,
+                       init=_random_init(rng), main="Main")
+    return parse_machine(pretty_print(draft))
 
 
 # ---------------------------------------------------------------------------

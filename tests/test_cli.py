@@ -212,13 +212,25 @@ def test_explore_safety_and_violation():
 
 def test_fmt_rewrites_canonically(tmp_path):
     f = tmp_path / "m.asm"
-    f.write_text("machine M  controlled x rule R = x := 1 main R", encoding="utf-8")
+    f.write_text('machine M  controlled x, s rule R = par x := 1 s := "a\\nb" endpar main R',
+                 encoding="utf-8")
     r = asmweave("fmt", f)
     assert r.returncode == 0
     text = f.read_text()
     assert text.startswith("machine M\n")
     r2 = asmweave("fmt", f)
+    assert r2.returncode == 0
     assert f.read_text() == text  # canonical form is a fixed point
+
+
+def test_run_and_explore_refuse_an_unhinted_abstract_function(tmp_path, capsys):
+    machine = tmp_path / "g.asm"
+    machine.write_text("machine M abstract g/1 controlled x rule R = x := g(1) main R",
+                       encoding="utf-8")
+    for command in (["run"], ["explore", "--depth", "2"]):
+        assert cli.main([command[0], str(machine), *command[1:]]) == 1
+        out, err = capsys.readouterr()
+        assert err == "error: 1:51: abstract function 'g' has no codomain hint\n"
 
 
 def test_skeleton_subcommand():

@@ -35,7 +35,7 @@ from asmweave.interp import (
 from asmweave.multiagent import _can_progress
 from asmweave.parser import Par, parse_machine, parse_term, pp_term
 from asmweave.state import Location, UpdateSet, conflicts
-from asmweave.values import FALSE, TRUE, UNDEF, IntV
+from asmweave.values import FALSE, TRUE, UNDEF, IntV, StrV, mkset
 
 SWAP = load_model("swap.asm")
 CHOICE = load_model("choose_out.asm")
@@ -284,6 +284,24 @@ def test_seeded_determinism():
 def test_replay_reproduces_trace():
     t = run(CHOICE, 6, Resolver.seeded(11))
     t2 = run(CHOICE, 6, Resolver.scripted(t.as_script()))
+    assert t.digests() == t2.digests()
+    assert export_trace_jsonl(t) == export_trace_jsonl(t2)
+
+
+def test_replay_reads_monitored_locations_with_any_arguments():
+    m = parse_machine("""
+machine In
+  monitored inp/1
+  controlled x, y, z
+  rule R = par x := inp(-1) y := inp({1, 2}) z := inp("a \\"b\\"\\n") endpar
+  main R
+""")
+    args = [IntV(-1), mkset([IntV(1), IntV(2)]), StrV('a "b"\n')]
+    monitored = [{Location("inp", (a,)): IntV(10 * k + i) for i, a in enumerate(args)}
+                 for k in range(3)]
+    t = run(m, 3, Resolver.seeded(0, monitored=monitored))
+    t2 = run(m, 3, Resolver.scripted(t.as_script()))
+    assert t2.final_state.content[Location("z")] == IntV(22)
     assert t.digests() == t2.digests()
     assert export_trace_jsonl(t) == export_trace_jsonl(t2)
 

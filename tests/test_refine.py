@@ -14,7 +14,7 @@ from asmweave.refine import (
     observe,
     parse_manifest,
 )
-from asmweave.parser import parse_machine, parse_term
+from asmweave.parser import parse_machine, parse_term, pp_term
 from asmweave.values import IntV, UNDEF
 
 CHOICE = load_model("choose_out.asm")
@@ -175,6 +175,13 @@ def test_manifest_errors():
     for bounds in ("3 3", "3 x 10", "3 -1 10"):
         with pytest.raises(ManifestError, match="line 2"):
             parse_manifest(f"step s\nbounds {bounds}\n", base)
+
+
+def test_manifest_comment_marker_inside_a_string_is_kept():
+    steps = parse_manifest('step s\nabstract ../swap.asm\nrefined ../swap.asm\n'
+                           'observe a : a = "x//y" ~ a = "x//y" // same\n', MODELS / "chains")
+    (label, abstract, refined), = steps[0].spec.observations
+    assert pp_term(abstract) == pp_term(refined) == 'a = "x//y"'
 
 
 def test_manifest_non_utf8_machine_names_its_line(tmp_path):

@@ -191,6 +191,24 @@ def test_skeleton_monitored_with_arity(tmp_path):
     assert "inp(0) := undef" in text
 
 
+def test_skeleton_offers_no_draw_for_an_unhinted_abstract_function(tmp_path):
+    mfile = tmp_path / "m.asm"
+    mfile.write_text(
+        "machine M abstract g/1, c controlled x rule R = x := g(1) main R",
+        encoding="utf-8")
+    text = skeleton(mfile)
+    assert "abstract c = ...   // from {false, true}" in text
+    assert "abstract g(0)" not in text
+    assert "g/1 cannot be drawn without a codomain hint" in text
+
+
+def test_comment_marker_inside_a_string_is_kept():
+    sc = parse_scenario('scenario x\nmachine m.asm\nassert 1: s = "a//b" // note\n'
+                        'step 1: in := "c//d"\n')
+    assert sc.assertions == [(1, 's = "a//b"')]
+    assert sc.step_cmds == {1: ['in := "c//d"']}
+
+
 def test_skeleton_unparseable_file_raises(tmp_path):
     bad = tmp_path / "nope.asm"
     bad.write_text("machine", encoding="utf-8")

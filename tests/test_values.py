@@ -1,3 +1,8 @@
+from hypothesis import given, settings, strategies as st
+
+from asmweave.interp import eval_term
+from asmweave.parser import parse_term
+from asmweave.state import Signature, State
 from asmweave.values import (
     FALSE,
     TRUE,
@@ -67,3 +72,21 @@ def test_show_value_source_forms():
     assert show_value(SymV("idle")) == "'idle"
     assert show_value(mkset([IntV(2), IntV(1)])) == "{1, 2}"
     assert show_value(StrV('a"b')) == '"a\\"b"'
+
+
+_SCALARS = st.one_of(
+    st.integers().map(IntV),
+    st.booleans().map(BoolV),
+    (st.text(st.sampled_from('a "\\\n\t')) | st.text()).map(StrV),
+    st.from_regex(r"[A-Za-z_][A-Za-z0-9_]*", fullmatch=True).map(SymV),
+)
+
+# a set term with an undef element evaluates to undef, so no set holds one
+VALUES = st.just(UNDEF) | st.recursive(
+    _SCALARS, lambda inner: st.frozensets(inner, max_size=4).map(SetV), max_leaves=12)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(VALUES)
+def test_show_value_reads_back(v):
+    assert eval_term(parse_term(show_value(v)), State(Signature(()))) == v
