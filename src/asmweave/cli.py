@@ -136,6 +136,16 @@ def _machine_space(machine):
     return space
 
 
+def _budget_cause(stats) -> str:
+    """Which bound left a refinement verdict undecided."""
+    if stats.abstract_truncated and stats.refined_truncated:
+        return "branch budget exhausted on both sides"
+    if stats.abstract_truncated or stats.refined_truncated:
+        side = "abstract" if stats.abstract_truncated else "refined"
+        return f"branch budget exhausted on the {side} side"
+    return "abstract step bound cut a run that could still match"
+
+
 def cmd_check_refine(args) -> int:
     results = check_chain(args.manifest)
     status = EXIT_OK
@@ -144,7 +154,7 @@ def cmd_check_refine(args) -> int:
             print(f"PASS  {name}  (abstract runs: {verdict.stats.abstract_runs}, "
                   f"refined runs: {verdict.stats.refined_runs})")
         elif isinstance(verdict, BudgetExhausted):
-            print(f"BUDGET  {name}  (enumeration truncated; verdict undecided)")
+            print(f"BUDGET  {name}  ({_budget_cause(verdict.stats)}; verdict undecided)")
             status = EXIT_SEMANTIC
         else:
             assert isinstance(verdict, Fail)

@@ -1,32 +1,27 @@
-"""Bounded exploration of agent sets over one shared state.
+"""Bounded search over agent sets sharing one state.
 
-`explore` walks every agent's every resolution breadth-first,
-deduplicating states by their exact content (`State.key`, no hash), and
-reports the shortest trace to a state violating a safety assertion. A
-machine without agent lines is explored as the anonymous agent "",
+`agent_successors` is the one state expansion: one agent's step outcomes
+from a state, sorted into successors, inconsistent branches and stalls.
+`explore` walks it breadth-first, deduplicating states by their exact
+content (`State.key`, no hash), and reports the shortest trace to a state
+violating a safety assertion; `refine.enumerate_runs` walks it depth-first.
+A machine without agent lines is explored as the anonymous agent "",
 exactly as `run` steps it, so its counterexamples replay with `run`.
-The step semantics (agent sets, the three schedulers, `ma_step`,
-`ma_run`) live in `interp` and are re-exported here.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import List, Optional, Tuple
 
 from .errors import GuardNotBoolean
-# the step semantics are re-exported: SELF_LOC, AgentSet, the schedulers,
-# MaStepResult, _can_progress, ma_step and ma_run
+# the step semantics live in interp; Interleaving, _can_progress, ma_step
+# and ma_run are re-exported
 from .interp import (
-    SELF_LOC,
     AgentSet,
     Inconsistent,
     Interleaving,
-    MaStepResult,
     Progressed,
-    Scheduler,
-    ScriptedOrder,
-    Synchronous,
+    Stalled,
     Trace,
     TraceStep,
     _can_progress,
@@ -38,7 +33,7 @@ from .interp import (
     ma_step,
 )
 from .parser import MachineDef, Term
-from .state import State, controlled_digest
+from .state import State
 from .values import BoolV, show_value
 
 
@@ -49,13 +44,6 @@ class ExploreReport:
     violating_state: Optional[State]
     inconsistent_branches: int
     complete: bool = False  # frontier emptied before the depth bound
-    # every distinct state, kept when the search ends without a violation
-    visited: Tuple[State, ...] = ()
-
-    @cached_property
-    def visited_digests(self) -> frozenset:
-        """The controlled digests of the visited states, hashed on first read."""
-        return frozenset(controlled_digest(s) for s in self.visited)
 
 
 def agent_successors(
@@ -64,17 +52,18 @@ def agent_successors(
     aid: str,
     rule: str,
     budget: int,
-) -> Tuple[List[Progressed], List[Inconsistent]]:
-    """The distinct successors one agent can produce from a state, plus
-    any inconsistent resolution branches."""
-    out: List[Progressed] = []
-    bad: List[Inconsistent] = []
+) -> Tuple[List[Progressed], List[Inconsistent], bool]:
+    """One agent's steps from a state: its distinct successors, its
+    inconsistent resolution branches, and whether some resolution stalls."""
+    progressed, inconsistent, stalled = [], [], False
     for res in enumerate_steps(state, machine, rule, budget, agent=aid):
         if isinstance(res, Progressed):
-            out.append(res)
-        elif isinstance(res, Inconsistent):
-            bad.append(res)
-    return out, bad
+            progressed.append(res)
+        elif isinstance(res, Stalled):
+            stalled = True
+        else:
+            inconsistent.append(res)
+    return progressed, inconsistent, stalled
 
 
 def _check_assertion(assertion: Term, state: State) -> bool:
@@ -100,53 +89,44 @@ def explore(
     """
     agents = AgentSet.of(machine).agents
     init = start if start is not None else initial_state(machine)
-
-    # parallel arrays indexed by discovery order
-    states: List[State] = [init]
-    parents: List[int] = [-1]
-    via: List[Optional[Tuple[str, Progressed]]] = [None]
+    # (parent index, agent, outcome) per state, in discovery order; the
+    # start state is node 0
+    nodes: List[Tuple[int, str, Optional[Progressed]]] = [(-1, "", None)]
     seen = {init.key()}
     inconsistent = 0
 
-    def build_trace(idx: int) -> Trace:
+    def violation(idx: int) -> ExploreReport:
         chain = []
-        while parents[idx] != -1:
-            chain.append(idx)
-            idx = parents[idx]
+        while idx > 0:
+            chain.append(nodes[idx])
+            idx = nodes[idx][0]
         chain.reverse()
-        trace = Trace(machine.name, "explore", [], [states[0]], "violation")
-        for node in chain:
-            aid, res = via[node]
-            trace.steps.append(TraceStep(res.fired, res.resolutions, _schedule_of((aid,))))
-            trace.states.append(states[node])
-        return trace
+        trace = Trace(machine.name, "explore",
+                      [TraceStep(res.fired, res.resolutions, _schedule_of((aid,)))
+                       for _, aid, res in chain],
+                      [init] + [res.next_state for _, _, res in chain], "violation")
+        return ExploreReport(len(nodes), trace, trace.final_state, inconsistent)
 
     if assertion is not None and not _check_assertion(assertion, init):
-        return ExploreReport(1, build_trace(0), init, 0)
+        return violation(0)
 
-    frontier = [0]
+    frontier = [(0, init)]
     for _ in range(depth):
         if not frontier:
             break
-        next_frontier: List[int] = []
-        for idx in frontier:
-            state = states[idx]
+        next_frontier: List[Tuple[int, State]] = []
+        for idx, state in frontier:
             for aid, rule in agents:
-                succs, bad = agent_successors(machine, state, aid, rule, branch_budget)
+                succs, bad, _ = agent_successors(machine, state, aid, rule, branch_budget)
                 inconsistent += len(bad)
                 for res in succs:
                     nxt = res.next_state
                     if nxt.key() in seen:
                         continue
                     seen.add(nxt.key())
-                    states.append(nxt)
-                    parents.append(idx)
-                    via.append((aid, res))
-                    new_idx = len(states) - 1
+                    nodes.append((idx, aid, res))
                     if assertion is not None and not _check_assertion(assertion, nxt):
-                        return ExploreReport(len(states), build_trace(new_idx),
-                                             nxt, inconsistent)
-                    next_frontier.append(new_idx)
+                        return violation(len(nodes) - 1)
+                    next_frontier.append((len(nodes) - 1, nxt))
         frontier = next_frontier
-    return ExploreReport(len(states), None, None, inconsistent,
-                         complete=not frontier, visited=tuple(states))
+    return ExploreReport(len(nodes), None, None, inconsistent, complete=not frontier)

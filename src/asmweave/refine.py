@@ -13,7 +13,8 @@ sequence; a run that genuinely stalled must be matched exactly.
 
 Runs share their states, so the work is done per distinct state, told
 apart by its exact content (`State.key`): `enumerate_runs` expands each
-once and charges the branch budget on every visit, `observe` evaluates
+once through `multiagent.agent_successors`, the expansion `explore` uses,
+and charges the branch budget on every visit, `observe` evaluates
 each once per side, and each refined sequence is matched by set lookups
 in indexes built over the abstract sequences.
 
@@ -30,17 +31,15 @@ from typing import Dict, List, Optional, Tuple, Union
 from .errors import BranchBudgetExceeded, ManifestError, SourceEncodingError
 from .interp import (
     AgentSet,
-    Progressed,
-    Stalled,
     Trace,
     TraceStep,
     _schedule_of,
-    enumerate_steps,
     eval_term,
     initial_state,
     override_state,
     read_override,
 )
+from .multiagent import agent_successors
 from .parser import App, MachineDef, Term, directive_lines, parse_machine, parse_term, read_source
 from .state import State
 from .values import Value
@@ -109,20 +108,16 @@ class _Truncated(Exception):
 
 
 def _successors(machine: MachineDef, state: State, budget: int):
-    """(progressed successors, stall reachable, inconsistent branch records)."""
-    progressed = []
-    stalled = False
-    inconsistent = []
+    """Every agent's `agent_successors`, each outcome paired with its
+    schedule: (progressed, stall reachable, inconsistent branch records)."""
+    progressed, inconsistent, stalled = [], [], False
     for aid, rule in AgentSet.of(machine).agents:
         sched = _schedule_of((aid,))
-        for res in enumerate_steps(state, machine, rule, budget, agent=aid):
-            if isinstance(res, Progressed):
-                progressed.append((sched, res))
-            elif isinstance(res, Stalled):
-                stalled = True
-            else:
-                # an inconsistent single-agent update set ends a run
-                inconsistent.append((sched, res))
+        succs, bad, stalls = agent_successors(machine, state, aid, rule, budget)
+        progressed += [(sched, res) for res in succs]
+        # an inconsistent single-agent update set ends a run
+        inconsistent += [(sched, res) for res in bad]
+        stalled = stalled or stalls
     if machine.agents:
         # interleaving: an agent with nothing to do leaves the others to move
         stalled = not progressed and not inconsistent

@@ -134,15 +134,12 @@ def parse_scenario(text: str, source_path: Optional[Path] = None) -> Scenario:
             if k < 0:
                 raise ManifestError(f"line {lineno}: assert indices are non-negative")
             sc.assertions.append((k, cond.strip()))
-        elif head.startswith("final"):
-            cond = rest
-            if head == "final:":
-                pass
-            elif rest.startswith(":"):
-                cond = rest[1:].strip()
-            else:
-                raise ManifestError(f"line {lineno}: expected 'final: <condition>'")
-            sc.finals.append(cond)
+        elif head in ("final", "final:"):
+            if head == "final":
+                if not rest.startswith(":"):
+                    raise ManifestError(f"line {lineno}: expected 'final: <condition>'")
+                rest = rest[1:].strip()
+            sc.finals.append(rest)
         else:
             raise ManifestError(f"line {lineno}: unknown directive {head!r}")
     if name is None:

@@ -157,9 +157,6 @@ class State:
         merged.update(extra)
         return State(self.sig, merged, self.statics)
 
-    def static_value(self, loc: Location) -> Value:
-        return self.statics.get(loc, UNDEF)
-
 
 def _check_loc(sig: Signature, loc: Location) -> FuncDecl:
     decl = sig.get(loc.fname)

@@ -57,7 +57,7 @@ def eval_term(t: Term, state: State, env: Optional[Env] = None,
                 raise ArityMismatch(
                     f"{t.fname!r} has arity {decl.arity}, got {len(args)}", t.pos)
             if decl.kind == FunctionKind.STATIC:
-                return state.static_value(Location(t.fname, args))
+                return state.statics.get(Location(t.fname, args), UNDEF)
             if decl.kind == FunctionKind.ABSTRACT:
                 if resolver is None:
                     raise EvalError(

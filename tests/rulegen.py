@@ -10,7 +10,9 @@ values (reads of f) flow only into f itself, which no guard reads.
 Generated machines therefore run for any number of steps without
 evaluation errors. `random_call_machine` moves subtrees into rules with
 parameters, recursive calls included; its machines are for the
-normalizer, not for running.
+normalizer, not for running. `random_agent_machine` adds agents whose
+rules also read and write `self`-indexed locations and pass a shared
+token between them.
 
 The random PGA rules (assignment, par and if only) at the end use their
 own vocabulary, `PGA_BOOL_LOCS` and `PGA_INT_LOCS`, over the machine from
@@ -41,7 +43,7 @@ from asmweave.parser import (
     pretty_print,
 )
 from asmweave.state import FuncDecl, FunctionKind, Location, Signature
-from asmweave.values import FALSE, TRUE, IntV, Value
+from asmweave.values import FALSE, TRUE, IntV, SymV, Value
 
 BOOL_LOCS = ("b1", "b2")
 INT_LOCS = ("n1", "n2")
@@ -209,6 +211,56 @@ def random_call_machine(rng: random.Random, name: str = "GenCall",
     decls["Main"] = RuleDecl("Main", (), build(depth, (), ("Main",)))
     draft = MachineDef(name=name, sig=_SIG, declarations=decls,
                        init=_random_init(rng), main="Main")
+    return parse_machine(pretty_print(draft))
+
+
+_AGENT_SIG = Signature(_SIG.entries + (
+    FuncDecl("tok", 0, FunctionKind.CONTROLLED),
+    FuncDecl("mine", 1, FunctionKind.CONTROLLED),
+    FuncDecl("cnt", 1, FunctionKind.CONTROLLED),
+))
+_SELF = App("self", ())
+
+
+def random_agent_machine(rng: random.Random, name: str = "GenAgents",
+                         depth: int = 3) -> MachineDef:
+    """Machine with two or three agents a0, a1, ... over the shared
+    vocabulary plus a shared token `tok` (always an agent id) and the
+    agent-indexed `mine/1` (boolean) and `cnt/1` (integer). Agents run one
+    shared rule or one rule each; sub-rules read and write the agent's own
+    `mine(self)` and `cnt(self)`, and the token holder may pass it on."""
+    aids = [f"a{i}" for i in range(rng.randrange(2, 4))]
+    mine, cnt = App("mine", (_SELF,)), App("cnt", (_SELF,))
+
+    def own(d: int, scope: Tuple[str, ...]) -> RuleExpr:
+        roll = rng.random()
+        if d <= 0 or roll < 0.5:
+            return random_rule(rng, d, scope, own)
+        if roll < 0.6:
+            return Assign(mine, _bool_term(rng, scope, 1) if rng.random() < 0.5
+                          else App("not", (mine,)))
+        if roll < 0.7:
+            return Assign(cnt, App("+", (cnt, Lit(IntV(1)))) if rng.random() < 0.5
+                          else _int_rhs(rng, scope))
+        if roll < 0.85:
+            guard = rng.choice([mine, App("<", (cnt, Lit(IntV(2)))),
+                                App("=", (App("tok", ()), _SELF))])
+            return If(guard, own(d - 1, scope))
+        handoff = Assign(App("tok", ()), Lit(SymV(rng.choice(aids))))
+        return If(App("=", (App("tok", ()), _SELF)), handoff,
+                  Assign(App(rng.choice(INT_LOCS), ()), cnt))
+
+    rules = ["Step"] if rng.random() < 0.4 else [f"R{i}" for i in range(len(aids))]
+    decls = {r: RuleDecl(r, (), Par(tuple(own(depth, ()) for _ in range(rng.randrange(1, 4)))))
+             for r in rules}
+    init = list(_random_init(rng)) + [(App("tok", ()), Lit(SymV(rng.choice(aids))))]
+    for aid in aids:
+        init.append((App("mine", (Lit(SymV(aid)),)), Lit(TRUE) if rng.random() < 0.5
+                     else Lit(FALSE)))
+        init.append((App("cnt", (Lit(SymV(aid)),)), Lit(IntV(rng.randrange(3)))))
+    agents = tuple((aid, rules[i % len(rules)]) for i, aid in enumerate(aids))
+    draft = MachineDef(name=name, sig=_AGENT_SIG, declarations=decls,
+                       init=tuple(init), main=rules[0], agents=agents)
     return parse_machine(pretty_print(draft))
 
 

@@ -20,13 +20,14 @@ from asmweave.errors import AsmError
 from asmweave.interp import (
     Progressed,
     Resolver,
+    ScriptedOrder,
     enumerate_steps,
     initial_state,
     run,
     step,
     update_set,
 )
-from asmweave.multiagent import Interleaving, ScriptedOrder, explore, ma_run
+from asmweave.multiagent import Interleaving, explore, ma_run
 from asmweave.normalform import equivalence_check, normalize
 from asmweave.parser import (
     Assign,

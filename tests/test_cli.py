@@ -191,6 +191,24 @@ def test_check_refine_chains():
     assert "FAIL" in bad.stdout
 
 
+def test_budget_line_names_the_bound_that_ran_out(tmp_path, capsys):
+    steps = [("self", "rr_table", "rr_table", "1 3 10000"),
+             ("choice", "choose_out", "choose_out", "3 3 5"),
+             ("refonly", "round_robin", "choose_out", "3 3 5")]
+    manifest = tmp_path / "budget.refine"
+    manifest.write_text("".join(
+        f"step {name}\nabstract {MODELS / a}.asm\nrefined {MODELS / r}.asm\n"
+        f"observe o : out ~ out\nbounds {bounds}\n" for name, a, r, bounds in steps),
+        encoding="utf-8")
+    assert cli.main(["check-refine", str(manifest)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "BUDGET  self  (abstract step bound cut a run that could still match; "
+        "verdict undecided)",
+        "BUDGET  choice  (branch budget exhausted on both sides; verdict undecided)",
+        "BUDGET  refonly  (branch budget exhausted on the refined side; verdict undecided)",
+    ]
+
+
 def test_scenario_suite_exit_codes():
     green = asmweave("scenario", MODELS / "scenarios" / "green", "--json")
     assert green.returncode == 0

@@ -14,6 +14,8 @@ from asmweave.errors import (
 from asmweave.interp import (
     ResEntry,
     Resolver,
+    ScriptedOrder,
+    Synchronous,
     export_trace_jsonl,
     initial_state,
     override_state,
@@ -21,7 +23,7 @@ from asmweave.interp import (
     step,
     update_set,
 )
-from asmweave.multiagent import ScriptedOrder, Synchronous, ma_run, ma_step
+from asmweave.multiagent import ma_run, ma_step
 from asmweave.parser import App, Lit, parse_machine, parse_term
 from asmweave.state import Location, lookup
 from asmweave.values import FALSE, TRUE, UNDEF, IntV, SymV, mkset

@@ -1,19 +1,20 @@
+import hashlib
 import itertools
 
 from conftest import load_model, under_hash_seeds
-from asmweave import multiagent, state
-from asmweave.interp import Inconsistent, Progressed, Resolver, initial_state
-from asmweave.multiagent import (
-    Interleaving,
+from asmweave import state
+from asmweave.interp import (
+    Inconsistent,
+    Progressed,
+    Resolver,
     ScriptedOrder,
     Synchronous,
-    explore,
-    ma_run,
-    ma_step,
+    initial_state,
 )
+from asmweave.multiagent import Interleaving, explore, ma_run, ma_step
 from asmweave.parser import parse_machine, parse_term
 from asmweave.state import Location, controlled_digest
-from asmweave.values import FALSE, TRUE, IntV, SymV
+from asmweave.values import FALSE, TRUE, IntV, SymV, show_value
 
 RING = load_model("ring3.asm")
 RING_MUTANT = load_model("ring3_mutant.asm")
@@ -208,23 +209,37 @@ def test_ring_of_five_safe_within_bounded_depth():
     assert rep.states_visited > 100
 
 
+def _is_not(s, sig):
+    """A term false in exactly the states that agree with `s` on its content."""
+    return parse_term("not (" + " and ".join(f"{loc.show()} = {show_value(v)}"
+                                             for loc, v in s.content.items()) + ")", sig)
+
+
 def test_explore_subsumes_seeded_sampling():
-    depth = 5
-    rep = explore(RING, depth)
+    # every state a seeded run reaches in k steps, explore reaches within k
     for seed in range(10):
-        t = ma_run(RING, Interleaving(), depth, Resolver.seeded(seed))
-        for s in t.states:
-            assert controlled_digest(s) in rep.visited_digests
+        t = ma_run(RING, Interleaving(), 5, Resolver.seeded(seed))
+        for k, s in enumerate(t.states):
+            rep = explore(RING, k, assertion=_is_not(s, RING.sig))
+            assert rep.violating_state == s
 
 
 def test_explore_dedup_survives_digest_collisions(monkeypatch):
     # every state digests alike; exact state keys still tell them apart
-    for module in (state, multiagent):
-        monkeypatch.setattr(module, "controlled_digest", lambda s: "0" * 16)
+    monkeypatch.setattr(state, "controlled_digest", lambda s: "0" * 16)
     held = explore(RING, 12, assertion=parse_term(SAFETY, RING.sig))
     assert held.states_visited == 199 and held.counterexample is None
     bad = explore(RING_MUTANT, 12, assertion=parse_term(SAFETY, RING_MUTANT.sig))
     assert len(bad.counterexample.steps) == 6
+
+
+def test_search_results_are_pinned():
+    # recorded before explore and refinement shared one state expansion;
+    # any change to a state count, a verdict or an exported trace changes it
+    from search_corpus import results
+
+    digest = hashlib.sha256("\n".join(results()).encode("utf-8")).hexdigest()
+    assert digest == "0f2ac26fd695e391e40ed7ce2ebb4d177c3cf3870c26d5611eb0f3e03761f573"
 
 
 def test_explore_counterexample_replays():

@@ -120,6 +120,17 @@ def test_parse_scenario_rejects_bad_lines():
         parse_scenario("scenario x\n")  # no machine
 
 
+@pytest.mark.parametrize("line", ["finally : a = 1", "finalize: b = 2", "final a = 1"])
+def test_only_final_heads_a_final_condition(line):
+    with pytest.raises(ManifestError, match="line 3"):
+        parse_scenario(f"scenario x\nmachine m.asm\n{line}\n")
+
+
+def test_final_takes_a_colon_after_a_space():
+    sc = parse_scenario("scenario x\nmachine m.asm\nfinal : a = 1\nfinal: b = 2\n")
+    assert sc.finals == ["a = 1", "b = 2"]
+
+
 @pytest.mark.parametrize("line", ["seed abc", "steps x", "steps -1", "assert -1: a = 1"])
 def test_bad_scenario_integer_names_its_line(line):
     with pytest.raises(ManifestError, match="line 3"):

@@ -10,14 +10,17 @@ from rulegen import random_machine
 from asmweave import interp
 from asmweave.interp import (
     SELF_LOC,
+    AgentSet,
+    Interleaving,
     Progressed,
     Resolver,
+    Synchronous,
     enumerate_steps,
     export_trace_jsonl,
     initial_state,
     run,
 )
-from asmweave.multiagent import AgentSet, Interleaving, Synchronous, explore, ma_run
+from asmweave.multiagent import explore, ma_run
 from asmweave.parser import parse_machine, parse_term
 from asmweave.refine import Fail, RefinementSpec, check_chain, check_refinement
 from asmweave.state import Location, fire, state_digest

@@ -1,4 +1,7 @@
-"""The bench harness still finds every function its per-layer wrappers wrap."""
+"""The bench harness still finds every function and name it uses."""
+import ast
+import importlib
+
 from conftest import SRC
 
 
@@ -9,3 +12,38 @@ def test_every_bench_target_resolves(monkeypatch):
     missing = [name for name, (module, qualname) in tracing.TARGETS.items()
                if tracing._resolve(module, qualname) is None]
     assert missing == []
+
+
+def _dotted(node):
+    """`a.b.c` as ["a", "b", "c"], or None for anything but names and attributes."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return [node.id] + parts[::-1] if isinstance(node, ast.Name) else None
+
+
+def test_every_name_the_bench_workloads_read_resolves():
+    tree = ast.parse((SRC.parent / "bench" / "workloads.py").read_text(encoding="utf-8"))
+    modules, wanted = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("asmweave."):
+                    modules[alias.asname or alias.name] = alias.name
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("asmweave"):
+            wanted.update((node.module, a.name) for a in node.names)
+    assert {"cli", "interp", "multiagent", "parser"} <= set(modules)
+    for node in ast.walk(tree):
+        path = _dotted(node) if isinstance(node, ast.Attribute) else None
+        if path and path[0] in modules:
+            wanted.add((modules[path[0]], ".".join(path[1:])))
+    missing = []
+    for module, qualname in sorted(wanted):
+        owner = importlib.import_module(module)
+        for part in qualname.split("."):
+            owner = getattr(owner, part, None)
+        if owner is None:
+            missing.append(f"{module}.{qualname}")
+    assert missing == []
+    assert ("asmweave.multiagent", "Interleaving") in wanted
