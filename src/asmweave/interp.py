@@ -40,7 +40,9 @@ agent's rule to its end once per combination of draws, replaying a stack
 of choice points; `enumerate_steps`, `enumerate_update_sets` and the
 interleaving scheduler's progress check all consume it. `enumerate_steps`
 deduplicates and orders its outcomes by update set (by clash set when
-inconsistent), so each distinct successor is fired once. Resolution keys
+inconsistent), so each distinct successor is fired once. Given a `reads`
+dict, the rule reads a view whose content records every location read;
+`multiagent`'s outcome memo keys on those locations. Resolution keys
 combine the choose label with a digest of the lexical bindings in scope,
 not the visit order, which keeps par children order-independent.
 
@@ -1081,16 +1083,37 @@ class _Replay(Resolver):
         return candidates[index]
 
 
+class _Reads(dict):
+    """An agent view's content that notes, as keys of `read`, the locations
+    a rule reads: every dynamic read of a compiled closure is a
+    `content.get`. Only `_probe` builds one, and only when asked to."""
+
+    __slots__ = ("read",)
+
+    def __init__(self, content: Dict[Location, Value], read: Dict[Location, None]) -> None:
+        super().__init__(content)
+        self.read = read
+
+    def get(self, loc, default=None):
+        self.read[loc] = None
+        return dict.get(self, loc, default)
+
+
 def _probe(body: RuleExpr, state: State, machine: Optional[MachineDef], bound: int,
-           max_call_depth: int, agent: str = ""):
+           max_call_depth: int, agent: str = "",
+           reads: Optional[Dict[Location, None]] = None):
     """Evaluate `body` once for every combination of choose/abstract draws,
     on `agent`'s view of `state`; yield (update set, resolutions) for each.
     Stateless search by replay (Godefroid, VeriSoft, POPL 1997): each
     evaluation runs to its end, then the deepest choice point with an
     untried candidate steps back by one: depth first, last candidate first.
     A draw that would make the finished evaluations plus the untried
-    candidates pass `bound` raises BranchBudgetExceeded."""
+    candidates pass `bound` raises BranchBudgetExceeded. With `reads`,
+    every location the evaluations read is added to it as a key; the view
+    is then a fresh state, so `state` itself is never touched."""
     state = _agent_view(state, agent)
+    if reads is not None:
+        state = state.derive(_Reads(state.content, reads))
     resolver = _Replay(agent, bound)
     points = resolver.points
     while True:
@@ -1123,6 +1146,7 @@ def enumerate_steps(
     bound: int = 10_000,
     max_call_depth: int = DEFAULT_CALL_DEPTH,
     agent: str = "",
+    reads: Optional[Dict[Location, None]] = None,
 ) -> List[StepResult]:
     """All step outcomes over every choose/abstract resolution combination.
 
@@ -1131,10 +1155,11 @@ def enumerate_steps(
     per distinct update set (per clash set when inconsistent), in that
     order, each with the resolutions of its first witness. Raises
     BranchBudgetExceeded once the number of combinations passes `bound`.
+    With `reads`, every location the rule read is added to it as a key.
     """
     results: Dict[tuple, StepResult] = {}
     for us, resolutions in _probe(rule_body(machine, rule), state, machine, bound,
-                                  max_call_depth, agent):
+                                  max_call_depth, agent, reads):
         clashes = conflicts(us)
         if clashes:
             key = (1, tuple((loc.key(), tuple(sorted(map(value_key, vals))))

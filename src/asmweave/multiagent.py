@@ -7,16 +7,29 @@ content (`State.key`, no hash), and reports the shortest trace to a state
 violating a safety assertion; `refine.enumerate_runs` walks it depth-first.
 A machine without agent lines is explored as the anonymous agent "",
 exactly as `run` steps it, so its counterexamples replay with `run`.
+
+Each search keeps an outcome memo, so a state is expanded without
+evaluating an agent's rule when the locations that rule read hold values
+already seen (dynamic dependency tracking, as in Acar, Blelloch & Harper,
+"Adaptive functional programming", POPL 2002, and the verifying traces of
+Mokhov, Mitchell & Peyton Jones, "Build systems à la carte", ICFP 2018).
+It is sound because an agent's outcomes are a function of the values its
+rule reads: a miss evaluates through `enumerate_steps` with the view's
+content recording every dynamic read; statics are fixed within one
+command; `_probe`'s draws come from its own replay stack, and it injects
+no monitored input. A memo lives for one search, over one machine and
+one branch budget, and never outside a command.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .errors import GuardNotBoolean
 # the step semantics live in interp; Interleaving, _can_progress, ma_step
 # and ma_run are re-exported
 from .interp import (
+    SELF_LOC,
     AgentSet,
     Inconsistent,
     Interleaving,
@@ -33,8 +46,8 @@ from .interp import (
     ma_step,
 )
 from .parser import MachineDef, Term
-from .state import State
-from .values import BoolV, show_value
+from .state import Location, State, UpdateSet, fire
+from .values import UNDEF, BoolV, show_value
 
 
 @dataclass
@@ -46,23 +59,48 @@ class ExploreReport:
     complete: bool = False  # frontier emptied before the depth bound
 
 
+# Per (agent, rule): {locations read: {their values: outcomes}}, one entry
+# per distinct read tuple. Outcomes are the cached progressed (update set,
+# resolutions) pairs, inconsistent branches and whether some branch stalls.
+Outcomes = Tuple[Tuple[Tuple[UpdateSet, tuple], ...], Tuple[Inconsistent, ...], bool]
+OutcomeMemo = Dict[Tuple[str, str], Dict[Tuple[Location, ...], Dict[tuple, Outcomes]]]
+
+
 def agent_successors(
     machine: MachineDef,
     state: State,
     aid: str,
     rule: str,
     budget: int,
+    memo: OutcomeMemo,
 ) -> Tuple[List[Progressed], List[Inconsistent], bool]:
     """One agent's steps from a state: its distinct successors, its
-    inconsistent resolution branches, and whether some resolution stalls."""
+    inconsistent resolution branches, and whether some resolution stalls.
+    `memo` holds this search's outcomes; on a hit, the cached update sets
+    are fired on `state`. Errors are not cached: they end the search."""
+    entries = memo.setdefault((aid, rule), {})
+    get = state.content.get
+    for locs, table in entries.items():
+        hit = table.get(tuple([get(loc, UNDEF) for loc in locs]))
+        if hit is not None:
+            fired, inconsistent, stalled = hit
+            return ([Progressed(fire(state, us), us, res) for us, res in fired],
+                    list(inconsistent), stalled)
+    reads: Dict[Location, None] = {}
     progressed, inconsistent, stalled = [], [], False
-    for res in enumerate_steps(state, machine, rule, budget, agent=aid):
+    for res in enumerate_steps(state, machine, rule, budget, agent=aid, reads=reads):
         if isinstance(res, Progressed):
             progressed.append(res)
         elif isinstance(res, Stalled):
             stalled = True
         else:
             inconsistent.append(res)
+    if aid:  # a named agent's `self` is its own id
+        reads.pop(SELF_LOC, None)
+    locs = tuple(reads)
+    outcomes = (tuple((res.fired, res.resolutions) for res in progressed),
+                tuple(inconsistent), stalled)
+    entries.setdefault(locs, {})[tuple([get(loc, UNDEF) for loc in locs])] = outcomes
     return progressed, inconsistent, stalled
 
 
@@ -89,6 +127,7 @@ def explore(
     """
     agents = AgentSet.of(machine).agents
     init = start if start is not None else initial_state(machine)
+    memo: OutcomeMemo = {}
     # (parent index, agent, outcome) per state, in discovery order; the
     # start state is node 0
     nodes: List[Tuple[int, str, Optional[Progressed]]] = [(-1, "", None)]
@@ -117,7 +156,8 @@ def explore(
         next_frontier: List[Tuple[int, State]] = []
         for idx, state in frontier:
             for aid, rule in agents:
-                succs, bad, _ = agent_successors(machine, state, aid, rule, branch_budget)
+                succs, bad, _ = agent_successors(machine, state, aid, rule, branch_budget,
+                                                 memo)
                 inconsistent += len(bad)
                 for res in succs:
                     nxt = res.next_state

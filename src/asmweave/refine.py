@@ -14,9 +14,9 @@ sequence; a run that genuinely stalled must be matched exactly.
 Runs share their states, so the work is done per distinct state, told
 apart by its exact content (`State.key`): `enumerate_runs` expands each
 once through `multiagent.agent_successors`, the expansion `explore` uses,
-and charges the branch budget on every visit, `observe` evaluates
-each once per side, and each refined sequence is matched by set lookups
-in indexes built over the abstract sequences.
+with one outcome memo per call, and charges the branch budget on every
+visit, `observe` evaluates each once per side, and each refined sequence
+is matched by set lookups in indexes built over the abstract sequences.
 
 Verdicts are three-valued. When the abstract side was truncated in a way
 that could still hide a match, the result is BudgetExhausted rather than
@@ -39,7 +39,7 @@ from .interp import (
     override_state,
     read_override,
 )
-from .multiagent import agent_successors
+from .multiagent import OutcomeMemo, agent_successors
 from .parser import App, MachineDef, Term, directive_lines, parse_machine, parse_term, read_source
 from .state import State
 from .values import Value
@@ -107,13 +107,13 @@ class _Truncated(Exception):
     pass
 
 
-def _successors(machine: MachineDef, state: State, budget: int):
+def _successors(machine: MachineDef, state: State, budget: int, memo: OutcomeMemo):
     """Every agent's `agent_successors`, each outcome paired with its
     schedule: (progressed, stall reachable, inconsistent branch records)."""
     progressed, inconsistent, stalled = [], [], False
     for aid, rule in AgentSet.of(machine).agents:
         sched = _schedule_of((aid,))
-        succs, bad, stalls = agent_successors(machine, state, aid, rule, budget)
+        succs, bad, stalls = agent_successors(machine, state, aid, rule, budget, memo)
         progressed += [(sched, res) for res in succs]
         # an inconsistent single-agent update set ends a run
         inconsistent += [(sched, res) for res in bad]
@@ -140,6 +140,7 @@ def enumerate_runs(
     spent = [0]
     # each distinct state is expanded once; a revisit is still charged
     expanded: Dict[frozenset, tuple] = {}
+    memo: OutcomeMemo = {}
 
     def charge(n: int) -> None:
         spent[0] += n
@@ -156,7 +157,7 @@ def enumerate_runs(
             key = state.key()
             if key not in expanded:
                 try:
-                    expanded[key] = _successors(machine, state, budget)
+                    expanded[key] = _successors(machine, state, budget, memo)
                 except BranchBudgetExceeded:
                     raise _Truncated() from None
             progressed, stalled, inconsistent = expanded[key]

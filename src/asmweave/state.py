@@ -50,10 +50,20 @@ class Signature:
         return [d for d in self.entries if d.kind == kind]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Location:
     fname: str
     args: Tuple[Value, ...] = ()
+
+    def __init__(self, fname: str, args: Tuple[Value, ...] = ()) -> None:
+        # written past the frozen __setattr__; the dataclass's own hash is
+        # computed once, since every state read and update-set insertion
+        # hashes a location
+        fields = self.__dict__
+        fields["fname"], fields["args"], fields["_hash"] = fname, args, hash((fname, args))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def key(self) -> tuple:
         return (self.fname, tuple(value_key(a) for a in self.args))
@@ -157,6 +167,13 @@ class State:
         merged.update(extra)
         return State(self.sig, merged, self.statics)
 
+    def derive(self, content: Dict[Location, Value]) -> "State":
+        """A state with this one's signature and statics dict and `content`,
+        taken as it is: the caller guarantees it holds no undef."""
+        out = State.__new__(State)
+        out.sig, out.content, out.statics, out._key = self.sig, content, self.statics, None
+        return out
+
 
 def _check_loc(sig: Signature, loc: Location) -> FuncDecl:
     decl = sig.get(loc.fname)
@@ -198,8 +215,11 @@ def fire(state: State, us: UpdateSet) -> State:
             raise KindViolation(f"cannot update {u.loc.fname!r}: kind is {decl.kind.value}")
     new_content = dict(state.content)
     for u in us.updates:
-        new_content[u.loc] = u.val
-    return State(state.sig, new_content, state.statics)
+        if u.val is UNDEF:  # `x := undef` empties the location
+            new_content.pop(u.loc, None)
+        else:
+            new_content[u.loc] = u.val
+    return state.derive(new_content)
 
 
 def _canonical_pairs(content: Dict[Location, Value]) -> list:

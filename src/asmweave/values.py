@@ -44,7 +44,12 @@ class SetV(Value):
     elems: frozenset
 
     def __iter__(self):
-        return iter(sorted(self.elems, key=value_key))
+        """The elements in canonical order, sorted on the first iteration."""
+        try:
+            return iter(self._order)
+        except AttributeError:
+            object.__setattr__(self, "_order", tuple(sorted(self.elems, key=value_key)))
+            return iter(self._order)
 
     def __len__(self) -> int:
         return len(self.elems)

@@ -1,7 +1,8 @@
 """The refinement check without caches or indexes, kept as the oracle
 for `asmweave.refine`: every run re-expands its states through
-`_successors`, every state of every run is observed afresh, and each
-refined run is matched by a scan of every abstract run."""
+`_successors`, with an empty outcome memo each time, every state of every
+run is observed afresh, and each refined run is matched by a scan of every
+abstract run."""
 from __future__ import annotations
 
 from typing import List, Optional, Tuple
@@ -49,7 +50,8 @@ def enumerate_runs(
                 runs.append(Trace(machine.name, "scripted", steps, states, "budget"))
                 continue
             try:
-                progressed, stalled, inconsistent = _successors(machine, state, budget)
+                # a fresh outcome memo: every expansion evaluates the rules
+                progressed, stalled, inconsistent = _successors(machine, state, budget, {})
             except BranchBudgetExceeded:
                 raise _Truncated() from None
             charge(len(progressed) + len(inconsistent))
