@@ -78,6 +78,14 @@ def _print_state(state) -> None:
         print(line)
 
 
+def _write_trace(path: str, trace) -> None:
+    """Export `trace` to `path` as JSON lines; a trace without steps leaves
+    the file empty, and stderr says so."""
+    Path(path).write_text(export_trace_jsonl(trace), encoding="utf-8")
+    if not trace.steps:
+        print(f"note: the trace has no steps; {path} is empty", file=sys.stderr)
+
+
 def cmd_run(args) -> int:
     machine = _load_machine(args.machine)
     resolver = Resolver.seeded(args.seed)
@@ -90,7 +98,7 @@ def cmd_run(args) -> int:
     else:
         trace = run(machine, args.steps, resolver, rule=_rule(machine, args.rule))
     if args.trace:
-        Path(args.trace).write_text(export_trace_jsonl(trace), encoding="utf-8")
+        _write_trace(args.trace, trace)
     _print_state(trace.final_state)
     if trace.outcome == "inconsistent":
         print("run ended inconsistent:", file=sys.stderr)
@@ -163,8 +171,7 @@ def cmd_check_refine(args) -> int:
             for near in verdict.nearest_abstract:
                 print(f"  nearest abstract:    {near.pretty()}")
             if args.trace:
-                Path(args.trace).write_text(
-                    export_trace_jsonl(verdict.counterexample), encoding="utf-8")
+                _write_trace(args.trace, verdict.counterexample)
             status = EXIT_SEMANTIC
     if not results:
         print("manifest contains no steps; nothing to check")
@@ -220,8 +227,7 @@ def cmd_explore(args) -> int:
         print(f"assertion violated after {len(report.counterexample.steps)} step(s):")
         _print_state(report.violating_state)
         if args.trace:
-            Path(args.trace).write_text(
-                export_trace_jsonl(report.counterexample), encoding="utf-8")
+            _write_trace(args.trace, report.counterexample)
         return EXIT_SEMANTIC
     if assertion is not None:
         print("assertion holds on every visited state")

@@ -114,11 +114,13 @@ from .values import (
     value_key,
 )
 
-# deep rule-call chains recurse through the evaluator; the configurable
-# call-depth bound is what actually limits them
+# deep rule-call chains recurse through the evaluator; the call-depth
+# bound is what limits them, and `update_set` reports a body nested too
+# deeply for the interpreter's stack below that bound
 sys.setrecursionlimit(max(sys.getrecursionlimit(), 20000))
 
-DEFAULT_CALL_DEPTH = 1000
+# nested rule calls one evaluation may make; read by each call as it runs
+MAX_CALL_DEPTH = 1000
 
 BOOLS = SetV(frozenset({TRUE, FALSE}))
 
@@ -421,9 +423,9 @@ def instantiate_call(machine: MachineDef, rname: str, args: Tuple[Term, ...]) ->
 # Evaluation: each node is compiled once into a closure
 #
 # A term compiles to `fn(state, env, resolver) -> Value` and a rule to
-# `fn(state, env, resolver, cx, depth, out)`, which adds the rule's updates
-# to the set `out`; `env` is a dict of the lexical bindings, never mutated,
-# and `cx` is the pair (machine, max call depth). The compiler binds what
+# `fn(state, env, resolver, machine, depth, out)`, which adds the rule's
+# updates to the set `out`; `env` is a dict of the lexical bindings, never
+# mutated, and `depth` counts the rule calls above. The compiler binds what
 # the signature fixes: a function's declaration, a background operation,
 # a location whose arguments are literals, a choose label. Every check the
 # tree walk in `tests/interp_oracle.py` makes while evaluating (arity,
@@ -554,30 +556,30 @@ def _compile_rule(op: RuleExpr, sig: Signature):
     if isinstance(op, Par):
         children = tuple(_rule(c, sig) for c in op.children)
         if not children:
-            return lambda s, e, r, cx, d, out: None
+            return lambda s, e, r, machine, d, out: None
         if len(children) == 1:
             return children[0]
 
-        def par(s, e, r, cx, d, out):
+        def par(s, e, r, machine, d, out):
             for child in children:
-                child(s, e, r, cx, d, out)
+                child(s, e, r, machine, d, out)
         return par
     if isinstance(op, If):
         return _compile_if(op, sig)
     if isinstance(op, Let):
         binding, body, var = _term(op.binding, sig), _rule(op.body, sig), op.var
 
-        def let(s, e, r, cx, d, out):
+        def let(s, e, r, machine, d, out):
             inner = dict(e)
             inner[var] = binding(s, e, r)
-            body(s, inner, r, cx, d, out)
+            body(s, inner, r, machine, d, out)
         return let
     if isinstance(op, Call):
         return _compile_call(op, sig)
     if isinstance(op, (Forall, Choose)):
         return _compile_binder(op, sig)
 
-    def not_a_rule(s, e, r, cx, d, out):
+    def not_a_rule(s, e, r, machine, d, out):
         raise TypeError(f"not a rule expression: {op!r}")
     return not_a_rule
 
@@ -586,10 +588,10 @@ def _compile_assign(op: Assign, sig: Signature):
     fname, rhs = op.lhs.fname, _term(op.rhs, sig)
     if all(isinstance(a, Lit) for a in op.lhs.args):
         loc = Location(fname, tuple(a.value for a in op.lhs.args))
-        return lambda s, e, r, cx, d, out: out.add(Update(loc, rhs(s, e, r)))
+        return lambda s, e, r, machine, d, out: out.add(Update(loc, rhs(s, e, r)))
     values = _values(tuple(_term(a, sig) for a in op.lhs.args))
 
-    def assign(s, e, r, cx, d, out):
+    def assign(s, e, r, machine, d, out):
         loc = Location(fname, values(s, e, r))
         out.add(Update(loc, rhs(s, e, r)))
     return assign
@@ -600,14 +602,14 @@ def _compile_if(op: If, sig: Signature):
     guard, then_op = _term(guard_term, sig), _rule(op.then_op, sig)
     else_op = _rule(op.else_op, sig) if op.else_op is not None else None
 
-    def if_(s, e, r, cx, d, out):
+    def if_(s, e, r, machine, d, out):
         v = guard(s, e, r)
         if not isinstance(v, BoolV):
             raise _not_boolean(guard_term, v)
         if v.b:
-            then_op(s, e, r, cx, d, out)
+            then_op(s, e, r, machine, d, out)
         elif else_op is not None:
-            else_op(s, e, r, cx, d, out)
+            else_op(s, e, r, machine, d, out)
     return if_
 
 
@@ -615,16 +617,15 @@ def _compile_call(op: Call, sig: Signature):
     rname, args, pos = op.rname, op.args, op.pos
     site = [None, None]  # the machine last seen here, and its compiled body
 
-    def call(s, e, r, cx, d, out):
-        machine, max_depth = cx
+    def call(s, e, r, machine, d, out):
         if machine is None:
             raise EvalError(f"rule call {rname!r} outside a machine context", pos)
-        if d >= max_depth:
-            raise CallDepthExceeded(f"call depth {max_depth} exceeded at {rname!r}", pos)
+        if d >= MAX_CALL_DEPTH:
+            raise CallDepthExceeded(f"call depth {MAX_CALL_DEPTH} exceeded at {rname!r}", pos)
         if site[0] is not machine:
             site[1] = _rule(instantiate_call(machine, rname, args), sig)
             site[0] = machine
-        site[1](s, e, r, cx, d + 1, out)
+        site[1](s, e, r, machine, d + 1, out)
     return call
 
 
@@ -654,14 +655,14 @@ def _compile_binder(op, sig: Signature):
             yield v, inner
 
     if what == "forall":
-        def forall(s, e, r, cx, d, out):
+        def forall(s, e, r, machine, d, out):
             for _, inner in elements(s, e, r):
-                body(s, inner, r, cx, d, out)
+                body(s, inner, r, machine, d, out)
         return forall
 
     label = op.label or (f"choose@{pos[0]}:{pos[1]}" if pos else "choose")
 
-    def choose(s, e, r, cx, d, out):
+    def choose(s, e, r, machine, d, out):
         candidates = [v for v, _ in elements(s, e, r)]
         if not candidates:
             return  # idle gracefully when nothing satisfies
@@ -670,7 +671,7 @@ def _compile_binder(op, sig: Signature):
         picked = r.choose(label, _ctx_digest(e), candidates, pos)
         inner = dict(e)
         inner[var] = picked
-        body(s, inner, r, cx, d, out)
+        body(s, inner, r, machine, d, out)
     return choose
 
 
@@ -686,12 +687,16 @@ def update_set(
     env: Optional[Env] = None,
     resolver: Optional[Resolver] = None,
     machine: Optional[MachineDef] = None,
-    max_call_depth: int = DEFAULT_CALL_DEPTH,
 ) -> UpdateSet:
     """Update set of one rule evaluation; does not fire it."""
     out: set = set()
-    _rule(op, state.sig)(state, env.bindings if env is not None else {}, resolver,
-                         (machine, max_call_depth), 0, out)
+    try:
+        _rule(op, state.sig)(state, env.bindings if env is not None else {}, resolver,
+                             machine, 0, out)
+    except RecursionError:
+        raise CallDepthExceeded(
+            f"evaluation nested too deeply: the stack ran out within call depth "
+            f"{MAX_CALL_DEPTH}") from None
     return UpdateSet(frozenset(out))
 
 
@@ -752,15 +757,10 @@ def _agent_view(state: State, agent: str) -> State:
     return state.with_content({SELF_LOC: SymV(agent)}) if agent else state
 
 
-@dataclass(frozen=True)
-class AgentSet:
-    machine: MachineDef
-    agents: Tuple[Tuple[str, str], ...]  # (agent id, rule name)
-
-    @staticmethod
-    def of(machine: MachineDef) -> "AgentSet":
-        """A machine without agent lines is the anonymous agent "" looping main."""
-        return AgentSet(machine, machine.agents or (("", machine.main),))
+def agents_of(machine: MachineDef) -> Tuple[Tuple[str, str], ...]:
+    """(agent id, rule name) of each agent; a machine without agent lines
+    is the anonymous agent "" looping main."""
+    return machine.agents or (("", machine.main),)
 
 
 @dataclass(frozen=True)
@@ -778,9 +778,6 @@ class ScriptedOrder:
     order: Tuple[str, ...]
 
 
-Scheduler = object  # Synchronous | Interleaving | ScriptedOrder
-
-
 @dataclass
 class MaStepResult:
     result: StepResult
@@ -789,11 +786,11 @@ class MaStepResult:
     provenance: Dict[Location, List[Tuple[str, Value]]] = field(default_factory=dict)
 
 
-def _agent_update_set(machine, state, aid, rule, resolver, max_call_depth) -> UpdateSet:
+def _agent_update_set(machine, state, aid, rule, resolver) -> UpdateSet:
     resolver.set_agent(aid)
     try:
         return update_set(rule_body(machine, rule), _agent_view(state, aid), None,
-                          resolver, machine, max_call_depth)
+                          resolver, machine)
     finally:
         resolver.set_agent("")
 
@@ -808,13 +805,17 @@ def _scheduled(res: StepResult, aids: Tuple[str, ...]) -> MaStepResult:
     return MaStepResult(res, () if isinstance(res, Stalled) else _schedule_of(aids))
 
 
-def _can_progress(machine, state, aid, rule,
-                  max_call_depth: int = DEFAULT_CALL_DEPTH, budget: int = 4096) -> bool:
+# resolutions the interleaving scheduler tries per agent before it assumes
+# the agent can move
+PROGRESS_BUDGET = 4096
+
+
+def _can_progress(machine, state, aid, rule) -> bool:
     """True when some resolution of this agent's rule yields updates. An
-    agent with more than `budget` resolutions is assumed schedulable."""
+    agent with more than PROGRESS_BUDGET resolutions is assumed schedulable."""
     try:
         return any(len(us) > 0 for us, _ in _probe(
-            rule_body(machine, rule), state, machine, budget, max_call_depth, aid))
+            rule_body(machine, rule), state, machine, PROGRESS_BUDGET, aid))
     except BranchBudgetExceeded:
         return True
 
@@ -822,16 +823,15 @@ def _can_progress(machine, state, aid, rule,
 def ma_step(
     machine: MachineDef,
     state: State,
-    scheduler: Scheduler,
+    scheduler: Synchronous | Interleaving | ScriptedOrder,
     resolver: Resolver,
-    step_index: int = 0,
-    max_call_depth: int = DEFAULT_CALL_DEPTH,
     agents: Optional[Tuple[Tuple[str, str], ...]] = None,
 ) -> MaStepResult:
     """One loop iteration: inject monitored input, evaluate the scheduled
-    agents' rules against the same state, and decide the outcome."""
+    agents' rules against the same state, and decide the outcome. A
+    scripted order names the agent of step `resolver.step_index`."""
     if agents is None:
-        agents = AgentSet.of(machine).agents
+        agents = agents_of(machine)
     injections = resolver.begin_step(state)
     eval_state = state.with_content(injections) if injections else state
     moved = eval_state.content != state.content
@@ -840,7 +840,7 @@ def ma_step(
     # exactly as the synchronous scheduler does: no probe, no schedule draw
     lone = len(agents) == 1 and agents[0][0] == ""
     if isinstance(scheduler, Synchronous) or (lone and isinstance(scheduler, Interleaving)):
-        sets = [_agent_update_set(machine, eval_state, aid, rule, resolver, max_call_depth)
+        sets = [_agent_update_set(machine, eval_state, aid, rule, resolver)
                 for aid, rule in agents]
         union = UpdateSet.empty()
         for us in sets:
@@ -855,15 +855,14 @@ def ma_step(
         return out
 
     if isinstance(scheduler, ScriptedOrder):
-        if step_index >= len(scheduler.order):
+        if resolver.step_index >= len(scheduler.order):
             return _scheduled(_outcome(eval_state, UpdateSet.empty(),
                                        resolver.end_step()), ())
-        aid = scheduler.order[step_index]
+        aid = scheduler.order[resolver.step_index]
         by_id = dict(agents)
         if aid not in by_id:
             raise EvalError(f"scheduled agent {aid!r} does not exist")
-        us = _agent_update_set(machine, eval_state, aid, by_id[aid], resolver,
-                               max_call_depth)
+        us = _agent_update_set(machine, eval_state, aid, by_id[aid], resolver)
         # an explicitly scripted agent may stutter with no updates
         return _scheduled(_outcome(eval_state, us, resolver.end_step(), stutter=True),
                           (aid,))
@@ -871,15 +870,14 @@ def ma_step(
     if isinstance(scheduler, Interleaving):
         schedulable = [
             (aid, rule) for aid, rule in agents
-            if _can_progress(machine, eval_state, aid, rule, max_call_depth)
+            if _can_progress(machine, eval_state, aid, rule)
         ]
         if not schedulable:
             # monitored input alone still moves the state
             return _scheduled(_outcome(eval_state, UpdateSet.empty(),
                                        resolver.end_step(), moved), ())
         aid = resolver.schedule([a for a, _ in schedulable])
-        us = _agent_update_set(machine, eval_state, aid, dict(schedulable)[aid],
-                               resolver, max_call_depth)
+        us = _agent_update_set(machine, eval_state, aid, dict(schedulable)[aid], resolver)
         # the picked agent's own draws may still give no updates; it stutters
         return _scheduled(_outcome(eval_state, us, resolver.end_step(), stutter=True),
                           (aid,))
@@ -887,11 +885,9 @@ def ma_step(
     raise TypeError(f"unknown scheduler: {scheduler!r}")
 
 
-def step(state: State, machine: MachineDef, rule: str, resolver: Resolver,
-         max_call_depth: int = DEFAULT_CALL_DEPTH) -> StepResult:
+def step(state: State, machine: MachineDef, rule: str, resolver: Resolver) -> StepResult:
     """One loop iteration of `rule`, run as the anonymous agent."""
-    return ma_step(machine, state, Synchronous(), resolver, 0, max_call_depth,
-                   (("", rule),)).result
+    return ma_step(machine, state, Synchronous(), resolver, (("", rule),)).result
 
 
 # ---------------------------------------------------------------------------
@@ -907,8 +903,6 @@ class TraceStep:
 
 @dataclass
 class Trace:
-    machine: str
-    provenance: str
     steps: List[TraceStep]
     states: List[State]  # pre-states plus, after a progressed step, the post-state
     outcome: str  # stalled | budget | inconsistent | violation
@@ -935,8 +929,10 @@ def _location(lhs: App, empty: State) -> Location:
     return Location(lhs.fname, tuple(eval_term(a, empty) for a in lhs.args))
 
 
-def initial_state(machine: MachineDef) -> State:
-    """Evaluate init entries against the empty state and build the start state."""
+def initial_state(machine: MachineDef, overrides: Sequence[Tuple[App, Term]] = ()) -> State:
+    """The start state: the init entries, then the init-style (lhs, term)
+    `overrides`, which win over init. Every term is evaluated against the
+    empty state, so neither list depends on its order."""
     empty = State(machine.sig)
     content: Dict[Location, Value] = {}
     statics: Dict[Location, Value] = {}
@@ -947,30 +943,17 @@ def initial_state(machine: MachineDef) -> State:
         if loc in target and target[loc] != val:
             raise InconsistentUpdateSet([(loc, {target[loc], val})])
         target[loc] = val
-    return State(machine.sig, content, statics)
-
-
-def override_state(machine: MachineDef, state: State, entries) -> State:
-    """Apply init-style (lhs, term) overrides to an existing state. Terms
-    are evaluated against the empty state, as init entries are, so
-    overrides stay order-independent."""
-    empty = State(machine.sig)
-    content = dict(state.content)
-    statics = dict(state.statics)
-    for lhs, rhs in entries:
+    for lhs, rhs in overrides:
         loc, val = _location(lhs, empty), eval_term(rhs, empty)
         decl = machine.sig.get(lhs.fname)
         if decl is None:
             raise EvalError(f"override target {lhs.fname!r} is not declared", lhs.pos)
-        if decl.kind == FunctionKind.STATIC:
-            statics[loc] = val
-        else:
-            content[loc] = val
+        (statics if decl.kind == FunctionKind.STATIC else content)[loc] = val
     return State(machine.sig, content, statics)
 
 
 def read_override(text: str, machine: MachineDef) -> Tuple[App, Term]:
-    """Read `<location> := <term>` into an entry for `override_state`."""
+    """Read `<location> := <term>` into an override for `initial_state`."""
     lhs_text, rhs_text = text.split(":=", 1)
     lhs = parse_term(lhs_text.strip(), machine.sig)
     if not isinstance(lhs, App):
@@ -989,23 +972,21 @@ def read_location(text: str, sig: Signature) -> Location:
 
 def ma_run(
     machine: MachineDef,
-    scheduler: Scheduler,
+    scheduler: Synchronous | Interleaving | ScriptedOrder,
     max_steps: int,
     resolver: Optional[Resolver] = None,
     start: Optional[State] = None,
-    max_call_depth: int = DEFAULT_CALL_DEPTH,
     agents: Optional[Tuple[Tuple[str, str], ...]] = None,
 ) -> Trace:
     """Iterate `ma_step` from `start` until a step stalls, clashes, or
     `max_steps` have run, and record the trace."""
     resolver = resolver if resolver is not None else Resolver.seeded(0)
     if agents is None:
-        agents = AgentSet.of(machine).agents
+        agents = agents_of(machine)
     state = start if start is not None else initial_state(machine)
-    provenance = f"seed:{resolver.seed}" if resolver.script is None else "scripted"
-    trace = Trace(machine.name, provenance, [], [state], "budget")
-    for k in range(max_steps):
-        out = ma_step(machine, state, scheduler, resolver, k, max_call_depth, agents)
+    trace = Trace([], [state], "budget")
+    for _ in range(max_steps):
+        out = ma_step(machine, state, scheduler, resolver, agents)
         result = out.result
         if isinstance(result, Stalled):
             trace.outcome = "stalled"
@@ -1028,10 +1009,9 @@ def run(
     resolver: Optional[Resolver] = None,
     rule: Optional[str] = None,
     start: Optional[State] = None,
-    max_call_depth: int = DEFAULT_CALL_DEPTH,
 ) -> Trace:
     """Run `rule` (default: main) as the anonymous agent."""
-    return ma_run(machine, Synchronous(), max_steps, resolver, start, max_call_depth,
+    return ma_run(machine, Synchronous(), max_steps, resolver, start,
                   (("", rule or machine.main),))
 
 
@@ -1100,8 +1080,7 @@ class _Reads(dict):
 
 
 def _probe(body: RuleExpr, state: State, machine: Optional[MachineDef], bound: int,
-           max_call_depth: int, agent: str = "",
-           reads: Optional[Dict[Location, None]] = None):
+           agent: str = "", reads: Optional[Dict[Location, None]] = None):
     """Evaluate `body` once for every combination of choose/abstract draws,
     on `agent`'s view of `state`; yield (update set, resolutions) for each.
     Stateless search by replay (Godefroid, VeriSoft, POPL 1997): each
@@ -1118,7 +1097,7 @@ def _probe(body: RuleExpr, state: State, machine: Optional[MachineDef], bound: i
     points = resolver.points
     while True:
         resolver.begin_step(state)
-        us = update_set(body, state, None, resolver, machine, max_call_depth)
+        us = update_set(body, state, None, resolver, machine)
         yield us, resolver.end_step()
         while points and points[-1][1] == 0:
             points.pop()
@@ -1132,11 +1111,9 @@ def enumerate_update_sets(
     state: State,
     machine: Optional[MachineDef] = None,
     bound: int = 10_000,
-    max_call_depth: int = DEFAULT_CALL_DEPTH,
 ) -> List[UpdateSet]:
     """All distinct update sets one rule can produce in one state."""
-    return sorted({us for us, _ in _probe(op, state, machine, bound, max_call_depth)},
-                  key=UpdateSet.key)
+    return sorted({us for us, _ in _probe(op, state, machine, bound)}, key=UpdateSet.key)
 
 
 def enumerate_steps(
@@ -1144,7 +1121,6 @@ def enumerate_steps(
     machine: MachineDef,
     rule: str,
     bound: int = 10_000,
-    max_call_depth: int = DEFAULT_CALL_DEPTH,
     agent: str = "",
     reads: Optional[Dict[Location, None]] = None,
 ) -> List[StepResult]:
@@ -1159,7 +1135,7 @@ def enumerate_steps(
     """
     results: Dict[tuple, StepResult] = {}
     for us, resolutions in _probe(rule_body(machine, rule), state, machine, bound,
-                                  max_call_depth, agent, reads):
+                                  agent, reads):
         clashes = conflicts(us)
         if clashes:
             key = (1, tuple((loc.key(), tuple(sorted(map(value_key, vals))))

@@ -30,7 +30,6 @@ from .errors import GuardNotBoolean
 # and ma_run are re-exported
 from .interp import (
     SELF_LOC,
-    AgentSet,
     Inconsistent,
     Interleaving,
     Progressed,
@@ -39,6 +38,7 @@ from .interp import (
     TraceStep,
     _can_progress,
     _schedule_of,
+    agents_of,
     enumerate_steps,
     eval_term,
     initial_state,
@@ -125,7 +125,7 @@ def explore(
     that of the start state, and equal content means equal controlled
     content. The first violation found is the shortest, by BFS order.
     """
-    agents = AgentSet.of(machine).agents
+    agents = agents_of(machine)
     init = start if start is not None else initial_state(machine)
     memo: OutcomeMemo = {}
     # (parent index, agent, outcome) per state, in discovery order; the
@@ -140,8 +140,7 @@ def explore(
             chain.append(nodes[idx])
             idx = nodes[idx][0]
         chain.reverse()
-        trace = Trace(machine.name, "explore",
-                      [TraceStep(res.fired, res.resolutions, _schedule_of((aid,)))
+        trace = Trace([TraceStep(res.fired, res.resolutions, _schedule_of((aid,)))
                        for _, aid, res in chain],
                       [init] + [res.next_state for _, _, res in chain], "violation")
         return ExploreReport(len(nodes), trace, trace.final_state, inconsistent)

@@ -107,7 +107,10 @@ def normalize(machine: MachineDef, rule: Union[str, RuleExpr]) -> NormalForm:
 
 Space = Sequence[Tuple[Location, Sequence[Value]]]
 
-DEFAULT_SPACE_BUDGET = 10**6
+# the most states `equivalence_check` enumerates, and the most resolutions
+# it tries per rule and state
+SPACE_BUDGET = 10**6
+BRANCH_BOUND = 1000
 
 
 @dataclass
@@ -122,9 +125,9 @@ class EquivVerdict:
         return self.passed
 
 
-def _outcome(body: RuleExpr, state: State, machine: MachineDef, bound: int):
+def _outcome(body: RuleExpr, state: State, machine: MachineDef):
     try:
-        sets = enumerate_update_sets(body, state, machine, bound)
+        sets = enumerate_update_sets(body, state, machine, BRANCH_BOUND)
     except AsmError as e:
         return ("error", type(e).__name__)
     return ("sets", frozenset(sets))
@@ -143,8 +146,6 @@ def equivalence_check(
     rule1: Union[str, RuleExpr, NormalForm],
     rule2: Union[str, RuleExpr, NormalForm],
     space: Space,
-    state_budget: int = DEFAULT_SPACE_BUDGET,
-    branch_bound: int = 1000,
 ) -> EquivVerdict:
     """Compare the update sets of two rules on every state of a finite space.
 
@@ -155,8 +156,8 @@ def equivalence_check(
     size = 1
     for _, candidates in space:
         size *= max(len(candidates), 1)
-    if size > state_budget:
-        raise SpaceTooLarge(size, state_budget)
+    if size > SPACE_BUDGET:
+        raise SpaceTooLarge(size, SPACE_BUDGET)
     body1 = _as_body(machine, rule1)
     body2 = _as_body(machine, rule2)
     base = initial_state(machine)
@@ -165,8 +166,8 @@ def equivalence_check(
     for combo in itertools.product(*[cands for _, cands in space]):
         state = base.with_content(dict(zip(locs, combo)))
         checked += 1
-        o1 = _outcome(body1, state, machine, branch_bound)
-        o2 = _outcome(body2, state, machine, branch_bound)
+        o1 = _outcome(body1, state, machine)
+        o2 = _outcome(body2, state, machine)
         if o1 != o2:
             return EquivVerdict(False, checked, state, repr(o1), repr(o2))
     return EquivVerdict(True, checked)

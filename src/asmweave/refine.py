@@ -30,13 +30,12 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from .errors import BranchBudgetExceeded, ManifestError, SourceEncodingError
 from .interp import (
-    AgentSet,
     Trace,
     TraceStep,
     _schedule_of,
+    agents_of,
     eval_term,
     initial_state,
-    override_state,
     read_override,
 )
 from .multiagent import OutcomeMemo, agent_successors
@@ -111,7 +110,7 @@ def _successors(machine: MachineDef, state: State, budget: int, memo: OutcomeMem
     """Every agent's `agent_successors`, each outcome paired with its
     schedule: (progressed, stall reachable, inconsistent branch records)."""
     progressed, inconsistent, stalled = [], [], False
-    for aid, rule in AgentSet.of(machine).agents:
+    for aid, rule in agents_of(machine):
         sched = _schedule_of((aid,))
         succs, bad, stalls = agent_successors(machine, state, aid, rule, budget, memo)
         progressed += [(sched, res) for res in succs]
@@ -152,7 +151,7 @@ def enumerate_runs(
         while stack:
             state, states, steps = stack.pop()
             if len(steps) >= max_steps:
-                runs.append(Trace(machine.name, "scripted", steps, states, "budget"))
+                runs.append(Trace(steps, states, "budget"))
                 continue
             key = state.key()
             if key not in expanded:
@@ -163,11 +162,10 @@ def enumerate_runs(
             progressed, stalled, inconsistent = expanded[key]
             charge(len(progressed) + len(inconsistent))
             if stalled:
-                runs.append(Trace(machine.name, "scripted", steps, states, "stalled"))
+                runs.append(Trace(steps, states, "stalled"))
             for sched, res in inconsistent:
                 bad = steps + [TraceStep(res.attempted, res.resolutions, sched)]
-                runs.append(Trace(machine.name, "scripted", bad, states,
-                                  "inconsistent", res.clashes))
+                runs.append(Trace(bad, states, "inconsistent", res.clashes))
             for sched, res in progressed:
                 ext = steps + [TraceStep(res.fired, res.resolutions, sched)]
                 stack.append((res.next_state, states + [res.next_state], ext))
@@ -223,10 +221,8 @@ def _common_prefix_len(a: tuple, b: tuple) -> int:
 
 def check_refinement(spec: RefinementSpec) -> RefinementVerdict:
     a_steps, r_steps, budget = spec.bounds
-    a_start = override_state(spec.abstract, initial_state(spec.abstract),
-                             spec.abstract_init)
-    r_start = override_state(spec.refined, initial_state(spec.refined),
-                             spec.refined_init)
+    a_start = initial_state(spec.abstract, spec.abstract_init)
+    r_start = initial_state(spec.refined, spec.refined_init)
     abs_runs, abs_trunc = enumerate_runs(spec.abstract, a_steps, budget, a_start)
     ref_runs, ref_trunc = enumerate_runs(spec.refined, r_steps, budget, r_start)
     abs_seen: Dict[frozenset, tuple] = {}
@@ -275,8 +271,6 @@ def check_refinement(spec: RefinementSpec) -> RefinementVerdict:
 class RefinementStep:
     name: str
     spec: RefinementSpec
-    abstract_path: Path
-    refined_path: Path
 
 
 def parse_manifest(text: str, base_dir: Path) -> List[RefinementStep]:
@@ -293,8 +287,8 @@ def parse_manifest(text: str, base_dir: Path) -> List[RefinementStep]:
                     f"step {current['name']!r} is missing a {required} machine")
         if not current["observe"]:
             raise ManifestError(f"step {current['name']!r} declares no observations")
-        abstract = parse_machine(current["abstract"][1])
-        refined = parse_machine(current["refined"][1])
+        abstract = parse_machine(current["abstract"])
+        refined = parse_machine(current["refined"])
         observations = []
         for label, abs_text, ref_text in current["observe"]:
             observations.append((label,
@@ -305,8 +299,7 @@ def parse_manifest(text: str, base_dir: Path) -> List[RefinementStep]:
         steps.append(RefinementStep(
             current["name"],
             RefinementSpec(abstract, refined, tuple(observations),
-                           current["bounds"], a_init, r_init),
-            current["abstract"][0], current["refined"][0]))
+                           current["bounds"], a_init, r_init)))
 
     for lineno, line in directive_lines(text):
         words = line.split(None, 1)
@@ -319,8 +312,7 @@ def parse_manifest(text: str, base_dir: Path) -> List[RefinementStep]:
         if current is None:
             raise ManifestError(f"line {lineno}: {head!r} before any 'step'")
         if head in ("abstract", "refined"):
-            path = (base_dir / rest).resolve()
-            current[head] = (path, _read(path, f"line {lineno}: cannot read"))
+            current[head] = _read((base_dir / rest).resolve(), f"line {lineno}: cannot read")
         elif head == "observe":
             if ":" not in rest or "~" not in rest:
                 raise ManifestError(

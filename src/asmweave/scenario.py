@@ -36,7 +36,6 @@ from .interp import (
     eval_term,
     initial_state,
     ma_run,
-    override_state,
     read_location,
     read_override,
 )
@@ -246,9 +245,7 @@ def run_scenario(source: Union[Scenario, str, Path], base_dir: Optional[Path] = 
         if n_steps is None:
             n_steps = max([*indices, *sc.step_cmds.keys(), 0])
         script = _compile_steps(sc, machine, n_steps)
-        start = override_state(
-            machine, initial_state(machine),
-            [read_override(t, machine) for t in sc.init_entries])
+        start = initial_state(machine, [read_override(t, machine) for t in sc.init_entries])
         resolver = Resolver.scripted(script.entries, fallback_seed=sc.seed,
                                      monitored=script.monitored)
         if script.schedule:

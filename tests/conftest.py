@@ -4,6 +4,9 @@ import sys
 import textwrap
 from pathlib import Path
 
+import pytest
+
+from asmweave import interp
 from asmweave.parser import MachineDef, parse_machine
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -33,3 +36,12 @@ def under_hash_seeds(code: str, seeds=("1", "2", "3")) -> set:
                            env=cli_env({"PYTHONHASHSEED": seed}),
                            capture_output=True, text=True, check=True).stdout
             for seed in seeds}
+
+
+@pytest.fixture
+def call_depth(monkeypatch):
+    """`call_depth(n)` bounds nested rule calls at `n` for the rest of the
+    test, through `interp.MAX_CALL_DEPTH`, which every call reads."""
+    def bound(n: int) -> None:
+        monkeypatch.setattr(interp, "MAX_CALL_DEPTH", n)
+    return bound

@@ -22,7 +22,7 @@ from asmweave.errors import (
     RangeNotSet,
     UnboundedAbstract,
 )
-from asmweave.interp import DEFAULT_CALL_DEPTH, Env, ResEntry, Resolver, instantiate_call
+from asmweave.interp import Env, ResEntry, Resolver, instantiate_call
 from asmweave.parser import (
     App,
     Assign,
@@ -85,11 +85,11 @@ def update_set(
     env: Optional[Env] = None,
     resolver: Optional[Resolver] = None,
     machine: Optional[MachineDef] = None,
-    max_call_depth: int = DEFAULT_CALL_DEPTH,
 ) -> UpdateSet:
-    """Update set of one rule evaluation; does not fire it."""
+    """Update set of one rule evaluation; does not fire it. Rule calls nest
+    at most `interp.MAX_CALL_DEPTH` deep, the bound the compiled calls read."""
     return _update_set(op, state, env or Env.empty(), resolver, machine,
-                       max_call_depth, 0)
+                       interp.MAX_CALL_DEPTH, 0)
 
 
 def _update_set(op, state, env, resolver, machine, max_depth, depth) -> UpdateSet:
@@ -192,7 +192,7 @@ class _Forking(Resolver):
 
 
 def probe(body: RuleExpr, state: State, machine: Optional[MachineDef], bound: int,
-          max_call_depth: int, agent: str = ""):
+          agent: str = ""):
     """Depth first over a stack of fixed-draw dicts, last candidate first.
     Raises BranchBudgetExceeded at a fork once the finished evaluations,
     the pending dicts and the new candidates together pass `bound`."""
@@ -204,7 +204,7 @@ def probe(body: RuleExpr, state: State, machine: Optional[MachineDef], bound: in
         resolver = _Forking(agent, fixed)
         resolver.begin_step(state)
         try:
-            us = interp.update_set(body, state, None, resolver, machine, max_call_depth)
+            us = interp.update_set(body, state, None, resolver, machine)
         except _Fork as f:
             if leaves + len(pending) + len(f.candidates) > bound:
                 raise BranchBudgetExceeded(bound) from None

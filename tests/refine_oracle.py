@@ -8,7 +8,7 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from asmweave.errors import BranchBudgetExceeded
-from asmweave.interp import Trace, TraceStep, eval_term, initial_state, override_state
+from asmweave.interp import Trace, TraceStep, eval_term, initial_state
 from asmweave.refine import (
     BudgetExhausted,
     Fail,
@@ -47,7 +47,7 @@ def enumerate_runs(
         while stack:
             state, states, steps = stack.pop()
             if len(steps) >= max_steps:
-                runs.append(Trace(machine.name, "scripted", steps, states, "budget"))
+                runs.append(Trace(steps, states, "budget"))
                 continue
             try:
                 # a fresh outcome memo: every expansion evaluates the rules
@@ -56,11 +56,10 @@ def enumerate_runs(
                 raise _Truncated() from None
             charge(len(progressed) + len(inconsistent))
             if stalled:
-                runs.append(Trace(machine.name, "scripted", steps, states, "stalled"))
+                runs.append(Trace(steps, states, "stalled"))
             for sched, res in inconsistent:
                 bad = steps + [TraceStep(res.attempted, res.resolutions, sched)]
-                runs.append(Trace(machine.name, "scripted", bad, states,
-                                  "inconsistent", res.clashes))
+                runs.append(Trace(bad, states, "inconsistent", res.clashes))
             for sched, res in progressed:
                 ext = steps + [TraceStep(res.fired, res.resolutions, sched)]
                 stack.append((res.next_state, states + [res.next_state], ext))
@@ -98,10 +97,8 @@ def _common_prefix_len(a: tuple, b: tuple) -> int:
 
 def check_refinement(spec: RefinementSpec) -> RefinementVerdict:
     a_steps, r_steps, budget = spec.bounds
-    a_start = override_state(spec.abstract, initial_state(spec.abstract),
-                             spec.abstract_init)
-    r_start = override_state(spec.refined, initial_state(spec.refined),
-                             spec.refined_init)
+    a_start = initial_state(spec.abstract, spec.abstract_init)
+    r_start = initial_state(spec.refined, spec.refined_init)
     abs_runs, abs_trunc = enumerate_runs(spec.abstract, a_steps, budget, a_start)
     ref_runs, ref_trunc = enumerate_runs(spec.refined, r_steps, budget, r_start)
     abstract_seqs = [observe(r, spec, "abstract") for r in abs_runs]

@@ -173,6 +173,32 @@ def test_run_exports_trace(tmp_path):
     assert len(lines) == 2 and lines[0].startswith('{"step":0')
 
 
+@pytest.mark.parametrize("command, status", [
+    (["run", "--steps", "0"], 0),
+    (["explore", "--depth", "2", "--assert", "a = 2"], 1),
+])
+def test_a_trace_without_steps_is_noted(tmp_path, capsys, command, status):
+    out = tmp_path / "t.jsonl"
+    assert cli.main([command[0], str(MODELS / "swap.asm"), *command[1:],
+                     "--trace", str(out)]) == status
+    assert out.read_text() == ""
+    assert capsys.readouterr().err == f"note: the trace has no steps; {out} is empty\n"
+
+
+@pytest.mark.parametrize("nested, calls", [(300, 80), (18, 999)])
+@pytest.mark.parametrize("command", [["run"], ["explore", "--depth", "1"]])
+def test_nesting_too_deep_below_the_call_bound_exits_1(tmp_path, nested, calls, command):
+    machine = tmp_path / "deep.asm"
+    machine.write_text(
+        "machine D controlled x\n"
+        f"rule R(k) = if k > 0 then {'if true then ' * nested} R(k - 1) else x := 1\n"
+        f"rule Main = R({calls}) main Main\n", encoding="utf-8")
+    r = asmweave(command[0], machine, *command[1:])
+    assert r.returncode == 1
+    assert r.stderr == ("error: evaluation nested too deeply: the stack ran out "
+                        "within call depth 1000\n")
+
+
 def test_normalize_pga_and_non_pga():
     ok = asmweave("normalize", MODELS / "rr_table.asm")
     assert ok.returncode == 0

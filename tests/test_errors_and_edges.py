@@ -18,7 +18,6 @@ from asmweave.interp import (
     Synchronous,
     export_trace_jsonl,
     initial_state,
-    override_state,
     run,
     step,
     update_set,
@@ -67,10 +66,18 @@ def test_init_clash_is_reported():
 
 def test_override_with_undef_clears_a_location():
     m = load_model("swap.asm")
-    start = initial_state(m)
-    cleared = override_state(m, start, [(App("a", ()), Lit(UNDEF))])
+    cleared = initial_state(m, [(App("a", ()), Lit(UNDEF))])
     assert lookup(cleared, Location("a")) is UNDEF
     assert lookup(cleared, Location("b")) == IntV(2)
+
+
+def test_override_target_must_be_declared_and_init_must_not_clash():
+    with pytest.raises(EvalError, match="override target 'nope' is not declared"):
+        initial_state(load_model("swap.asm"), [(App("nope", ()), Lit(IntV(1)))])
+    # an override of the clashing location does not hide the clash
+    m = parse_machine("machine M controlled x rule R = skip init { x := 1 x := 2 } main R")
+    with pytest.raises(InconsistentUpdateSet):
+        initial_state(m, [(App("x", ()), Lit(IntV(3)))])
 
 
 def test_res_entry_json_round_trip():

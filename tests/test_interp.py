@@ -157,11 +157,11 @@ def test_range_must_be_a_set():
         update_set(m.declarations["R"].body, initial_state(m), machine=m)
 
 
-def test_call_depth_bound():
+def test_call_depth_bound(call_depth):
+    call_depth(25)
     m = parse_machine("machine M controlled x rule Loop = Loop() rule Main = Loop() main Main")
     with pytest.raises(CallDepthExceeded):
-        update_set(m.declarations["Main"].body, initial_state(m), machine=m,
-                   max_call_depth=25)
+        update_set(m.declarations["Main"].body, initial_state(m), machine=m)
 
 
 def test_let_call_coherence():

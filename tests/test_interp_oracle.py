@@ -14,7 +14,7 @@ from parse_corpus import _TERM_SOURCE, term_texts
 from rulegen import random_machine, random_par_machine
 from asmweave import interp
 from asmweave.errors import AsmError
-from asmweave.interp import AgentSet, Resolver, export_trace_jsonl, initial_state, rule_body
+from asmweave.interp import Resolver, agents_of, export_trace_jsonl, initial_state, rule_body
 from asmweave.parser import (
     App,
     Assign,
@@ -94,13 +94,13 @@ def _drawn(state, fn) -> tuple:
     return _outcome(lambda: fn(resolver)), tuple(resolver._record)
 
 
-def probe_results(body, state, machine, agent="", max_call_depth=interp.DEFAULT_CALL_DEPTH,
-                  bound=10_000, enumerate_=interp._probe) -> list:
+def probe_results(body, state, machine, agent="", bound=10_000,
+                  enumerate_=interp._probe) -> list:
     """Every (update set, resolutions) `enumerate_` yields, then its error
     if it raises one."""
     out = []
     try:
-        for item in enumerate_(body, state, machine, bound, max_call_depth, agent):
+        for item in enumerate_(body, state, machine, bound, agent):
             out.append(item)
     except AsmError as e:
         out.append(_error(e))
@@ -111,7 +111,7 @@ def visit_reachable(machine, depth, results_of) -> int:
     """Call `results_of(state, agent, body)` for every agent in every state
     reachable in `depth` steps; its `probe_results` list gives the
     successors. Return the number of states visited."""
-    agents = AgentSet.of(machine).agents
+    agents = agents_of(machine)
     frontier = [initial_state(machine)]
     seen = {frontier[0].key()}
     for _ in range(depth):
@@ -131,11 +131,11 @@ def visit_reachable(machine, depth, results_of) -> int:
     return len(seen)
 
 
-def _reachable_probes(machine, depth, max_call_depth=interp.DEFAULT_CALL_DEPTH) -> int:
+def _reachable_probes(machine, depth) -> int:
     """Compare every agent's probe results in every state reachable in
     `depth` steps; return the number of states visited."""
     return visit_reachable(machine, depth, lambda state, aid, body: _agree(
-        lambda: probe_results(body, state, machine, aid, max_call_depth))[1])
+        lambda: probe_results(body, state, machine, aid))[1])
 
 
 def test_rulegen_probes_and_runs_agree_with_the_oracle():
@@ -150,11 +150,12 @@ def test_rulegen_probes_and_runs_agree_with_the_oracle():
     assert states > 300
 
 
-def test_bundled_and_calling_machines_agree_with_the_oracle():
+def test_bundled_and_calling_machines_agree_with_the_oracle(call_depth):
     machines = [load_model(p.name) for p in sorted(MODELS.glob("*.asm"))]
     machines += [parse_machine(CALLS), parse_machine(RUNAWAY)]
+    call_depth(40)
     for machine in machines:
-        _reachable_probes(machine, 3, max_call_depth=40)
+        _reachable_probes(machine, 3)
         for rule in machine.declarations:
             if machine.declarations[rule].formals:
                 continue
@@ -162,13 +163,12 @@ def test_bundled_and_calling_machines_agree_with_the_oracle():
             state = initial_state(machine)
             # no resolver, no machine, a shallow call bound
             _agree(lambda: interp.update_set(body, state))
-            _agree(lambda: interp.update_set(body, state, None, Resolver.seeded(1),
-                                             machine, 1))
-        _agree(lambda: export_trace_jsonl(
-            interp.run(machine, 8, Resolver.seeded(5), max_call_depth=40)))
+            call_depth(1)
+            _agree(lambda: interp.update_set(body, state, None, Resolver.seeded(1), machine))
+            call_depth(40)
+        _agree(lambda: export_trace_jsonl(interp.run(machine, 8, Resolver.seeded(5))))
     _, runaway = _agree(lambda: probe_results(rule_body(machines[-1], "Main"),
-                                              initial_state(machines[-1]), machines[-1],
-                                              max_call_depth=40))
+                                              initial_state(machines[-1]), machines[-1]))
     assert runaway == [("error", "CallDepthExceeded", "4:41: call depth 40 exceeded at 'R'",
                         (4, 41))]
 

@@ -1,15 +1,20 @@
 import hashlib
 import itertools
 
+import pytest
+
 from conftest import load_model, under_hash_seeds
 from asmweave import state
+from asmweave.errors import CallDepthExceeded
 from asmweave.interp import (
     Inconsistent,
     Progressed,
     Resolver,
     ScriptedOrder,
     Synchronous,
+    enumerate_steps,
     initial_state,
+    run,
 )
 from asmweave.multiagent import Interleaving, explore, ma_run, ma_step
 from asmweave.parser import parse_machine, parse_term
@@ -252,7 +257,24 @@ def test_explore_counterexample_replays():
     assert controlled_digest(replay.final_state) == controlled_digest(rep.violating_state)
 
 
-def test_interleaving_probe_honours_call_depth():
-    for scheduler in (Synchronous(), Interleaving()):
-        t = ma_run(DEEP, scheduler, 1, Resolver.seeded(0), max_call_depth=2000)
+def test_interleaving_probe_honours_call_depth(call_depth):
+    # DEEP nests 1100 calls: every path that evaluates a rule, the
+    # interleaving scheduler's `_can_progress` probe included, reads one bound
+    evaluations = (
+        lambda: run(DEEP, 1, Resolver.seeded(0)),
+        lambda: ma_run(DEEP, Synchronous(), 1, Resolver.seeded(0)),
+        lambda: ma_run(DEEP, Interleaving(), 1, Resolver.seeded(0)),
+        lambda: explore(DEEP, 1),
+        lambda: enumerate_steps(initial_state(DEEP), DEEP, "Go", agent="a1"),
+    )
+    for bound in (7, 1099):
+        call_depth(bound)
+        for evaluate in evaluations:
+            with pytest.raises(CallDepthExceeded,
+                               match=f"^4:49: call depth {bound} exceeded at 'Down'$"):
+                evaluate()
+    call_depth(2000)
+    run_, sync, interleaved, explored, outcomes = (evaluate() for evaluate in evaluations)
+    for t in (run_, sync, interleaved):
         assert t.outcome == "budget" and len(t.steps) == 1
+    assert explored.states_visited == 3 and len(outcomes) == 1

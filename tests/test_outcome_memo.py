@@ -10,12 +10,12 @@ from rulegen import pga_test_machine, pga_test_space, random_agent_machine, rand
 from asmweave import interp
 from asmweave.errors import AsmError
 from asmweave.interp import (
-    AgentSet,
     Inconsistent,
     Interleaving,
     Progressed,
     Resolver,
     Stalled,
+    agents_of,
     enumerate_steps,
     initial_state,
     ma_run,
@@ -61,7 +61,7 @@ def _walk(machine, depth: int, budget: int) -> tuple:
     for _ in range(depth):
         next_frontier = []
         for state in frontier:
-            for aid, rule in AgentSet.of(machine).agents:
+            for aid, rule in agents_of(machine):
                 want, want_error = _attempt(
                     lambda: _oracle(machine, state, aid, rule, budget))
                 got, got_error = _attempt(

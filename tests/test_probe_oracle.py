@@ -10,13 +10,7 @@ from conftest import MODELS, load_model
 from rulegen import random_machine, random_par_machine
 from test_interp_oracle import CALLS, RUNAWAY, probe_results, visit_reachable
 from asmweave import interp
-from asmweave.interp import (
-    DEFAULT_CALL_DEPTH,
-    AgentSet,
-    Resolver,
-    initial_state,
-    rule_body,
-)
+from asmweave.interp import Resolver, agents_of, initial_state, rule_body
 from asmweave.parser import parse_machine
 
 BOUNDS = (1, 2, 3, 5, 10_000)
@@ -47,13 +41,13 @@ machine Failing
 """
 
 
-def _compare(machine, errors: set, max_call_depth: int = DEFAULT_CALL_DEPTH):
+def _compare(machine, errors: set):
     """A `visit_reachable` callback comparing both enumerators at every
     bound and adding the errors met to `errors`."""
     def compared(state, aid, body):
         for bound in BOUNDS:
-            got = probe_results(body, state, machine, aid, max_call_depth, bound)
-            assert got == probe_results(body, state, machine, aid, max_call_depth, bound,
+            got = probe_results(body, state, machine, aid, bound)
+            assert got == probe_results(body, state, machine, aid, bound,
                                         interp_oracle.probe)
             errors.update(item[1] for item in got if item[0] == "error")
         return got
@@ -71,12 +65,13 @@ def test_rulegen_probes_agree_with_fork_and_restart():
     assert "BranchBudgetExceeded" in errors
 
 
-def test_bundled_and_failing_machines_agree_with_fork_and_restart():
+def test_bundled_and_failing_machines_agree_with_fork_and_restart(call_depth):
     machines = [load_model(p.name) for p in sorted(MODELS.glob("*.asm"))]
     machines += [parse_machine(CALLS), parse_machine(RUNAWAY), parse_machine(FAILING)]
     errors: set = set()
+    call_depth(40)
     for machine in machines:
-        visit_reachable(machine, 3, _compare(machine, errors, max_call_depth=40))
+        visit_reachable(machine, 3, _compare(machine, errors))
     assert {"BranchBudgetExceeded", "CallDepthExceeded", "UnboundedAbstract",
             "GuardNotBoolean", "RangeNotSet"} <= errors
 
@@ -96,8 +91,8 @@ def test_probe_starts_one_evaluation_per_yield(monkeypatch):
     yields = 0
     for machine in machines:
         state = initial_state(machine)
-        for aid, rule in AgentSet.of(machine).agents:
+        for aid, rule in agents_of(machine):
             yields += sum(1 for _ in interp._probe(rule_body(machine, rule), state, machine,
-                                                   10_000, DEFAULT_CALL_DEPTH, aid))
+                                                   10_000, aid))
     assert yields > 2 * len(machines)  # most evaluations drew something
     assert begun[0] == yields

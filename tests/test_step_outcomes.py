@@ -10,11 +10,11 @@ from rulegen import random_machine
 from asmweave import interp
 from asmweave.interp import (
     SELF_LOC,
-    AgentSet,
     Interleaving,
     Progressed,
     Resolver,
     Synchronous,
+    agents_of,
     enumerate_steps,
     export_trace_jsonl,
     initial_state,
@@ -61,7 +61,7 @@ def test_counterexample_exports_are_pinned():
 def _agent_successors(machine, state) -> list:
     """Every agent's progressed outcomes, checked to be fired on `state`."""
     out = []
-    for aid, rule in AgentSet.of(machine).agents:
+    for aid, rule in agents_of(machine):
         for res in enumerate_steps(state, machine, rule, agent=aid):
             if isinstance(res, Progressed):
                 assert res.next_state == fire(state, res.fired)
