@@ -46,8 +46,10 @@ dict, the rule reads a view whose content records every location read;
 combine the choose label with a digest of the lexical bindings in scope,
 not the visit order, which keeps par children order-independent.
 
-Traces record states, not digests: `Trace.digests` hashes the recorded
-states only when a trace is compared or exported.
+A step's outcome is its one record: `Progressed` or `Inconsistent`, with
+the step's `updates`, draws and `schedule`. `ma_step` returns it, and a
+`Trace` is a start state and its steps' outcomes; its states are read off
+them, and `Trace.digests` hashes them only when compared or exported.
 """
 from __future__ import annotations
 
@@ -55,7 +57,7 @@ import functools
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import (
@@ -224,8 +226,8 @@ class Resolver:
         self._agent: str = ""
 
     @staticmethod
-    def seeded(seed: int, monitored=None) -> "Resolver":
-        return Resolver(seed=seed, monitored=monitored)
+    def seeded(seed: int) -> "Resolver":
+        return Resolver(seed=seed)
 
     @staticmethod
     def scripted(script, fallback_seed: Optional[int] = None, monitored=None) -> "Resolver":
@@ -704,21 +706,23 @@ def update_set(
 # Steps
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Progressed:
     next_state: State
-    fired: UpdateSet
+    updates: UpdateSet
     resolutions: Tuple[ResEntry, ...]
+    schedule: Tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Inconsistent:
     clashes: tuple
-    attempted: UpdateSet
+    updates: UpdateSet
     resolutions: Tuple[ResEntry, ...]
+    schedule: Tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Stalled:
     # draws made by the stalling evaluation; needed for exact replay
     resolutions: Tuple[ResEntry, ...] = ()
@@ -727,16 +731,22 @@ class Stalled:
 StepResult = Union[Progressed, Inconsistent, Stalled]
 
 
+def _schedule_of(aids: Tuple[str, ...]) -> Tuple[str, ...]:
+    """The schedule a step records: the anonymous agent "" is not named."""
+    return () if aids == ("",) else aids
+
+
 def _outcome(state: State, us: UpdateSet, resolutions: Tuple[ResEntry, ...],
-             stutter: bool = False) -> StepResult:
-    """What a step does with its update set: a clash is Inconsistent, an
-    empty set Stalled unless the step may `stutter`, anything else fires."""
+             aids: Tuple[str, ...] = (), stutter: bool = False) -> StepResult:
+    """What a step of the agents `aids` does with its update set: a clash
+    is Inconsistent, an empty set Stalled (scheduling nobody) unless the
+    step may `stutter`, anything else fires."""
     clashes = conflicts(us)
     if clashes:
-        return Inconsistent(tuple(clashes), us, resolutions)
+        return Inconsistent(tuple(clashes), us, resolutions, _schedule_of(aids))
     if len(us) == 0 and not stutter:
         return Stalled(resolutions)
-    return Progressed(fire(state, us), us, resolutions)
+    return Progressed(fire(state, us), us, resolutions, _schedule_of(aids))
 
 
 def rule_body(machine: MachineDef, rule: str) -> RuleExpr:
@@ -778,14 +788,6 @@ class ScriptedOrder:
     order: Tuple[str, ...]
 
 
-@dataclass
-class MaStepResult:
-    result: StepResult
-    scheduled: Tuple[str, ...]
-    # per-agent writers of each clashing location, filled on inconsistency
-    provenance: Dict[Location, List[Tuple[str, Value]]] = field(default_factory=dict)
-
-
 def _agent_update_set(machine, state, aid, rule, resolver) -> UpdateSet:
     resolver.set_agent(aid)
     try:
@@ -793,16 +795,6 @@ def _agent_update_set(machine, state, aid, rule, resolver) -> UpdateSet:
                           resolver, machine)
     finally:
         resolver.set_agent("")
-
-
-def _schedule_of(aids: Tuple[str, ...]) -> Tuple[str, ...]:
-    """The schedule a trace records: the anonymous agent "" is not named."""
-    return () if aids == ("",) else aids
-
-
-def _scheduled(res: StepResult, aids: Tuple[str, ...]) -> MaStepResult:
-    """A stalled step schedules nobody."""
-    return MaStepResult(res, () if isinstance(res, Stalled) else _schedule_of(aids))
 
 
 # resolutions the interleaving scheduler tries per agent before it assumes
@@ -826,7 +818,7 @@ def ma_step(
     scheduler: Synchronous | Interleaving | ScriptedOrder,
     resolver: Resolver,
     agents: Optional[Tuple[Tuple[str, str], ...]] = None,
-) -> MaStepResult:
+) -> StepResult:
     """One loop iteration: inject monitored input, evaluate the scheduled
     agents' rules against the same state, and decide the outcome. A
     scripted order names the agent of step `resolver.step_index`."""
@@ -840,32 +832,22 @@ def ma_step(
     # exactly as the synchronous scheduler does: no probe, no schedule draw
     lone = len(agents) == 1 and agents[0][0] == ""
     if isinstance(scheduler, Synchronous) or (lone and isinstance(scheduler, Interleaving)):
-        sets = [_agent_update_set(machine, eval_state, aid, rule, resolver)
-                for aid, rule in agents]
         union = UpdateSet.empty()
-        for us in sets:
-            union = union.union(us)
-        out = _scheduled(_outcome(eval_state, union, resolver.end_step(), moved),
-                         tuple(aid for aid, _ in agents))
-        if isinstance(out.result, Inconsistent):
-            out.provenance = {
-                loc: [(aid, u.val) for (aid, _), us in zip(agents, sets)
-                      for u in us if u.loc == loc]
-                for loc, _ in out.result.clashes}
-        return out
+        for aid, rule in agents:
+            union = union.union(_agent_update_set(machine, eval_state, aid, rule, resolver))
+        return _outcome(eval_state, union, resolver.end_step(),
+                        tuple(aid for aid, _ in agents), moved)
 
     if isinstance(scheduler, ScriptedOrder):
         if resolver.step_index >= len(scheduler.order):
-            return _scheduled(_outcome(eval_state, UpdateSet.empty(),
-                                       resolver.end_step()), ())
+            return _outcome(eval_state, UpdateSet.empty(), resolver.end_step())
         aid = scheduler.order[resolver.step_index]
         by_id = dict(agents)
         if aid not in by_id:
             raise EvalError(f"scheduled agent {aid!r} does not exist")
         us = _agent_update_set(machine, eval_state, aid, by_id[aid], resolver)
         # an explicitly scripted agent may stutter with no updates
-        return _scheduled(_outcome(eval_state, us, resolver.end_step(), stutter=True),
-                          (aid,))
+        return _outcome(eval_state, us, resolver.end_step(), (aid,), stutter=True)
 
     if isinstance(scheduler, Interleaving):
         schedulable = [
@@ -874,20 +856,18 @@ def ma_step(
         ]
         if not schedulable:
             # monitored input alone still moves the state
-            return _scheduled(_outcome(eval_state, UpdateSet.empty(),
-                                       resolver.end_step(), moved), ())
+            return _outcome(eval_state, UpdateSet.empty(), resolver.end_step(), (), moved)
         aid = resolver.schedule([a for a, _ in schedulable])
         us = _agent_update_set(machine, eval_state, aid, dict(schedulable)[aid], resolver)
         # the picked agent's own draws may still give no updates; it stutters
-        return _scheduled(_outcome(eval_state, us, resolver.end_step(), stutter=True),
-                          (aid,))
+        return _outcome(eval_state, us, resolver.end_step(), (aid,), stutter=True)
 
     raise TypeError(f"unknown scheduler: {scheduler!r}")
 
 
 def step(state: State, machine: MachineDef, rule: str, resolver: Resolver) -> StepResult:
     """One loop iteration of `rule`, run as the anonymous agent."""
-    return ma_step(machine, state, Synchronous(), resolver, (("", rule),)).result
+    return ma_step(machine, state, Synchronous(), resolver, (("", rule),))
 
 
 # ---------------------------------------------------------------------------
@@ -895,28 +875,34 @@ def step(state: State, machine: MachineDef, rule: str, resolver: Resolver) -> St
 
 
 @dataclass
-class TraceStep:
-    updates: UpdateSet
-    resolutions: Tuple[ResEntry, ...]
-    schedule: Tuple[str, ...] = ()
-
-
-@dataclass
 class Trace:
-    steps: List[TraceStep]
-    states: List[State]  # pre-states plus, after a progressed step, the post-state
+    """A start state and the outcome of each step; only the last may be
+    Inconsistent."""
+
+    start: State
+    steps: List[Union[Progressed, Inconsistent]]
     outcome: str  # stalled | budget | inconsistent | violation
-    clashes: tuple = ()
     # draws of the final, stalling evaluation (not a step of its own)
     tail_resolutions: Tuple[ResEntry, ...] = ()
+
+    @property
+    def states(self) -> List[State]:
+        """Each step's pre-state, then the post-state of a progressed last step."""
+        return [self.start] + [st.next_state for st in self.steps
+                               if isinstance(st, Progressed)]
 
     @property
     def final_state(self) -> State:
         return self.states[-1]
 
+    @property
+    def clashes(self) -> tuple:
+        return self.steps[-1].clashes if self.outcome == "inconsistent" else ()
+
     def digests(self) -> List[str]:
         """The digest of each step's pre-state, then of the final state."""
-        return [state_digest(s) for s in self.states[:len(self.steps)] + [self.final_state]]
+        states = self.states
+        return [state_digest(s) for s in states[:len(self.steps)] + [states[-1]]]
 
     def as_script(self) -> List[Tuple[ResEntry, ...]]:
         script = [st.resolutions for st in self.steps]
@@ -958,6 +944,10 @@ def read_override(text: str, machine: MachineDef) -> Tuple[App, Term]:
     lhs = parse_term(lhs_text.strip(), machine.sig)
     if not isinstance(lhs, App):
         raise ManifestError(f"override target {lhs_text.strip()!r} is not a location")
+    decl = machine.sig.get(lhs.fname)
+    if decl is not None and decl.kind == FunctionKind.ABSTRACT:
+        # the resolver draws it at every read, so a start value would be ignored
+        raise ManifestError(f"init cannot set abstract function {lhs.fname!r}")
     return lhs, parse_term(rhs_text.strip(), machine.sig)
 
 
@@ -984,22 +974,18 @@ def ma_run(
     if agents is None:
         agents = agents_of(machine)
     state = start if start is not None else initial_state(machine)
-    trace = Trace([], [state], "budget")
+    trace = Trace(state, [], "budget")
     for _ in range(max_steps):
-        out = ma_step(machine, state, scheduler, resolver, agents)
-        result = out.result
-        if isinstance(result, Stalled):
+        res = ma_step(machine, state, scheduler, resolver, agents)
+        if isinstance(res, Stalled):
             trace.outcome = "stalled"
-            trace.tail_resolutions = result.resolutions
+            trace.tail_resolutions = res.resolutions
             return trace
-        if isinstance(result, Inconsistent):
-            trace.steps.append(TraceStep(result.attempted, result.resolutions, out.scheduled))
+        trace.steps.append(res)
+        if isinstance(res, Inconsistent):
             trace.outcome = "inconsistent"
-            trace.clashes = result.clashes
             return trace
-        trace.steps.append(TraceStep(result.fired, result.resolutions, out.scheduled))
-        state = result.next_state
-        trace.states.append(state)
+        state = res.next_state
     return trace
 
 
@@ -1143,5 +1129,5 @@ def enumerate_steps(
         else:
             key = (0, us.key())
         if key not in results:
-            results[key] = _outcome(state, us, resolutions)
+            results[key] = _outcome(state, us, resolutions, (agent,))
     return [results[k] for k in sorted(results)]

@@ -7,6 +7,9 @@ content (`State.key`, no hash), and reports the shortest trace to a state
 violating a safety assertion; `refine.enumerate_runs` walks it depth-first.
 A machine without agent lines is explored as the anonymous agent "",
 exactly as `run` steps it, so its counterexamples replay with `run`.
+A successor is the `Progressed` outcome itself, carrying its `updates`
+and `schedule`, so a counterexample is the chain of outcomes that reached
+the violating state, with no second step record.
 
 Each search keeps an outcome memo, so a state is expanded without
 evaluating an agent's rule when the locations that rule read hold values
@@ -35,9 +38,7 @@ from .interp import (
     Progressed,
     Stalled,
     Trace,
-    TraceStep,
     _can_progress,
-    _schedule_of,
     agents_of,
     enumerate_steps,
     eval_term,
@@ -46,7 +47,7 @@ from .interp import (
     ma_step,
 )
 from .parser import MachineDef, Term
-from .state import Location, State, UpdateSet, fire
+from .state import Location, State, fire
 from .values import UNDEF, BoolV, show_value
 
 
@@ -60,9 +61,10 @@ class ExploreReport:
 
 
 # Per (agent, rule): {locations read: {their values: outcomes}}, one entry
-# per distinct read tuple. Outcomes are the cached progressed (update set,
-# resolutions) pairs, inconsistent branches and whether some branch stalls.
-Outcomes = Tuple[Tuple[Tuple[UpdateSet, tuple], ...], Tuple[Inconsistent, ...], bool]
+# per distinct read tuple. Outcomes are the cached progressed steps (their
+# next states fired on the state that missed), inconsistent branches and
+# whether some branch stalls.
+Outcomes = Tuple[Tuple[Progressed, ...], Tuple[Inconsistent, ...], bool]
 OutcomeMemo = Dict[Tuple[str, str], Dict[Tuple[Location, ...], Dict[tuple, Outcomes]]]
 
 
@@ -83,9 +85,9 @@ def agent_successors(
     for locs, table in entries.items():
         hit = table.get(tuple([get(loc, UNDEF) for loc in locs]))
         if hit is not None:
-            fired, inconsistent, stalled = hit
-            return ([Progressed(fire(state, us), us, res) for us, res in fired],
-                    list(inconsistent), stalled)
+            progressed, inconsistent, stalled = hit
+            return ([Progressed(fire(state, p.updates), p.updates, p.resolutions, p.schedule)
+                     for p in progressed], list(inconsistent), stalled)
     reads: Dict[Location, None] = {}
     progressed, inconsistent, stalled = [], [], False
     for res in enumerate_steps(state, machine, rule, budget, agent=aid, reads=reads):
@@ -98,9 +100,8 @@ def agent_successors(
     if aid:  # a named agent's `self` is its own id
         reads.pop(SELF_LOC, None)
     locs = tuple(reads)
-    outcomes = (tuple((res.fired, res.resolutions) for res in progressed),
-                tuple(inconsistent), stalled)
-    entries.setdefault(locs, {})[tuple([get(loc, UNDEF) for loc in locs])] = outcomes
+    entries.setdefault(locs, {})[tuple([get(loc, UNDEF) for loc in locs])] = (
+        tuple(progressed), tuple(inconsistent), stalled)
     return progressed, inconsistent, stalled
 
 
@@ -128,21 +129,18 @@ def explore(
     agents = agents_of(machine)
     init = start if start is not None else initial_state(machine)
     memo: OutcomeMemo = {}
-    # (parent index, agent, outcome) per state, in discovery order; the
+    # (parent index, step reaching it) per state, in discovery order; the
     # start state is node 0
-    nodes: List[Tuple[int, str, Optional[Progressed]]] = [(-1, "", None)]
+    nodes: List[Tuple[int, Optional[Progressed]]] = [(-1, None)]
     seen = {init.key()}
     inconsistent = 0
 
     def violation(idx: int) -> ExploreReport:
-        chain = []
+        steps = []
         while idx > 0:
-            chain.append(nodes[idx])
-            idx = nodes[idx][0]
-        chain.reverse()
-        trace = Trace([TraceStep(res.fired, res.resolutions, _schedule_of((aid,)))
-                       for _, aid, res in chain],
-                      [init] + [res.next_state for _, _, res in chain], "violation")
+            idx, res = nodes[idx]
+            steps.append(res)
+        trace = Trace(init, steps[::-1], "violation")
         return ExploreReport(len(nodes), trace, trace.final_state, inconsistent)
 
     if assertion is not None and not _check_assertion(assertion, init):
@@ -163,7 +161,7 @@ def explore(
                     if nxt.key() in seen:
                         continue
                     seen.add(nxt.key())
-                    nodes.append((idx, aid, res))
+                    nodes.append((idx, res))
                     if assertion is not None and not _check_assertion(assertion, nxt):
                         return violation(len(nodes) - 1)
                     next_frontier.append((len(nodes) - 1, nxt))

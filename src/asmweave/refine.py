@@ -2,14 +2,15 @@
 
 Both machines are run exhaustively up to their step and branch bounds,
 one agent step at a time; a machine without agents is its anonymous agent,
-stepped exactly as `run` steps it. Runs are `Trace`s, so a FAIL
-counterexample is the refined run itself. Each run is projected onto the
-observation terms of its side, consecutive duplicate observations are
-collapsed (so machines at different step granularities compare), and the
-check passes when every refined observation sequence is accounted for by
-some abstract one. A refined run
-cut off by its step bound only needs to be a prefix of an abstract
-sequence; a run that genuinely stalled must be matched exactly.
+stepped exactly as `run` steps it. Runs are `Trace`s whose steps are the
+outcomes `agent_successors` returned, so a FAIL counterexample is the
+refined run itself. Each run is projected onto the observation terms of
+its side, consecutive duplicate observations are collapsed (so machines
+at different step granularities compare), and the check passes when
+every refined observation sequence is accounted for by some abstract
+one. A refined run cut off by its step bound only needs to be a prefix
+of an abstract sequence; a run that genuinely stalled must be matched
+exactly.
 
 Runs share their states, so the work is done per distinct state, told
 apart by its exact content (`State.key`): `enumerate_runs` expands each
@@ -29,15 +30,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
 from .errors import BranchBudgetExceeded, ManifestError, SourceEncodingError
-from .interp import (
-    Trace,
-    TraceStep,
-    _schedule_of,
-    agents_of,
-    eval_term,
-    initial_state,
-    read_override,
-)
+from .interp import Progressed, Trace, agents_of, eval_term, initial_state, read_override
 from .multiagent import OutcomeMemo, agent_successors
 from .parser import App, MachineDef, Term, directive_lines, parse_machine, parse_term, read_source
 from .state import State
@@ -107,15 +100,14 @@ class _Truncated(Exception):
 
 
 def _successors(machine: MachineDef, state: State, budget: int, memo: OutcomeMemo):
-    """Every agent's `agent_successors`, each outcome paired with its
-    schedule: (progressed, stall reachable, inconsistent branch records)."""
+    """Every agent's `agent_successors`, merged: (progressed outcomes, stall
+    reachable, inconsistent outcomes)."""
     progressed, inconsistent, stalled = [], [], False
     for aid, rule in agents_of(machine):
-        sched = _schedule_of((aid,))
         succs, bad, stalls = agent_successors(machine, state, aid, rule, budget, memo)
-        progressed += [(sched, res) for res in succs]
+        progressed += succs
         # an inconsistent single-agent update set ends a run
-        inconsistent += [(sched, res) for res in bad]
+        inconsistent += bad
         stalled = stalled or stalls
     if machine.agents:
         # interleaving: an agent with nothing to do leaves the others to move
@@ -146,12 +138,13 @@ def enumerate_runs(
         if spent[0] > budget:
             raise _Truncated()
 
-    stack: List[Tuple[State, List[State], List[TraceStep]]] = [(init, [init], [])]
+    # (state, the steps that reached it)
+    stack: List[Tuple[State, List[Progressed]]] = [(init, [])]
     try:
         while stack:
-            state, states, steps = stack.pop()
+            state, steps = stack.pop()
             if len(steps) >= max_steps:
-                runs.append(Trace(steps, states, "budget"))
+                runs.append(Trace(init, steps, "budget"))
                 continue
             key = state.key()
             if key not in expanded:
@@ -162,13 +155,11 @@ def enumerate_runs(
             progressed, stalled, inconsistent = expanded[key]
             charge(len(progressed) + len(inconsistent))
             if stalled:
-                runs.append(Trace(steps, states, "stalled"))
-            for sched, res in inconsistent:
-                bad = steps + [TraceStep(res.attempted, res.resolutions, sched)]
-                runs.append(Trace(bad, states, "inconsistent", res.clashes))
-            for sched, res in progressed:
-                ext = steps + [TraceStep(res.fired, res.resolutions, sched)]
-                stack.append((res.next_state, states + [res.next_state], ext))
+                runs.append(Trace(init, steps, "stalled"))
+            for res in inconsistent:
+                runs.append(Trace(init, steps + [res], "inconsistent"))
+            for res in progressed:
+                stack.append((res.next_state, steps + [res]))
     except _Truncated:
         return runs, True
     return runs, False

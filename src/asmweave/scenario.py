@@ -13,8 +13,9 @@ language internals:
     final: a = 1
 
 `step k:` entries feed monitored bindings, choice-script entries, and the
-scheduled agent for the k-th step (1-based); a machine without agents
-runs as the anonymous agent and takes no `schedule`. `assert k:` conditions are
+scheduled agent for the k-th step (1-based), each at most once; a
+machine without agents runs as the anonymous agent and takes no
+`schedule`. `assert k:` conditions are
 evaluated in the state reached after step k (`assert 0:` checks the
 initial state); `final:` conditions are evaluated in the last state. Every
 assertion is evaluated even after failures, and the report carries the
@@ -177,10 +178,14 @@ def _compile_steps(sc: Scenario, machine: MachineDef, n_steps: int) -> _Script:
                 if not eq:
                     what = "<label>" if kind == "choose" else "<f(args)>"
                     raise ManifestError(f"expected '{kind} {what} = <value>': {cmd!r}")
+                label = label.strip()
                 if kind == "abstract":
                     label = read_location(label, machine.sig).show()
+                # a draw reads only the last entry for its label
+                if any((e.kind, e.label) == (kind, label) for e in entries[k - 1]):
+                    raise ManifestError(f"step {k} sets {kind} {label} twice")
                 entries[k - 1].append(ResEntry(
-                    kind, label.strip(), "", _literal_value(val_text, machine)))
+                    kind, label, "", _literal_value(val_text, machine)))
             elif cmd.startswith("schedule "):
                 if not machine.agents:
                     # a plain machine is the anonymous agent, which no line can name
@@ -193,6 +198,8 @@ def _compile_steps(sc: Scenario, machine: MachineDef, n_steps: int) -> _Script:
             elif ":=" in cmd:
                 loc_text, val_text = cmd.split(":=", 1)
                 loc = read_location(loc_text, machine.sig)
+                if loc in monitored[k - 1]:
+                    raise ManifestError(f"step {k} sets {loc.show()} twice")
                 monitored[k - 1][loc] = _literal_value(val_text, machine)
             else:
                 raise ManifestError(f"cannot parse step command {cmd!r}")
@@ -279,11 +286,12 @@ def _evaluate(cond: str, kind: str, index: Optional[int], trace: Trace,
     except AsmError as e:
         return AssertionResult(kind, index, cond, False, f"parse error: {e}")
     if kind == "step":
-        if index >= len(trace.states):
+        states = trace.states
+        if index >= len(states):
             return AssertionResult(
                 kind, index, cond, False,
-                f"run ended after {len(trace.states) - 1} step(s) ({trace.outcome})")
-        state = trace.states[index]
+                f"run ended after {len(states) - 1} step(s) ({trace.outcome})")
+        state = states[index]
     else:
         state = trace.final_state
     try:

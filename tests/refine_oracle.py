@@ -8,7 +8,7 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from asmweave.errors import BranchBudgetExceeded
-from asmweave.interp import Trace, TraceStep, eval_term, initial_state
+from asmweave.interp import Progressed, Trace, eval_term, initial_state
 from asmweave.refine import (
     BudgetExhausted,
     Fail,
@@ -42,12 +42,12 @@ def enumerate_runs(
         if spent[0] > budget:
             raise _Truncated()
 
-    stack: List[Tuple[State, List[State], List[TraceStep]]] = [(init, [init], [])]
+    stack: List[Tuple[State, List[Progressed]]] = [(init, [])]
     try:
         while stack:
-            state, states, steps = stack.pop()
+            state, steps = stack.pop()
             if len(steps) >= max_steps:
-                runs.append(Trace(steps, states, "budget"))
+                runs.append(Trace(init, steps, "budget"))
                 continue
             try:
                 # a fresh outcome memo: every expansion evaluates the rules
@@ -56,13 +56,11 @@ def enumerate_runs(
                 raise _Truncated() from None
             charge(len(progressed) + len(inconsistent))
             if stalled:
-                runs.append(Trace(steps, states, "stalled"))
-            for sched, res in inconsistent:
-                bad = steps + [TraceStep(res.attempted, res.resolutions, sched)]
-                runs.append(Trace(bad, states, "inconsistent", res.clashes))
-            for sched, res in progressed:
-                ext = steps + [TraceStep(res.fired, res.resolutions, sched)]
-                stack.append((res.next_state, states + [res.next_state], ext))
+                runs.append(Trace(init, steps, "stalled"))
+            for res in inconsistent:
+                runs.append(Trace(init, steps + [res], "inconsistent"))
+            for res in progressed:
+                stack.append((res.next_state, steps + [res]))
     except _Truncated:
         return runs, True
     return runs, False

@@ -252,7 +252,7 @@ def test_monitored_injection_and_stall_semantics():
     m = load_model("accumulator.asm")
     inc = Location("inc")
     mon = [{inc: IntV(2)}, {inc: IntV(3)}, {}]
-    t = run(m, 5, Resolver.seeded(0, monitored=mon))
+    t = run(m, 5, Resolver.scripted([], fallback_seed=0, monitored=mon))
     # step 3 re-adds the stale input 3; step 4 stalls only if nothing changes
     assert t.states[1].content[Location("total")] == IntV(2)
     assert t.states[2].content[Location("total")] == IntV(5)
@@ -262,7 +262,7 @@ def test_monitored_change_alone_counts_as_progress():
     m = parse_machine(
         "machine M monitored inp controlled x rule R = if inp = 99 then x := 1 main R")
     mon = [{Location("inp"): IntV(5)}, {Location("inp"): IntV(5)}]
-    t = run(m, 5, Resolver.seeded(0, monitored=mon))
+    t = run(m, 5, Resolver.scripted([], fallback_seed=0, monitored=mon))
     # step 1 injects 5 (progress, no updates); step 2 injects same value -> stall
     assert t.outcome == "stalled"
     assert len(t.steps) == 1
@@ -299,7 +299,7 @@ machine In
     args = [IntV(-1), mkset([IntV(1), IntV(2)]), StrV('a "b"\n')]
     monitored = [{Location("inp", (a,)): IntV(10 * k + i) for i, a in enumerate(args)}
                  for k in range(3)]
-    t = run(m, 3, Resolver.seeded(0, monitored=monitored))
+    t = run(m, 3, Resolver.scripted([], fallback_seed=0, monitored=monitored))
     t2 = run(m, 3, Resolver.scripted(t.as_script()))
     assert t2.final_state.content[Location("z")] == IntV(22)
     assert t.digests() == t2.digests()
@@ -426,8 +426,8 @@ def test_probe_consumers_agree_on_random_machines():
         s0 = initial_state(m)
         sets = set(enumerate_update_sets(m.declarations["Main"].body, s0, m))
         outcomes = enumerate_steps(s0, m, "Main")
-        fired = {r.fired for r in outcomes if isinstance(r, Progressed)}
-        attempted = {r.attempted for r in outcomes if isinstance(r, Inconsistent)}
+        fired = {r.updates for r in outcomes if isinstance(r, Progressed)}
+        attempted = {r.updates for r in outcomes if isinstance(r, Inconsistent)}
         assert fired | attempted <= sets
         assert fired == {us for us in sets if len(us) > 0 and not conflicts(us)}
         stalled = any(isinstance(r, Stalled) for r in outcomes)

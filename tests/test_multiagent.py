@@ -3,7 +3,7 @@ import itertools
 
 import pytest
 
-from conftest import load_model, under_hash_seeds
+from conftest import load_model
 from asmweave import state
 from asmweave.errors import CallDepthExceeded
 from asmweave.interp import (
@@ -47,17 +47,6 @@ machine Clash
   agent a2 runs C
 """)
 
-CLASH_MANY_SOURCE = """
-machine ClashMany
-  controlled x
-  rule Many = par x := 'p x := 'q x := 'r endpar
-  rule One = x := 's
-  main Many
-  agent a1 runs Many
-  agent a2 runs One
-"""
-CLASH_MANY = parse_machine(CLASH_MANY_SOURCE)
-
 # recursion 1100 calls deep; the let keeps each call's argument a plain
 # variable, so the substituted terms do not grow with the depth
 DEEP = parse_machine("""
@@ -74,44 +63,29 @@ machine Deep
 def test_synchronous_disjoint_union():
     out = ma_step(TWO_AGENTS, initial_state(TWO_AGENTS), Synchronous(),
                   Resolver.seeded(0))
-    assert isinstance(out.result, Progressed)
-    s = out.result.next_state
+    assert isinstance(out, Progressed)
+    s = out.next_state
     assert s.content[Location("x")] == IntV(1)
     assert s.content[Location("y")] == IntV(2)
-    assert out.scheduled == ("a1", "a2")
+    assert out.schedule == ("a1", "a2")
 
 
-def test_synchronous_cross_agent_clash_with_provenance():
+def test_synchronous_cross_agent_clash():
     out = ma_step(SELF_CLASH, initial_state(SELF_CLASH), Synchronous(),
                   Resolver.seeded(0))
-    assert isinstance(out.result, Inconsistent)
-    (loc, vals), = out.result.clashes
+    assert isinstance(out, Inconsistent)
+    (loc, vals), = out.clashes
     assert loc == Location("x")
     assert vals == {SymV("a1"), SymV("a2")}
-    writers = out.provenance[loc]
-    assert sorted(aid for aid, _ in writers) == ["a1", "a2"]
-    # one agent's several writers are listed in canonical order, under
-    # every hash seed
-    out = ma_step(CLASH_MANY, initial_state(CLASH_MANY), Synchronous(), Resolver.seeded(0))
-    assert out.provenance == {Location("x"): [("a1", SymV(v)) for v in "pqr"]
-                              + [("a2", SymV("s"))]}
-    code = f"""
-        from asmweave.interp import Resolver, Synchronous, initial_state, ma_step
-        from asmweave.parser import parse_machine
-        m = parse_machine({CLASH_MANY_SOURCE!r})
-        out = ma_step(m, initial_state(m), Synchronous(), Resolver.seeded(0))
-        print([(aid, v.name) for writers in out.provenance.values() for aid, v in writers])
-    """
-    assert under_hash_seeds(code) == {"[('a1', 'p'), ('a1', 'q'), ('a1', 'r'), ('a2', 's')]\n"}
 
 
 def test_interleaving_fires_one_agent():
     for seed in range(8):
         out = ma_step(SELF_CLASH, initial_state(SELF_CLASH), Interleaving(),
                       Resolver.seeded(seed))
-        assert isinstance(out.result, Progressed)
-        (aid,) = out.scheduled
-        assert out.result.next_state.content[Location("x")] == SymV(aid)
+        assert isinstance(out, Progressed)
+        (aid,) = out.schedule
+        assert out.next_state.content[Location("x")] == SymV(aid)
 
 
 def test_synchronous_agent_order_invariance():
@@ -120,7 +94,7 @@ def test_synchronous_agent_order_invariance():
     for perm in itertools.permutations(agents):
         out = ma_step(TWO_AGENTS, initial_state(TWO_AGENTS), Synchronous(),
                       Resolver.seeded(1), agents=perm)
-        results.append(out.result.fired)
+        results.append(out.updates)
     assert all(r == results[0] for r in results)
 
 

@@ -48,7 +48,7 @@ def _oracle(machine, state, aid, rule, budget):
 
 def _summary(outcomes) -> tuple:
     progressed, inconsistent, stalled = outcomes
-    return ([(r.fired, r.resolutions, r.next_state.key()) for r in progressed],
+    return ([(r.updates, r.resolutions, r.schedule, r.next_state.key()) for r in progressed],
             inconsistent, stalled)
 
 

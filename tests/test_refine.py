@@ -1,6 +1,7 @@
 import pytest
 
 from conftest import MODELS, load_model
+from asmweave import cli
 from asmweave.errors import ManifestError
 from asmweave.interp import Resolver, run
 from asmweave.refine import (
@@ -207,6 +208,21 @@ init_link refined counter := 1
     aligned = misaligned + "init_link abstract counter := 1\n"
     (step2,) = parse_manifest(aligned, base)
     assert isinstance(chk(step2.spec), Pass)
+
+
+def test_init_link_cannot_set_an_abstract_function(tmp_path, capsys):
+    manifest = tmp_path / "flip.refine"
+    manifest.write_text(f"""
+step flip
+abstract {MODELS / 'coin.asm'}
+refined {MODELS / 'coin.asm'}
+observe heads : heads ~ heads
+init_link abstract flip := true
+""", encoding="utf-8")
+    with pytest.raises(ManifestError, match="init cannot set abstract function 'flip'"):
+        parse_manifest(manifest.read_text(encoding="utf-8"), tmp_path)
+    assert cli.main(["check-refine", str(manifest)]) == 2
+    assert capsys.readouterr().err == "error: init cannot set abstract function 'flip'\n"
 
 
 def test_enumerate_runs_markers():

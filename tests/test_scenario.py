@@ -225,3 +225,39 @@ def test_skeleton_unparseable_file_raises(tmp_path):
     bad.write_text("machine", encoding="utf-8")
     with pytest.raises(Exception):
         skeleton(bad)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_init_cannot_set_an_abstract_function(tmp_path, seed):
+    scn = tmp_path / "flip.scn"
+    scn.write_text(f"""
+scenario flip
+machine {model_path('coin.asm')}
+seed {seed}
+init flip := true
+assert 1: heads = true
+""", encoding="utf-8")
+    report = run_scenario(scn)
+    assert not report.passed
+    assert report.error == "init cannot set abstract function 'flip'"
+
+
+@pytest.mark.parametrize("model, commands, what", [
+    ("accumulator.asm", ["inc := 2; inc := 3"], "inc"),
+    ("choose_out.asm", ["choose Main.choose1 = 1", "choose  Main.choose1 = 2"],
+     "choose Main.choose1"),
+    ("coin.asm", ["abstract flip = true; abstract flip() = false"], "abstract flip"),
+])
+def test_a_step_that_sets_one_input_twice_is_refused(tmp_path, model, commands, what):
+    steps = "".join(f"step 1: {c}\n" for c in commands)
+    scn = tmp_path / "twice.scn"
+    scn.write_text(f"scenario twice\nmachine {model_path(model)}\n{steps}assert 1: true\n",
+                   encoding="utf-8")
+    report = run_scenario(scn)
+    assert not report.passed
+    assert report.error == f"step 1 sets {what} twice"
+    # one entry per input, or the same input at another step, is accepted
+    once = "".join(f"step {k}: {c.split(';')[0]}\n" for k, c in enumerate(commands, 1))
+    scn.write_text(f"scenario once\nmachine {model_path(model)}\n{once}assert 1: true\n",
+                   encoding="utf-8")
+    assert run_scenario(scn).passed

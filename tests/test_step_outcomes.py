@@ -64,7 +64,7 @@ def _agent_successors(machine, state) -> list:
     for aid, rule in agents_of(machine):
         for res in enumerate_steps(state, machine, rule, agent=aid):
             if isinstance(res, Progressed):
-                assert res.next_state == fire(state, res.fired)
+                assert res.next_state == fire(state, res.updates)
                 assert SELF_LOC not in res.next_state.content
                 out.append(res.next_state)
     return out
@@ -135,11 +135,12 @@ MONITORED = {"accumulator.asm": [{Location("inc"): IntV(k)} for k in range(1, 26
 
 
 def _run_exports(machine, monitored=None) -> str:
+    def resolver():
+        return Resolver.scripted([], fallback_seed=5, monitored=monitored)
     if machine.agents:
-        traces = [ma_run(machine, s, 25, Resolver.seeded(5, monitored=monitored))
-                  for s in (Synchronous(), Interleaving())]
+        traces = [ma_run(machine, s, 25, resolver()) for s in (Synchronous(), Interleaving())]
     else:
-        traces = [run(machine, 25, Resolver.seeded(5, monitored=monitored))]
+        traces = [run(machine, 25, resolver())]
     return "".join(export_trace_jsonl(t) for t in traces)
 
 

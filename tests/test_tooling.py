@@ -47,3 +47,18 @@ def test_every_name_the_bench_workloads_read_resolves():
             missing.append(f"{module}.{qualname}")
     assert missing == []
     assert ("asmweave.multiagent", "Interleaving") in wanted
+
+
+def test_every_bench_workload_passes_its_own_checks(monkeypatch, tmp_path):
+    """One round of each workload at seed 1: every command's result must
+    match the answer the benchmark checks it against."""
+    monkeypatch.syspath_prepend(str(SRC.parent / "bench"))
+    import workloads
+
+    for name, setup in workloads.WORKLOADS.items():
+        workdir = tmp_path / name
+        workdir.mkdir()
+        ops = setup(1, workdir, workloads.Loader())
+        assert ops, name
+        for op in ops:
+            op.check(op.run())
