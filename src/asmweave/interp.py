@@ -731,22 +731,19 @@ class Stalled:
 StepResult = Union[Progressed, Inconsistent, Stalled]
 
 
-def _schedule_of(aids: Tuple[str, ...]) -> Tuple[str, ...]:
-    """The schedule a step records: the anonymous agent "" is not named."""
-    return () if aids == ("",) else aids
-
-
 def _outcome(state: State, us: UpdateSet, resolutions: Tuple[ResEntry, ...],
              aids: Tuple[str, ...] = (), stutter: bool = False) -> StepResult:
     """What a step of the agents `aids` does with its update set: a clash
     is Inconsistent, an empty set Stalled (scheduling nobody) unless the
-    step may `stutter`, anything else fires."""
+    step may `stutter`, anything else fires. The schedule does not name
+    the anonymous agent ""."""
+    schedule = () if aids == ("",) else aids
     clashes = conflicts(us)
     if clashes:
-        return Inconsistent(tuple(clashes), us, resolutions, _schedule_of(aids))
+        return Inconsistent(tuple(clashes), us, resolutions, schedule)
     if len(us) == 0 and not stutter:
         return Stalled(resolutions)
-    return Progressed(fire(state, us), us, resolutions, _schedule_of(aids))
+    return Progressed(fire(state, us), us, resolutions, schedule)
 
 
 def rule_body(machine: MachineDef, rule: str) -> RuleExpr:
