@@ -271,17 +271,23 @@ class Resolver:
         return self.script[self.step_index]
 
     def _scripted_value(self, kind: str, key: str, label: str) -> Optional[Value]:
+        """The entry for the draw's key, else the last for its agent-scoped
+        label, else the last for its unscoped one, wherever each stands."""
         base = _base_label(label)
         unscoped = base.split(":", 1)[1] if ":" in base else base
-        by_label = None
+        scoped_value = unscoped_value = None
         for e in self._script_entries():
             if e.kind != kind:
                 continue
             if e.key == key:
                 return e.value
-            if e.label in (base, unscoped) and e.label:
-                by_label = e.value
-        return by_label
+            if not e.label:
+                continue
+            if e.label == base:
+                scoped_value = e.value
+            elif e.label == unscoped:
+                unscoped_value = e.value
+        return unscoped_value if scoped_value is None else scoped_value
 
     # -- draws ----------------------------------------------------------------
 

@@ -2,22 +2,28 @@
 
 Both machines are run exhaustively up to their step and branch bounds,
 one agent step at a time; a machine without agents is its anonymous agent,
-stepped exactly as `run` steps it. Runs are `Trace`s whose steps are the
-outcomes `agent_successors` returned, so a FAIL counterexample is the
-refined run itself. Each run is projected onto the observation terms of
-its side, consecutive duplicate observations are collapsed (so machines
-at different step granularities compare), and the check passes when
-every refined observation sequence is accounted for by some abstract
-one. A refined run cut off by its step bound only needs to be a prefix
-of an abstract sequence; a run that genuinely stalled must be matched
-exactly.
+stepped exactly as `run` steps it. Each run is projected onto the
+observation terms of its side, consecutive duplicate observations are
+collapsed (so machines at different step granularities compare), and the
+check passes when every refined observation sequence is accounted for by
+some abstract one. A refined run cut off by its step bound only needs to
+be a prefix of an abstract sequence; a run that genuinely stalled must be
+matched exactly.
 
-Runs share their states, so the work is done per distinct state, told
-apart by its exact content (`State.key`): `enumerate_runs` expands each
-once through `multiagent.agent_successors`, the expansion `explore` uses,
-with one outcome memo per call, and charges the branch budget on every
-visit, `observe` evaluates each once per side, and each refined sequence
-is matched by set lookups in indexes built over the abstract sequences.
+One depth-first walk, `enumerate_runs`, serves both sides and observes as
+it goes. Runs share their states, so the work is done per distinct state,
+told apart by its exact content (`State.key`): the walk expands each once
+through `multiagent.agent_successors`, the expansion `explore` uses, with
+one outcome memo per call, evaluates its observation terms once, and
+charges the branch budget on every visit. Each stack entry carries the
+outcomes that reached it as parent links and its place in a trie of
+collapsed observation sequences, one node per distinct prefix, with
+children keyed by observation tuple. The abstract walk builds the trie,
+and the check marks on each node the abstract runs that end there; only
+nodes some abstract run passes through count as prefixes. The refined walk
+steps through the same trie, so each refined run is matched by reading its
+node. No run becomes a `Trace` except a FAIL counterexample, rebuilt from
+its parent links.
 
 Verdicts are three-valued. When the abstract side was truncated in a way
 that could still hide a match, the result is BudgetExhausted rather than
@@ -27,10 +33,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import BranchBudgetExceeded, ManifestError, SourceEncodingError
-from .interp import Progressed, Trace, agents_of, eval_term, initial_state, read_override
+from .interp import (Inconsistent, Progressed, Trace, agents_of, eval_term, initial_state,
+                     read_override)
 from .multiagent import OutcomeMemo, agent_successors
 from .parser import App, MachineDef, Term, directive_lines, parse_machine, parse_term, read_source
 from .state import State
@@ -92,11 +99,33 @@ RefinementVerdict = Union[Pass, Fail, BudgetExhausted]
 
 
 # ---------------------------------------------------------------------------
-# Run enumeration
+# The walk
 
 
 class _Truncated(Exception):
     pass
+
+
+class _Node:
+    """One distinct prefix of the collapsed observation sequences: its last
+    observation, its children keyed by observation tuple, the markers of the
+    abstract runs that end here, and whether some abstract run passes
+    through it (only then is it a prefix of an abstract sequence)."""
+
+    __slots__ = ("parent", "obs", "children", "ends", "live")
+
+    def __init__(self, parent: Optional["_Node"], obs: Optional[tuple]) -> None:
+        self.parent = parent
+        self.obs = obs
+        self.children: Dict[tuple, _Node] = {}
+        self.ends: Tuple[str, ...] = ()
+        self.live = False
+
+
+# the outcomes that reached a state, last first: (outcome, rest) or None
+Links = Optional[Tuple[Union[Progressed, Inconsistent], "Links"]]
+# (marker, path, trie node of its collapsed observation sequence)
+RunRecord = Tuple[str, Links, _Node]
 
 
 def _successors(machine: MachineDef, state: State, budget: int, memo: OutcomeMemo):
@@ -120,81 +149,126 @@ def enumerate_runs(
     max_steps: int,
     budget: int,
     start: Optional[State] = None,
-) -> Tuple[List[Trace], bool]:
-    """Depth-first enumeration of all runs up to `max_steps`, as traces.
+    terms: Sequence[Term] = (),
+    trie: Optional[_Node] = None,
+) -> Tuple[List[RunRecord], bool]:
+    """Depth-first enumeration of all runs up to `max_steps`, observed
+    through `terms` into `trie` (a fresh one when None), which gains a node
+    for every new prefix the walk reaches.
 
-    The second component reports truncation: the branch budget cut the
-    enumeration short, so the run list is incomplete.
+    Each run is a (marker, path, node) record; `trace_of` rebuilds its
+    `Trace`. The second component reports truncation: the branch budget cut
+    the enumeration short, so the run list is incomplete.
     """
     init = start if start is not None else initial_state(machine)
-    runs: List[Trace] = []
-    spent = [0]
-    # each distinct state is expanded once; a revisit is still charged
+    root = _Node(None, None) if trie is None else trie
+    runs: List[RunRecord] = []
+    spent = 0
+    # each distinct state is expanded and observed once; a revisit is still
+    # charged. key -> (stalled, inconsistent, [(progressed, its observation)])
     expanded: Dict[frozenset, tuple] = {}
+    seen: Dict[frozenset, tuple] = {}
     memo: OutcomeMemo = {}
 
-    def charge(n: int) -> None:
-        spent[0] += n
-        if spent[0] > budget:
-            raise _Truncated()
+    def observation(state: State) -> tuple:
+        key = state.key()
+        obs = seen.get(key)
+        if obs is None:
+            obs = seen[key] = tuple([eval_term(t, state) for t in terms])
+        return obs
 
-    # (state, the steps that reached it)
-    stack: List[Tuple[State, List[Progressed]]] = [(init, [])]
+    first = observation(init)
+    stack: List[Tuple[State, int, Links, _Node]] = [
+        (init, 0, None, root.children.setdefault(first, _Node(root, first)))]
     try:
         while stack:
-            state, steps = stack.pop()
-            if len(steps) >= max_steps:
-                runs.append(Trace(init, steps, "budget"))
+            state, depth, path, node = stack.pop()
+            if depth >= max_steps:
+                runs.append(("budget", path, node))
                 continue
             key = state.key()
-            if key not in expanded:
+            found = expanded.get(key)
+            if found is None:
                 try:
-                    expanded[key] = _successors(machine, state, budget, memo)
+                    progressed, stalled, inconsistent = _successors(
+                        machine, state, budget, memo)
                 except BranchBudgetExceeded:
                     raise _Truncated() from None
-            progressed, stalled, inconsistent = expanded[key]
-            charge(len(progressed) + len(inconsistent))
+                found = expanded[key] = (
+                    stalled, inconsistent,
+                    [(p, observation(p.next_state)) for p in progressed])
+            stalled, inconsistent, successors = found
+            spent += len(successors) + len(inconsistent)
+            if spent > budget:
+                raise _Truncated()
             if stalled:
-                runs.append(Trace(init, steps, "stalled"))
+                runs.append(("stalled", path, node))
             for res in inconsistent:
-                runs.append(Trace(init, steps + [res], "inconsistent"))
-            for res in progressed:
-                stack.append((res.next_state, steps + [res]))
+                runs.append(("inconsistent", (res, path), node))
+            depth += 1
+            # successors at the step bound are runs; they would be popped
+            # next, last pushed first, so they are recorded in that order
+            at_bound = depth >= max_steps
+            last, children = node.obs, node.children
+            for res, obs in reversed(successors) if at_bound else successors:
+                if obs == last:  # a stutter step stays on its node
+                    nxt = node
+                else:
+                    nxt = children.get(obs)
+                    if nxt is None:
+                        nxt = children[obs] = _Node(node, obs)
+                if at_bound:
+                    runs.append(("budget", (res, path), nxt))
+                else:
+                    stack.append((res.next_state, depth, (res, path), nxt))
     except _Truncated:
         return runs, True
     return runs, False
+
+
+def trace_of(start: State, run: RunRecord) -> Trace:
+    """The `Trace` of a run record whose walk began at `start`."""
+    marker, path, _ = run
+    steps = []
+    while path is not None:
+        step, path = path
+        steps.append(step)
+    steps.reverse()
+    return Trace(start, steps, marker)
 
 
 # ---------------------------------------------------------------------------
 # Observation
 
 
-def observe(trace: Trace, spec: RefinementSpec, side: str,
-            seen: Optional[Dict[frozenset, tuple]] = None) -> ObservationSeq:
+def observe(trace: Trace, spec: RefinementSpec, side: str) -> ObservationSeq:
     """Project a run onto the side's observation terms, stutter-compressed.
-    A run cut off at a violation counts as cut off by the step bound.
-    `seen` maps state keys to observation tuples; pass one dict for all runs
-    of one side, so each distinct state is observed once."""
-    if side == "abstract":
-        terms = [abs_t for _, abs_t, _ in spec.observations]
-    elif side == "refined":
-        terms = [ref_t for _, _, ref_t in spec.observations]
-    else:
-        raise ValueError(f"side must be abstract or refined, not {side!r}")
+    A run cut off at a violation counts as cut off by the step bound."""
     marker = "budget" if trace.outcome == "violation" else trace.outcome
-    seen = {} if seen is None else seen
+    terms = _terms(spec, side)
     seq: List[Tuple[Value, ...]] = []
     for s in trace.states:
-        obs = seen.get(s.key())
-        if obs is None:
-            obs = seen[s.key()] = tuple(eval_term(t, s) for t in terms)
+        obs = tuple(eval_term(t, s) for t in terms)
         if not seq or seq[-1] != obs:
             seq.append(obs)
     return ObservationSeq(tuple(seq), marker)
 
 
-def _prefixes(t: tuple) -> List[tuple]:
-    return [t[:n] for n in range(len(t) + 1)]
+def _terms(spec: RefinementSpec, side: str) -> List[Term]:
+    if side == "abstract":
+        return [abs_t for _, abs_t, _ in spec.observations]
+    if side == "refined":
+        return [ref_t for _, _, ref_t in spec.observations]
+    raise ValueError(f"side must be abstract or refined, not {side!r}")
+
+
+def _tuples(node: _Node) -> tuple:
+    """The collapsed observation sequence that ends at `node`."""
+    seq = []
+    while node.parent is not None:
+        seq.append(node.obs)
+        node = node.parent
+    return tuple(reversed(seq))
 
 
 def _common_prefix_len(a: tuple, b: tuple) -> int:
@@ -214,44 +288,52 @@ def check_refinement(spec: RefinementSpec) -> RefinementVerdict:
     a_steps, r_steps, budget = spec.bounds
     a_start = initial_state(spec.abstract, spec.abstract_init)
     r_start = initial_state(spec.refined, spec.refined_init)
-    abs_runs, abs_trunc = enumerate_runs(spec.abstract, a_steps, budget, a_start)
-    ref_runs, ref_trunc = enumerate_runs(spec.refined, r_steps, budget, r_start)
-    abs_seen: Dict[frozenset, tuple] = {}
-    abstract_seqs = [observe(r, spec, "abstract", abs_seen) for r in abs_runs]
+    trie = _Node(None, None)
+    abs_runs, abs_trunc = enumerate_runs(spec.abstract, a_steps, budget, a_start,
+                                         _terms(spec, "abstract"), trie)
+    for marker, _, node in abs_runs:
+        if marker not in node.ends:
+            node.ends += (marker,)
+        while node is not None and not node.live:
+            node.live = True
+            node = node.parent
+    ref_runs, ref_trunc = enumerate_runs(spec.refined, r_steps, budget, r_start,
+                                         _terms(spec, "refined"), trie)
     stats = RefineStats(len(abs_runs), len(ref_runs), abs_trunc, ref_trunc)
-    # indexes over the abstract sequences: a refined run is matched by a few
-    # set lookups, not by a scan of every abstract run
-    exact = {(a.marker, a.tuples) for a in abstract_seqs}
-    prefixes = {p for _, t in exact for p in _prefixes(t)}
-    cut_by_bound = {t for marker, t in exact if marker == "budget"}
 
-    ref_seen: Dict[frozenset, tuple] = {}
-    first_fail: Optional[Tuple[Trace, ObservationSeq]] = None
+    first_fail: Optional[RunRecord] = None
     undecided = False
-    for r in ref_runs:
-        o = observe(r, spec, "refined", ref_seen)
-        if o.marker == "budget":
-            matched = o.tuples in prefixes
-        else:
-            matched = (o.marker, o.tuples) in exact
-        if matched:
+    for run in ref_runs:
+        marker, _, node = run
+        if node.live if marker == "budget" else marker in node.ends:
             continue
         # a truncated abstract run whose observations are a prefix of this
         # one could still extend to a match at larger abstract bounds
-        possible = abs_trunc or any(p in cut_by_bound for p in _prefixes(o.tuples))
-        if possible:
+        if abs_trunc or _cut_by_bound(node):
             undecided = True
         elif first_fail is None:
-            first_fail = (r, o)
+            first_fail = run
 
     if first_fail is not None:
-        r, o = first_fail
+        trace = trace_of(r_start, first_fail)
+        observed = observe(trace, spec, "refined")
+        abstract_seqs = [ObservationSeq(_tuples(n), marker) for marker, _, n in abs_runs]
         nearest = sorted(abstract_seqs,
-                         key=lambda a: -_common_prefix_len(a.tuples, o.tuples))[:3]
-        return Fail(stats, r, o, nearest)
+                         key=lambda a: -_common_prefix_len(a.tuples, observed.tuples))[:3]
+        return Fail(stats, trace, observed, nearest)
     if undecided or ref_trunc:
         return BudgetExhausted(stats)
     return Pass(stats)
+
+
+def _cut_by_bound(node: Optional[_Node]) -> bool:
+    """Whether an abstract run cut by its step bound ends at `node` or at a
+    node above it."""
+    while node is not None:
+        if "budget" in node.ends:
+            return True
+        node = node.parent
+    return False
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 import pytest
 
+import refine_oracle
 from conftest import MODELS, load_model
 from asmweave import cli
 from asmweave.errors import ManifestError
-from asmweave.interp import Resolver, run
+from asmweave.interp import Resolver, eval_term, initial_state, run
 from asmweave.refine import (
     BudgetExhausted,
     Fail,
@@ -14,6 +15,7 @@ from asmweave.refine import (
     enumerate_runs,
     observe,
     parse_manifest,
+    trace_of,
 )
 from asmweave.parser import parse_machine, parse_term, pp_term
 from asmweave.values import IntV, UNDEF
@@ -236,8 +238,33 @@ machine S
     runs, truncated = enumerate_runs(stopper, 10, 10_000)
     assert not truncated
     assert len(runs) == 1
-    assert runs[0].outcome == "stalled"
+    trace = trace_of(initial_state(stopper), runs[0])
+    assert trace.outcome == "stalled"
+    assert [eval_term(parse_term("out", stopper.sig), s) for s in trace.states] == [
+        IntV(0), IntV(1), IntV(2)]
     clash = parse_machine(
         "machine C controlled x rule Main = par x := 1 x := 2 endpar main Main")
     runs2, _ = enumerate_runs(clash, 10, 10_000)
-    assert runs2[0].outcome == "inconsistent"
+    trace2 = trace_of(initial_state(clash), runs2[0])
+    assert trace2.outcome == "inconsistent"
+    assert len(trace2.steps) == 1 and trace2.clashes
+
+
+@pytest.mark.parametrize("budget, verdict, abstract_runs", [
+    (3, BudgetExhausted, 0),
+    # the walk reached (0) -> (1) on the abstract side, but the budget cut
+    # it before any run through it was recorded: not a prefix
+    (4, BudgetExhausted, 2),
+    (6, Pass, 4),
+])
+def test_only_recorded_abstract_runs_make_prefixes(budget, verdict, abstract_runs):
+    abstract = parse_machine("machine A controlled out "
+                             "rule Main = choose x in {1, 2} do out := x "
+                             "init { out := 0 } main Main")
+    refined = parse_machine("machine R controlled out rule Main = out := 1 "
+                            "init { out := 0 } main Main")
+    spec = spec_for(abstract, refined, bounds=(2, 1, budget))
+    got = check_refinement(spec)
+    assert type(got) is verdict
+    assert got.stats.abstract_runs == abstract_runs
+    assert got == refine_oracle.check_refinement(spec)

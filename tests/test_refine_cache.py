@@ -1,14 +1,16 @@
 """The cached refinement check (each distinct state expanded and observed
-once, abstract sequences matched through indexes) gives exactly the
-results of the uncached oracle in `refine_oracle`."""
+once, refined runs matched through a trie of abstract observation
+sequences) gives exactly the results of the uncached oracle in
+`refine_oracle`."""
 import dataclasses
 import random
+from collections import Counter
 
 import refine_oracle
 from conftest import MODELS
 from rulegen import random_machine
 from asmweave import refine
-from asmweave.interp import export_trace_jsonl
+from asmweave.interp import eval_term, export_trace_jsonl, initial_state
 from asmweave.parser import parse_term
 from asmweave.refine import Fail, RefinementSpec, parse_manifest
 
@@ -24,6 +26,9 @@ def _summary(verdict) -> tuple:
 
 def _runs(module, machine, steps, budget) -> tuple:
     runs, truncated = module.enumerate_runs(machine, steps, budget)
+    if module is refine:  # run records: rebuild each Trace from its path
+        start = initial_state(machine)
+        runs = [refine.trace_of(start, run) for run in runs]
     return truncated, [(t.outcome, t.clashes, t.steps, t.states) for t in runs]
 
 
@@ -74,3 +79,27 @@ def test_rulegen_pairs_agree_with_the_oracle():
         truncated += abstract_truncated or refined_truncated
     assert {"Pass", "Fail", "BudgetExhausted"} <= set(verdicts)
     assert truncated >= 20
+
+
+def test_a_pass_builds_no_trace_and_observes_each_state_once(monkeypatch):
+    def no_trace(*args):
+        raise AssertionError("a passing check built a Trace")
+
+    evaluated = Counter()
+
+    def counting_eval(term, state, *rest):
+        evaluated[id(term), state.key()] += 1
+        return eval_term(term, state, *rest)
+
+    monkeypatch.setattr(refine, "Trace", no_trace)
+    monkeypatch.setattr(refine, "eval_term", counting_eval)
+    for s in _chain_steps("chain_ok.refine"):
+        spec = dataclasses.replace(s.spec, bounds=(7, 7, 10_000))
+        evaluated.clear()
+        assert isinstance(refine.check_refinement(spec), refine.Pass)
+        assert set(evaluated.values()) == {1}
+        (_, abstract_term, refined_term), = spec.observations
+        for machine, term in ((spec.abstract, abstract_term), (spec.refined, refined_term)):
+            oracle_runs, _ = refine_oracle.enumerate_runs(machine, 7, 10_000)
+            states = {st.key() for run in oracle_runs for st in run.states}
+            assert {k for t, k in evaluated if t == id(term)} == states

@@ -261,3 +261,27 @@ def test_a_step_that_sets_one_input_twice_is_refused(tmp_path, model, commands, 
     scn.write_text(f"scenario once\nmachine {model_path(model)}\n{once}assert 1: true\n",
                    encoding="utf-8")
     assert run_scenario(scn).passed
+
+
+@pytest.mark.parametrize("entries", [
+    "choose a1:Go.choose1 = 1; choose Go.choose1 = 2",
+    "choose Go.choose1 = 2; choose a1:Go.choose1 = 1",
+])
+def test_an_agent_scoped_choose_wins_over_an_unscoped_one(tmp_path, entries):
+    (tmp_path / "pair.asm").write_text("""
+machine Pair
+  controlled x/1
+  rule Go = choose v in {1, 2} do x(self) := v
+  main Go
+  agent a1 runs Go
+  agent a2 runs Go
+""", encoding="utf-8")
+    scn = tmp_path / "pair.scn"
+    scn.write_text(f"""
+scenario scoped_first
+machine pair.asm
+step 1: {entries}
+assert 1: x('a1) = 1 and x('a2) = 2
+""", encoding="utf-8")
+    report = run_scenario(scn)
+    assert report.passed, [(r.text, r.detail) for r in report.results]

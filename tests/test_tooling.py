@@ -2,7 +2,8 @@
 import ast
 import importlib
 
-from conftest import SRC
+from conftest import MODELS, SRC
+from asmweave.refine import check_chain
 
 
 def test_every_bench_target_resolves(monkeypatch):
@@ -62,3 +63,18 @@ def test_every_bench_workload_passes_its_own_checks(monkeypatch, tmp_path):
         assert ops, name
         for op in ops:
             op.check(op.run())
+
+
+def test_the_run_counter_sees_the_refinement_walk(monkeypatch):
+    monkeypatch.syspath_prepend(str(SRC.parent / "bench"))
+    import tracing
+
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        verdicts = check_chain(MODELS / "chains" / "chain_ok.refine")
+    finally:
+        tracer.uninstall()
+    runs = sum(v.stats.abstract_runs + v.stats.refined_runs for _, v in verdicts)
+    assert runs == 32
+    assert tracer.layer_metrics()["refine.runs"] == runs
