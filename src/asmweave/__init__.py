@@ -15,7 +15,6 @@ from .state import (
     lookup,
 )
 from .interp import (
-    Env,
     Resolver,
     Trace,
     enumerate_steps,
@@ -34,7 +33,7 @@ __all__ = [
     "MachineDef", "parse_machine", "parse_term", "pretty_print",
     "FunctionKind", "Location", "Signature", "State", "Update", "UpdateSet",
     "conflicts", "fire", "lookup",
-    "Env", "Resolver", "Trace", "enumerate_steps", "eval_term",
+    "Resolver", "Trace", "enumerate_steps", "eval_term",
     "initial_state", "run", "step", "update_set",
     "UNDEF", "BoolV", "IntV", "SetV", "StrV", "SymV", "Value",
 ]

@@ -23,10 +23,11 @@ from .errors import (
     ResolveError,
     SourceEncodingError,
 )
-from .interp import Interleaving, Resolver, Synchronous, export_trace_jsonl, ma_run, run
+from .interp import (Interleaving, Resolver, Synchronous, export_trace_jsonl, ma_run,
+                     read_resolver_free, run)
 from .multiagent import explore
 from .normalform import equivalence_check, normalize
-from .parser import parse_machine, parse_term, pp_rule_expr, pretty_print, read_source
+from .parser import parse_machine, pp_rule_expr, pretty_print, read_source
 from .refine import BudgetExhausted, Fail, Pass, check_chain
 from .scenario import run_scenario, run_suite, skeleton
 from .state import FunctionKind, Location
@@ -217,7 +218,7 @@ def cmd_explore(args) -> int:
     machine = _load_machine(args.machine)
     assertion = None
     if args.assertion:
-        assertion = parse_term(args.assertion, machine.sig)
+        assertion = read_resolver_free(args.assertion, machine.sig, "--assert")
     report = explore(machine, args.depth, args.budget, assertion)
     print(f"distinct states: {report.states_visited}"
           + (" (complete)" if report.complete else ""))

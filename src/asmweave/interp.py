@@ -35,21 +35,25 @@ machine does, and a counterexample `explore` exports for it replays with
 
 Nondeterminism is funneled through `Resolver`: seeded draws are a pure
 function of (seed, step, resolution key), and scripted draws replay
-recorded or hand-written choices. One enumerator, `_probe`, evaluates an
+recorded or hand-written choices. Monitored input is scripted too: a
+step's `monitored` entries name the locations it injects, and an exported
+trace records them in the same form. One enumerator, `_probe`, evaluates an
 agent's rule to its end once per combination of draws, replaying a stack
 of choice points; `enumerate_steps`, `enumerate_update_sets` and the
 interleaving scheduler's progress check all consume it. `enumerate_steps`
 deduplicates and orders its outcomes by update set (by clash set when
-inconsistent), so each distinct successor is fired once. Given a `reads`
-dict, the rule reads a view whose content records every location read;
-`multiagent`'s outcome memo keys on those locations. Resolution keys
+inconsistent). Given a `reads` dict, the rule reads a view whose content
+records every location read; `multiagent`'s outcome memo keys on those
+locations. Resolution keys
 combine the choose label with a digest of the lexical bindings in scope,
 not the visit order, which keeps par children order-independent.
 
 A step's outcome is its one record: `Progressed` or `Inconsistent`, with
 the step's `updates`, draws and `schedule`. `ma_step` returns it, and a
 `Trace` is a start state and its steps' outcomes; its states are read off
-them, and `Trace.digests` hashes them only when compared or exported.
+them, and `Trace.digests` hashes them only when compared or exported. A
+search keeps the path to each state as parent links (`Links`), and
+`trace_of` turns the path to a violation or a failing run into a `Trace`.
 """
 from __future__ import annotations
 
@@ -98,7 +102,6 @@ from .state import (
     State,
     Update,
     UpdateSet,
-    conflicts,
     fire,
     state_digest,
 )
@@ -128,37 +131,7 @@ BOOLS = SetV(frozenset({TRUE, FALSE}))
 
 
 # ---------------------------------------------------------------------------
-# Environments
-
-
-class Env:
-    """Immutable lexical bindings for let/forall/choose variables and formals."""
-
-    __slots__ = ("bindings",)
-
-    def __init__(self, bindings: Optional[Dict[str, Value]] = None) -> None:
-        self.bindings: Dict[str, Value] = dict(bindings or {})
-
-    @staticmethod
-    def empty() -> "Env":
-        return _EMPTY_ENV
-
-    def bind(self, name: str, value: Value) -> "Env":
-        merged = dict(self.bindings)
-        merged[name] = value
-        return Env(merged)
-
-    def get(self, name: str, pos) -> Value:
-        try:
-            return self.bindings[name]
-        except KeyError:
-            raise UnboundVariable(f"unbound variable {name!r}", pos) from None
-
-    def ctx_digest(self) -> str:
-        return _ctx_digest(self.bindings)
-
-
-_EMPTY_ENV = Env()
+# Bindings: a dict from let/forall/choose variables and formals to values
 
 
 def _ctx_digest(bindings: Dict[str, Value]) -> str:
@@ -214,11 +187,9 @@ class Resolver:
         *,
         seed: Optional[int] = None,
         script: Optional[Sequence[Sequence[ResEntry]]] = None,
-        monitored: Optional[Sequence[Dict[Location, Value]]] = None,
     ) -> None:
         self.seed = seed
         self.script = [list(s) for s in script] if script is not None else None
-        self.monitored = list(monitored) if monitored is not None else None
         self.step_index = 0
         self._occ: Dict[str, int] = {}
         self._abs_cache: Dict[str, Value] = {}
@@ -230,19 +201,17 @@ class Resolver:
         return Resolver(seed=seed)
 
     @staticmethod
-    def scripted(script, fallback_seed: Optional[int] = None, monitored=None) -> "Resolver":
-        return Resolver(seed=fallback_seed, script=script, monitored=monitored)
+    def scripted(script, fallback_seed: Optional[int] = None) -> "Resolver":
+        return Resolver(seed=fallback_seed, script=script)
 
     # -- per-step bookkeeping -------------------------------------------------
 
     def begin_step(self, state: State) -> Dict[Location, Value]:
-        """Reset draw bookkeeping; return this step's monitored injections."""
+        """Reset draw bookkeeping; return what the step's `monitored` entries inject."""
         self._occ = {}
         self._abs_cache = {}
         self._record = []
         injections: Dict[Location, Value] = {}
-        if self.monitored is not None and self.step_index < len(self.monitored):
-            injections.update(self.monitored[self.step_index])
         for e in self._script_entries():
             if e.kind == "monitored":
                 injections[read_location(e.label, state.sig)] = e.value
@@ -339,15 +308,18 @@ class Resolver:
 # Capture-avoiding substitution for rule calls
 
 
+def _subterms(t: Term):
+    """`t` and every term inside it."""
+    pending = [t]
+    while pending:
+        u = pending.pop()
+        yield u
+        if isinstance(u, App):
+            pending.extend(reversed(u.args))
+
+
 def free_vars(t: Term) -> set:
-    if isinstance(t, Var):
-        return {t.name}
-    if isinstance(t, App):
-        out: set = set()
-        for a in t.args:
-            out |= free_vars(a)
-        return out
-    return set()
+    return {u.name for u in _subterms(t) if isinstance(u, Var)}
 
 
 def _subst_term(t: Term, mapping: Dict[str, Term]) -> Term:
@@ -683,24 +655,23 @@ def _compile_binder(op, sig: Signature):
     return choose
 
 
-def eval_term(t: Term, state: State, env: Optional[Env] = None,
+def eval_term(t: Term, state: State, env: Optional[Dict[str, Value]] = None,
               resolver: Optional[Resolver] = None) -> Value:
-    """The value of `t` in `state` under `env`'s bindings."""
-    return _term(t, state.sig)(state, env.bindings if env is not None else {}, resolver)
+    """The value of `t` in `state` under the bindings `env`."""
+    return _term(t, state.sig)(state, env or {}, resolver)
 
 
 def update_set(
     op: RuleExpr,
     state: State,
-    env: Optional[Env] = None,
+    env: Optional[Dict[str, Value]] = None,
     resolver: Optional[Resolver] = None,
     machine: Optional[MachineDef] = None,
 ) -> UpdateSet:
     """Update set of one rule evaluation; does not fire it."""
     out: set = set()
     try:
-        _rule(op, state.sig)(state, env.bindings if env is not None else {}, resolver,
-                             machine, 0, out)
+        _rule(op, state.sig)(state, env or {}, resolver, machine, 0, out)
     except RecursionError:
         raise CallDepthExceeded(
             f"evaluation nested too deeply: the stack ran out within call depth "
@@ -742,14 +713,14 @@ def _outcome(state: State, us: UpdateSet, resolutions: Tuple[ResEntry, ...],
     """What a step of the agents `aids` does with its update set: a clash
     is Inconsistent, an empty set Stalled (scheduling nobody) unless the
     step may `stutter`, anything else fires. The schedule does not name
-    the anonymous agent ""."""
+    the anonymous agent "". `fire` decides consistency."""
     schedule = () if aids == ("",) else aids
-    clashes = conflicts(us)
-    if clashes:
-        return Inconsistent(tuple(clashes), us, resolutions, schedule)
     if len(us) == 0 and not stutter:
         return Stalled(resolutions)
-    return Progressed(fire(state, us), us, resolutions, schedule)
+    try:
+        return Progressed(fire(state, us), us, resolutions, schedule)
+    except InconsistentUpdateSet as e:
+        return Inconsistent(tuple(e.clashes), us, resolutions, schedule)
 
 
 def rule_body(machine: MachineDef, rule: str) -> RuleExpr:
@@ -914,6 +885,21 @@ class Trace:
         return script
 
 
+# a search path: the outcomes that reached a state, last first, as nested
+# (outcome, rest) pairs ending in None, so a state's links extend its parent's
+Links = Optional[Tuple[Union[Progressed, Inconsistent], "Links"]]
+
+
+def trace_of(start: State, links: Links, outcome: str) -> Trace:
+    """The `Trace` of the search path `links` from `start`."""
+    steps = []
+    while links is not None:
+        step, links = links
+        steps.append(step)
+    steps.reverse()
+    return Trace(start, steps, outcome)
+
+
 def _location(lhs: App, empty: State) -> Location:
     return Location(lhs.fname, tuple(eval_term(a, empty) for a in lhs.args))
 
@@ -961,6 +947,19 @@ def read_location(text: str, sig: Signature) -> Location:
     if not isinstance(t, App):
         raise ScriptViolation(f"{text.strip()!r} is not a location")
     return _location(t, State(sig))
+
+
+def read_resolver_free(text: str, sig: Signature, where: str) -> Term:
+    """Parse a term that is evaluated without a resolver, such as a safety
+    assertion or an observation; refuse one that reads an abstract
+    function, naming `where` (say, a manifest line)."""
+    t = parse_term(text, sig)
+    for u in _subterms(t):
+        decl = sig.get(u.fname) if isinstance(u, App) else None
+        if decl is not None and decl.kind == FunctionKind.ABSTRACT:
+            raise ManifestError(
+                f"{where} reads abstract function {u.fname!r}, which needs a resolver")
+    return t
 
 
 def ma_run(
@@ -1125,12 +1124,11 @@ def enumerate_steps(
     results: Dict[tuple, StepResult] = {}
     for us, resolutions in _probe(rule_body(machine, rule), state, machine, bound,
                                   agent, reads):
-        clashes = conflicts(us)
-        if clashes:
+        res = _outcome(state, us, resolutions, (agent,))
+        if isinstance(res, Inconsistent):
             key = (1, tuple((loc.key(), tuple(sorted(map(value_key, vals))))
-                            for loc, vals in clashes))
+                            for loc, vals in res.clashes))
         else:
             key = (0, us.key())
-        if key not in results:
-            results[key] = _outcome(state, us, resolutions, (agent,))
+        results.setdefault(key, res)
     return [results[k] for k in sorted(results)]

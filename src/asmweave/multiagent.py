@@ -4,7 +4,9 @@
 from a state, sorted into successors, inconsistent branches and stalls.
 `explore` walks it breadth-first, deduplicating states by their exact
 content (`State.key`, no hash), and reports the shortest trace to a state
-violating a safety assertion; `refine.enumerate_runs` walks it depth-first.
+violating a safety assertion: each frontier state carries its path as
+parent links (`interp.Links`), which `interp.trace_of` turns into that
+trace. `refine.enumerate_runs` walks it depth-first.
 A machine without agent lines is explored as the anonymous agent "",
 exactly as `run` steps it, so its counterexamples replay with `run`.
 A successor is the `Progressed` outcome itself, carrying its `updates`
@@ -35,6 +37,7 @@ from .interp import (
     SELF_LOC,
     Inconsistent,
     Interleaving,
+    Links,
     Progressed,
     Stalled,
     Trace,
@@ -45,6 +48,7 @@ from .interp import (
     initial_state,
     ma_run,
     ma_step,
+    trace_of,
 )
 from .parser import MachineDef, Term
 from .state import Location, State, fire
@@ -129,29 +133,22 @@ def explore(
     agents = agents_of(machine)
     init = start if start is not None else initial_state(machine)
     memo: OutcomeMemo = {}
-    # (parent index, step reaching it) per state, in discovery order; the
-    # start state is node 0
-    nodes: List[Tuple[int, Optional[Progressed]]] = [(-1, None)]
     seen = {init.key()}
     inconsistent = 0
 
-    def violation(idx: int) -> ExploreReport:
-        steps = []
-        while idx > 0:
-            idx, res = nodes[idx]
-            steps.append(res)
-        trace = Trace(init, steps[::-1], "violation")
-        return ExploreReport(len(nodes), trace, trace.final_state, inconsistent)
+    def violation(links: Links) -> ExploreReport:
+        trace = trace_of(init, links, "violation")
+        return ExploreReport(len(seen), trace, trace.final_state, inconsistent)
 
     if assertion is not None and not _check_assertion(assertion, init):
-        return violation(0)
+        return violation(None)
 
-    frontier = [(0, init)]
+    frontier: List[Tuple[State, Links]] = [(init, None)]
     for _ in range(depth):
         if not frontier:
             break
-        next_frontier: List[Tuple[int, State]] = []
-        for idx, state in frontier:
+        next_frontier: List[Tuple[State, Links]] = []
+        for state, links in frontier:
             for aid, rule in agents:
                 succs, bad, _ = agent_successors(machine, state, aid, rule, branch_budget,
                                                  memo)
@@ -161,9 +158,8 @@ def explore(
                     if nxt.key() in seen:
                         continue
                     seen.add(nxt.key())
-                    nodes.append((idx, res))
                     if assertion is not None and not _check_assertion(assertion, nxt):
-                        return violation(len(nodes) - 1)
-                    next_frontier.append((len(nodes) - 1, nxt))
+                        return violation((res, links))
+                    next_frontier.append((nxt, (res, links)))
         frontier = next_frontier
-    return ExploreReport(len(nodes), None, None, inconsistent, complete=not frontier)
+    return ExploreReport(len(seen), None, None, inconsistent, complete=not frontier)

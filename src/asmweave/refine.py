@@ -23,7 +23,7 @@ and the check marks on each node the abstract runs that end there; only
 nodes some abstract run passes through count as prefixes. The refined walk
 steps through the same trie, so each refined run is matched by reading its
 node. No run becomes a `Trace` except a FAIL counterexample, rebuilt from
-its parent links.
+its parent links by `interp.trace_of`, as `explore` rebuilds a violation.
 
 Verdicts are three-valued. When the abstract side was truncated in a way
 that could still hide a match, the result is BudgetExhausted rather than
@@ -36,10 +36,10 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import BranchBudgetExceeded, ManifestError, SourceEncodingError
-from .interp import (Inconsistent, Progressed, Trace, agents_of, eval_term, initial_state,
-                     read_override)
+from .interp import (Links, Trace, agents_of, eval_term, initial_state, read_override,
+                     read_resolver_free, trace_of)
 from .multiagent import OutcomeMemo, agent_successors
-from .parser import App, MachineDef, Term, directive_lines, parse_machine, parse_term, read_source
+from .parser import App, MachineDef, Term, directive_lines, parse_machine, read_source
 from .state import State
 from .values import Value
 
@@ -102,10 +102,6 @@ RefinementVerdict = Union[Pass, Fail, BudgetExhausted]
 # The walk
 
 
-class _Truncated(Exception):
-    pass
-
-
 class _Node:
     """One distinct prefix of the collapsed observation sequences: its last
     observation, its children keyed by observation tuple, the markers of the
@@ -122,8 +118,6 @@ class _Node:
         self.live = False
 
 
-# the outcomes that reached a state, last first: (outcome, rest) or None
-Links = Optional[Tuple[Union[Progressed, Inconsistent], "Links"]]
 # (marker, path, trie node of its collapsed observation sequence)
 RunRecord = Tuple[str, Links, _Node]
 
@@ -156,9 +150,10 @@ def enumerate_runs(
     through `terms` into `trie` (a fresh one when None), which gains a node
     for every new prefix the walk reaches.
 
-    Each run is a (marker, path, node) record; `trace_of` rebuilds its
-    `Trace`. The second component reports truncation: the branch budget cut
-    the enumeration short, so the run list is incomplete.
+    Each run is a (marker, path, node) record; `interp.trace_of(start,
+    path, marker)` rebuilds its `Trace`. The second component reports
+    truncation: the branch budget cut the enumeration short, so the run
+    list is incomplete.
     """
     init = start if start is not None else initial_state(machine)
     root = _Node(None, None) if trie is None else trie
@@ -180,61 +175,47 @@ def enumerate_runs(
     first = observation(init)
     stack: List[Tuple[State, int, Links, _Node]] = [
         (init, 0, None, root.children.setdefault(first, _Node(root, first)))]
-    try:
-        while stack:
-            state, depth, path, node = stack.pop()
-            if depth >= max_steps:
-                runs.append(("budget", path, node))
-                continue
-            key = state.key()
-            found = expanded.get(key)
-            if found is None:
-                try:
-                    progressed, stalled, inconsistent = _successors(
-                        machine, state, budget, memo)
-                except BranchBudgetExceeded:
-                    raise _Truncated() from None
-                found = expanded[key] = (
-                    stalled, inconsistent,
-                    [(p, observation(p.next_state)) for p in progressed])
-            stalled, inconsistent, successors = found
-            spent += len(successors) + len(inconsistent)
-            if spent > budget:
-                raise _Truncated()
-            if stalled:
-                runs.append(("stalled", path, node))
-            for res in inconsistent:
-                runs.append(("inconsistent", (res, path), node))
-            depth += 1
-            # successors at the step bound are runs; they would be popped
-            # next, last pushed first, so they are recorded in that order
-            at_bound = depth >= max_steps
-            last, children = node.obs, node.children
-            for res, obs in reversed(successors) if at_bound else successors:
-                if obs == last:  # a stutter step stays on its node
-                    nxt = node
-                else:
-                    nxt = children.get(obs)
-                    if nxt is None:
-                        nxt = children[obs] = _Node(node, obs)
-                if at_bound:
-                    runs.append(("budget", (res, path), nxt))
-                else:
-                    stack.append((res.next_state, depth, (res, path), nxt))
-    except _Truncated:
-        return runs, True
+    while stack:
+        state, depth, path, node = stack.pop()
+        if depth >= max_steps:
+            runs.append(("budget", path, node))
+            continue
+        key = state.key()
+        found = expanded.get(key)
+        if found is None:
+            try:
+                progressed, stalled, inconsistent = _successors(
+                    machine, state, budget, memo)
+            except BranchBudgetExceeded:
+                return runs, True
+            found = expanded[key] = (
+                stalled, inconsistent,
+                [(p, observation(p.next_state)) for p in progressed])
+        stalled, inconsistent, successors = found
+        spent += len(successors) + len(inconsistent)
+        if spent > budget:
+            return runs, True
+        if stalled:
+            runs.append(("stalled", path, node))
+        for res in inconsistent:
+            runs.append(("inconsistent", (res, path), node))
+        depth += 1
+        # successors at the step bound are runs; they would be popped
+        # next, last pushed first, so they are recorded in that order
+        at_bound = depth >= max_steps
+        last, children = node.obs, node.children
+        for res, obs in reversed(successors) if at_bound else successors:
+            if obs == last:  # a stutter step stays on its node
+                nxt = node
+            else:
+                nxt = children.get(obs)
+                if nxt is None:
+                    nxt = children[obs] = _Node(node, obs)
+            if at_bound:
+                runs.append(("budget", (res, path), nxt))
+            else:
+                stack.append((res.next_state, depth, (res, path), nxt))
     return runs, False
-
-
-def trace_of(start: State, run: RunRecord) -> Trace:
-    """The `Trace` of a run record whose walk began at `start`."""
-    marker, path, _ = run
-    steps = []
-    while path is not None:
-        step, path = path
-        steps.append(step)
-    steps.reverse()
-    return Trace(start, steps, marker)
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +296,8 @@ def check_refinement(spec: RefinementSpec) -> RefinementVerdict:
             first_fail = run
 
     if first_fail is not None:
-        trace = trace_of(r_start, first_fail)
+        marker, path, _ = first_fail
+        trace = trace_of(r_start, path, marker)
         observed = observe(trace, spec, "refined")
         abstract_seqs = [ObservationSeq(_tuples(n), marker) for marker, _, n in abs_runs]
         nearest = sorted(abstract_seqs,
@@ -363,10 +345,11 @@ def parse_manifest(text: str, base_dir: Path) -> List[RefinementStep]:
         abstract = parse_machine(current["abstract"])
         refined = parse_machine(current["refined"])
         observations = []
-        for label, abs_text, ref_text in current["observe"]:
+        for lineno, label, abs_text, ref_text in current["observe"]:
+            where = f"line {lineno}: observation {label!r}"
             observations.append((label,
-                                 parse_term(abs_text, abstract.sig),
-                                 parse_term(ref_text, refined.sig)))
+                                 read_resolver_free(abs_text, abstract.sig, where),
+                                 read_resolver_free(ref_text, refined.sig, where)))
         a_init = tuple(read_override(t, abstract) for t in current["init"]["abstract"])
         r_init = tuple(read_override(t, refined) for t in current["init"]["refined"])
         steps.append(RefinementStep(
@@ -392,7 +375,8 @@ def parse_manifest(text: str, base_dir: Path) -> List[RefinementStep]:
                     f"line {lineno}: expected 'observe <label> : <abstract> ~ <refined>'")
             label, terms = rest.split(":", 1)
             abs_text, ref_text = terms.split("~", 1)
-            current["observe"].append((label.strip(), abs_text.strip(), ref_text.strip()))
+            current["observe"].append(
+                (lineno, label.strip(), abs_text.strip(), ref_text.strip()))
         elif head == "bounds":
             try:
                 bounds = tuple(int(p) for p in rest.split())

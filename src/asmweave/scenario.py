@@ -13,9 +13,10 @@ language internals:
     final: a = 1
 
 `step k:` entries feed monitored bindings, choice-script entries, and the
-scheduled agent for the k-th step (1-based), each at most once; a
-machine without agents runs as the anonymous agent and takes no
-`schedule`. `assert k:` conditions are
+scheduled agent for the k-th step (1-based), each at most once. A binding
+`loc := value` becomes a `monitored` entry of the step's script, the form
+an exported trace records it in. A machine without agents runs as the
+anonymous agent and takes no `schedule`. `assert k:` conditions are
 evaluated in the state reached after step k (`assert 0:` checks the
 initial state); `final:` conditions are evaluated in the last state. Every
 assertion is evaluated even after failures, and the report carries the
@@ -50,7 +51,7 @@ from .parser import (
     pp_term,
     read_source,
 )
-from .state import FunctionKind, Location, State
+from .state import FunctionKind, State
 from .values import BoolV, Value, show_value
 
 
@@ -157,15 +158,9 @@ def _literal_value(text: str, machine: MachineDef) -> Value:
     return eval_term(term, State(machine.sig))
 
 
-@dataclass
-class _Script:
-    monitored: List[Dict[Location, Value]]
-    entries: List[List[ResEntry]]
-    schedule: Dict[int, str]  # 1-based step -> agent
-
-
-def _compile_steps(sc: Scenario, machine: MachineDef, n_steps: int) -> _Script:
-    monitored: List[Dict[Location, Value]] = [{} for _ in range(n_steps)]
+def _compile_steps(sc: Scenario, machine: MachineDef,
+                   n_steps: int) -> Tuple[List[List[ResEntry]], Dict[int, str]]:
+    """The script of each step, and the agent scheduled at each 1-based step."""
     entries: List[List[ResEntry]] = [[] for _ in range(n_steps)]
     schedule: Dict[int, str] = {}
     for k, cmds in sc.step_cmds.items():
@@ -181,11 +176,7 @@ def _compile_steps(sc: Scenario, machine: MachineDef, n_steps: int) -> _Script:
                 label = label.strip()
                 if kind == "abstract":
                     label = read_location(label, machine.sig).show()
-                # a draw reads only the last entry for its label
-                if any((e.kind, e.label) == (kind, label) for e in entries[k - 1]):
-                    raise ManifestError(f"step {k} sets {kind} {label} twice")
-                entries[k - 1].append(ResEntry(
-                    kind, label, "", _literal_value(val_text, machine)))
+                shown = f"{kind} {label}"
             elif cmd.startswith("schedule "):
                 if not machine.agents:
                     # a plain machine is the anonymous agent, which no line can name
@@ -195,15 +186,18 @@ def _compile_steps(sc: Scenario, machine: MachineDef, n_steps: int) -> _Script:
                 if k in schedule:
                     raise ManifestError(f"step {k} schedules two agents")
                 schedule[k] = aid
+                continue
             elif ":=" in cmd:
                 loc_text, val_text = cmd.split(":=", 1)
-                loc = read_location(loc_text, machine.sig)
-                if loc in monitored[k - 1]:
-                    raise ManifestError(f"step {k} sets {loc.show()} twice")
-                monitored[k - 1][loc] = _literal_value(val_text, machine)
+                kind = "monitored"
+                label = shown = read_location(loc_text, machine.sig).show()
             else:
                 raise ManifestError(f"cannot parse step command {cmd!r}")
-    return _Script(monitored, entries, schedule)
+            # a draw or an injection reads only the last entry for its label
+            if any((e.kind, e.label) == (kind, label) for e in entries[k - 1]):
+                raise ManifestError(f"step {k} sets {shown} twice")
+            entries[k - 1].append(ResEntry(kind, label, "", _literal_value(val_text, machine)))
+    return entries, schedule
 
 
 def _witnesses(term: Term, state: State, machine: MachineDef) -> str:
@@ -251,16 +245,15 @@ def run_scenario(source: Union[Scenario, str, Path], base_dir: Optional[Path] = 
         n_steps = sc.max_steps
         if n_steps is None:
             n_steps = max([*indices, *sc.step_cmds.keys(), 0])
-        script = _compile_steps(sc, machine, n_steps)
+        entries, schedule = _compile_steps(sc, machine, n_steps)
         start = initial_state(machine, [read_override(t, machine) for t in sc.init_entries])
-        resolver = Resolver.scripted(script.entries, fallback_seed=sc.seed,
-                                     monitored=script.monitored)
-        if script.schedule:
+        resolver = Resolver.scripted(entries, fallback_seed=sc.seed)
+        if schedule:
             order = []
-            for k in range(1, max(script.schedule) + 1):
-                if k not in script.schedule:
+            for k in range(1, max(schedule) + 1):
+                if k not in schedule:
                     raise ManifestError(f"step {k} lacks a schedule entry")
-                order.append(script.schedule[k])
+                order.append(schedule[k])
             scheduler = ScriptedOrder(tuple(order))
         else:
             scheduler = Synchronous()

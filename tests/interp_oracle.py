@@ -21,8 +21,9 @@ from asmweave.errors import (
     GuardNotBoolean,
     RangeNotSet,
     UnboundedAbstract,
+    UnboundVariable,
 )
-from asmweave.interp import Env, ResEntry, Resolver, instantiate_call
+from asmweave.interp import ResEntry, Resolver, instantiate_call
 from asmweave.parser import (
     App,
     Assign,
@@ -42,13 +43,15 @@ from asmweave.parser import (
 from asmweave.state import FunctionKind, Location, State, Update, UpdateSet
 from asmweave.values import UNDEF, BoolV, SetV, Value, show_value
 
-def eval_term(t: Term, state: State, env: Optional[Env] = None,
+def eval_term(t: Term, state: State, env: Optional[Dict[str, Value]] = None,
               resolver: Optional[Resolver] = None) -> Value:
-    env = env or Env.empty()
+    env = env or {}
     if isinstance(t, Lit):
         return t.value
     if isinstance(t, Var):
-        return env.get(t.name, t.pos)
+        if t.name not in env:
+            raise UnboundVariable(f"unbound variable {t.name!r}", t.pos)
+        return env[t.name]
     if isinstance(t, App):
         decl = state.sig.get(t.fname)
         args = tuple(eval_term(a, state, env, resolver) for a in t.args)
@@ -70,7 +73,7 @@ def eval_term(t: Term, state: State, env: Optional[Env] = None,
     raise TypeError(f"not a term: {t!r}")
 
 
-def _guard_value(guard: Term, state: State, env: Env, resolver) -> bool:
+def _guard_value(guard: Term, state: State, env: Dict[str, Value], resolver) -> bool:
     v = eval_term(guard, state, env, resolver)
     if not isinstance(v, BoolV):
         raise GuardNotBoolean(
@@ -82,13 +85,13 @@ def _guard_value(guard: Term, state: State, env: Env, resolver) -> bool:
 def update_set(
     op: RuleExpr,
     state: State,
-    env: Optional[Env] = None,
+    env: Optional[Dict[str, Value]] = None,
     resolver: Optional[Resolver] = None,
     machine: Optional[MachineDef] = None,
 ) -> UpdateSet:
     """Update set of one rule evaluation; does not fire it. Rule calls nest
     at most `interp.MAX_CALL_DEPTH` deep, the bound the compiled calls read."""
-    return _update_set(op, state, env or Env.empty(), resolver, machine,
+    return _update_set(op, state, env or {}, resolver, machine,
                        interp.MAX_CALL_DEPTH, 0)
 
 
@@ -113,7 +116,7 @@ def _update_set(op, state, env, resolver, machine, max_depth, depth) -> UpdateSe
         return UpdateSet.empty()
     if isinstance(op, Let):
         val = eval_term(op.binding, state, env, resolver)
-        return _update_set(op.body, state, env.bind(op.var, val), resolver,
+        return _update_set(op.body, state, {**env, op.var: val}, resolver,
                            machine, max_depth, depth)
     if isinstance(op, Call):
         if machine is None:
@@ -130,7 +133,7 @@ def _update_set(op, state, env, resolver, machine, max_depth, depth) -> UpdateSe
                 f"forall range evaluated to {show_value(domain)}", op.pos)
         out = UpdateSet.empty()
         for v in domain:  # canonical order
-            inner = env.bind(op.var, v)
+            inner = {**env, op.var: v}
             if op.guard is not None and not _guard_value(op.guard, state, inner, resolver):
                 continue
             out = out.union(_update_set(op.body, state, inner, resolver, machine,
@@ -143,7 +146,7 @@ def _update_set(op, state, env, resolver, machine, max_depth, depth) -> UpdateSe
                 f"choose range evaluated to {show_value(domain)}", op.pos)
         candidates = []
         for v in domain:
-            inner = env.bind(op.var, v)
+            inner = {**env, op.var: v}
             if op.guard is None or _guard_value(op.guard, state, inner, resolver):
                 candidates.append(v)
         if not candidates:
@@ -153,8 +156,8 @@ def _update_set(op, state, env, resolver, machine, max_depth, depth) -> UpdateSe
         label = op.label
         if not label:
             label = f"choose@{op.pos[0]}:{op.pos[1]}" if op.pos else "choose"
-        picked = resolver.choose(label, env.ctx_digest(), candidates, op.pos)
-        return _update_set(op.body, state, env.bind(op.var, picked), resolver,
+        picked = resolver.choose(label, interp._ctx_digest(env), candidates, op.pos)
+        return _update_set(op.body, state, {**env, op.var: picked}, resolver,
                            machine, max_depth, depth)
     raise TypeError(f"not a rule expression: {op!r}")
 

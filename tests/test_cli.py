@@ -277,6 +277,21 @@ def test_run_and_explore_refuse_an_unhinted_abstract_function(tmp_path, capsys):
         assert err == "error: 1:51: abstract function 'g' has no codomain hint\n"
 
 
+def test_a_term_evaluated_without_a_resolver_cannot_read_an_abstract_function(tmp_path):
+    manifest = tmp_path / "flip.refine"
+    manifest.write_text(f"step flip\nabstract {MODELS / 'coin.asm'}\n"
+                        f"refined {MODELS / 'coin.asm'}\n\nobserve f : flip ~ flip\n",
+                        encoding="utf-8")
+    for args, where in ((["check-refine", manifest], "line 5: observation 'f'"),
+                        (["explore", MODELS / "coin.asm", "--assert", "heads = flip"],
+                         "--assert")):
+        r = asmweave(*args)
+        assert r.returncode == 2
+        assert r.stderr.splitlines() == [
+            f"error: {where} reads abstract function 'flip', which needs a resolver"]
+        assert "Traceback" not in r.stderr
+
+
 def test_skeleton_subcommand():
     r = asmweave("skeleton", MODELS / "accumulator.asm")
     assert r.returncode == 0

@@ -17,7 +17,6 @@ from asmweave.errors import (
     UnboundVariable,
 )
 from asmweave.interp import (
-    Env,
     Inconsistent,
     Progressed,
     ResEntry,
@@ -67,7 +66,7 @@ def test_eval_unbound_variable():
     with pytest.raises(UnboundVariable):
         eval_term(Var("loose"), initial_state(SWAP))
     # bound variables resolve through the environment
-    assert eval_term(Var("v"), initial_state(SWAP), Env().bind("v", IntV(7))) == IntV(7)
+    assert eval_term(Var("v"), initial_state(SWAP), {"v": IntV(7)}) == IntV(7)
 
 
 # ---------------------------------------------------------------------------
@@ -250,9 +249,9 @@ def test_run_records_inconsistent_outcome():
 
 def test_monitored_injection_and_stall_semantics():
     m = load_model("accumulator.asm")
-    inc = Location("inc")
-    mon = [{inc: IntV(2)}, {inc: IntV(3)}, {}]
-    t = run(m, 5, Resolver.scripted([], fallback_seed=0, monitored=mon))
+    mon = [[ResEntry("monitored", "inc", "", IntV(2))],
+           [ResEntry("monitored", "inc", "", IntV(3))], []]
+    t = run(m, 5, Resolver.scripted(mon, fallback_seed=0))
     # step 3 re-adds the stale input 3; step 4 stalls only if nothing changes
     assert t.states[1].content[Location("total")] == IntV(2)
     assert t.states[2].content[Location("total")] == IntV(5)
@@ -261,8 +260,8 @@ def test_monitored_injection_and_stall_semantics():
 def test_monitored_change_alone_counts_as_progress():
     m = parse_machine(
         "machine M monitored inp controlled x rule R = if inp = 99 then x := 1 main R")
-    mon = [{Location("inp"): IntV(5)}, {Location("inp"): IntV(5)}]
-    t = run(m, 5, Resolver.scripted([], fallback_seed=0, monitored=mon))
+    mon = [[ResEntry("monitored", "inp", "", IntV(5))]] * 2
+    t = run(m, 5, Resolver.scripted(mon, fallback_seed=0))
     # step 1 injects 5 (progress, no updates); step 2 injects same value -> stall
     assert t.outcome == "stalled"
     assert len(t.steps) == 1
@@ -297,9 +296,9 @@ machine In
   main R
 """)
     args = [IntV(-1), mkset([IntV(1), IntV(2)]), StrV('a "b"\n')]
-    monitored = [{Location("inp", (a,)): IntV(10 * k + i) for i, a in enumerate(args)}
-                 for k in range(3)]
-    t = run(m, 3, Resolver.scripted([], fallback_seed=0, monitored=monitored))
+    monitored = [[ResEntry("monitored", Location("inp", (a,)).show(), "", IntV(10 * k + i))
+                  for i, a in enumerate(args)] for k in range(3)]
+    t = run(m, 3, Resolver.scripted(monitored, fallback_seed=0))
     t2 = run(m, 3, Resolver.scripted(t.as_script()))
     assert t2.final_state.content[Location("z")] == IntV(22)
     assert t.digests() == t2.digests()

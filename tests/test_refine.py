@@ -4,7 +4,7 @@ import refine_oracle
 from conftest import MODELS, load_model
 from asmweave import cli
 from asmweave.errors import ManifestError
-from asmweave.interp import Resolver, eval_term, initial_state, run
+from asmweave.interp import Resolver, eval_term, initial_state, run, trace_of
 from asmweave.refine import (
     BudgetExhausted,
     Fail,
@@ -15,7 +15,6 @@ from asmweave.refine import (
     enumerate_runs,
     observe,
     parse_manifest,
-    trace_of,
 )
 from asmweave.parser import parse_machine, parse_term, pp_term
 from asmweave.values import IntV, UNDEF
@@ -238,14 +237,16 @@ machine S
     runs, truncated = enumerate_runs(stopper, 10, 10_000)
     assert not truncated
     assert len(runs) == 1
-    trace = trace_of(initial_state(stopper), runs[0])
+    marker, path, _ = runs[0]
+    trace = trace_of(initial_state(stopper), path, marker)
     assert trace.outcome == "stalled"
     assert [eval_term(parse_term("out", stopper.sig), s) for s in trace.states] == [
         IntV(0), IntV(1), IntV(2)]
     clash = parse_machine(
         "machine C controlled x rule Main = par x := 1 x := 2 endpar main Main")
     runs2, _ = enumerate_runs(clash, 10, 10_000)
-    trace2 = trace_of(initial_state(clash), runs2[0])
+    marker, path, _ = runs2[0]
+    trace2 = trace_of(initial_state(clash), path, marker)
     assert trace2.outcome == "inconsistent"
     assert len(trace2.steps) == 1 and trace2.clashes
 

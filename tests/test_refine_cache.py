@@ -10,7 +10,7 @@ import refine_oracle
 from conftest import MODELS
 from rulegen import random_machine
 from asmweave import refine
-from asmweave.interp import eval_term, export_trace_jsonl, initial_state
+from asmweave.interp import eval_term, export_trace_jsonl, initial_state, trace_of
 from asmweave.parser import parse_term
 from asmweave.refine import Fail, RefinementSpec, parse_manifest
 
@@ -28,7 +28,7 @@ def _runs(module, machine, steps, budget) -> tuple:
     runs, truncated = module.enumerate_runs(machine, steps, budget)
     if module is refine:  # run records: rebuild each Trace from its path
         start = initial_state(machine)
-        runs = [refine.trace_of(start, run) for run in runs]
+        runs = [trace_of(start, path, marker) for marker, path, _ in runs]
     return truncated, [(t.outcome, t.clashes, t.steps, t.states) for t in runs]
 
 

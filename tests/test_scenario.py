@@ -2,6 +2,8 @@ import pytest
 
 from conftest import MODELS, model_path
 from asmweave.errors import ManifestError
+from asmweave.interp import Resolver, ScriptedOrder, Synchronous, export_trace_jsonl, ma_run
+from asmweave.parser import parse_machine, read_source
 from asmweave.scenario import parse_scenario, run_scenario, run_suite, skeleton
 
 GREEN = MODELS / "scenarios" / "green"
@@ -285,3 +287,33 @@ assert 1: x('a1) = 1 and x('a2) = 2
 """, encoding="utf-8")
     report = run_scenario(scn)
     assert report.passed, [(r.text, r.detail) for r in report.results]
+
+
+def test_every_bundled_scenario_trace_replays_through_its_script():
+    """Monitored input, draws and the schedule all travel as script entries,
+    so a scenario's trace replays with no fallback seed."""
+    replayed = 0
+    for path in sorted(GREEN.glob("*.scn")) + sorted(MUTANT.glob("*.scn")):
+        trace = run_scenario(path).trace
+        sc = parse_scenario(read_source(path), path)
+        machine = parse_machine(read_source(path.parent / sc.machine_path))
+        order = tuple(cmd.split()[1] for k in sorted(sc.step_cmds)
+                      for cmd in sc.step_cmds[k] if cmd.startswith("schedule "))
+        scheduler = ScriptedOrder(order) if order else Synchronous()
+        steps = len(trace.steps) + (trace.outcome == "stalled")
+        replay = ma_run(machine, scheduler, steps, Resolver.scripted(trace.as_script()),
+                        trace.start)
+        assert replay.outcome == trace.outcome, path.name
+        assert replay.digests() == trace.digests(), path.name
+        assert export_trace_jsonl(replay) == export_trace_jsonl(trace), path.name
+        replayed += 1
+    assert replayed == 7
+
+
+def test_a_binding_of_a_controlled_location_is_refused(tmp_path):
+    scn = tmp_path / "controlled.scn"
+    scn.write_text(f"scenario controlled\nmachine {model_path('accumulator.asm')}\n"
+                   "step 1: total := 3\nassert 1: total = 3\n", encoding="utf-8")
+    report = run_scenario(scn)
+    assert not report.passed
+    assert report.error == "monitored injection targets non-monitored location total"

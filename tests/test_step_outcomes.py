@@ -12,6 +12,7 @@ from asmweave.interp import (
     SELF_LOC,
     Interleaving,
     Progressed,
+    ResEntry,
     Resolver,
     Synchronous,
     agents_of,
@@ -131,12 +132,13 @@ RULEGEN_RUN_EXPORTS = "f12e2f9ff0b82da087400b2703d5520624b7604f08bb45da1fefa6d70
 
 
 # accumulator stalls at once without input, so it is fed inc = 1..25
-MONITORED = {"accumulator.asm": [{Location("inc"): IntV(k)} for k in range(1, 26)]}
+MONITORED = {"accumulator.asm": [[ResEntry("monitored", "inc", "", IntV(k))]
+                                  for k in range(1, 26)]}
 
 
-def _run_exports(machine, monitored=None) -> str:
+def _run_exports(machine, monitored=()) -> str:
     def resolver():
-        return Resolver.scripted([], fallback_seed=5, monitored=monitored)
+        return Resolver.scripted(monitored, fallback_seed=5)
     if machine.agents:
         traces = [ma_run(machine, s, 25, resolver()) for s in (Synchronous(), Interleaving())]
     else:
@@ -145,7 +147,7 @@ def _run_exports(machine, monitored=None) -> str:
 
 
 def test_run_exports_are_pinned():
-    exports = {f.name: _run_exports(load_model(f.name), MONITORED.get(f.name))
+    exports = {f.name: _run_exports(load_model(f.name), MONITORED.get(f.name, ()))
                for f in sorted(MODELS.glob("*.asm"))}
     assert all(exports.values())
     assert {name: hashlib.sha256(text.encode("utf-8")).hexdigest()

@@ -6,6 +6,12 @@ from conftest import MODELS, SRC
 from asmweave.refine import check_chain
 
 
+def test_every_exported_name_resolves():
+    import asmweave
+
+    assert [name for name in asmweave.__all__ if not hasattr(asmweave, name)] == []
+
+
 def test_every_bench_target_resolves(monkeypatch):
     monkeypatch.syspath_prepend(str(SRC.parent / "bench"))
     import tracing
