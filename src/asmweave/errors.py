@@ -3,6 +3,8 @@ from __future__ import annotations
 
 from typing import Optional
 
+from .values import show_value, value_key
+
 
 class AsmError(Exception):
     """Base class for all toolkit errors."""
@@ -94,7 +96,9 @@ class InconsistentUpdateSet(AsmError):
     """
 
     def __init__(self, clashes: list) -> None:
-        super().__init__(f"inconsistent update set: {clashes}")
+        super().__init__("inconsistent update set: " + "; ".join(
+            f"{loc.show()} <- {{{', '.join(map(show_value, sorted(vals, key=value_key)))}}}"
+            for loc, vals in clashes))
         self.clashes = clashes
 
 

@@ -92,6 +92,8 @@ from .parser import (
     RuleExpr,
     Term,
     Var,
+    _subterms,
+    abstract_reads,
     parse_term,
     pp_term,
 )
@@ -306,16 +308,6 @@ class Resolver:
 
 # ---------------------------------------------------------------------------
 # Capture-avoiding substitution for rule calls
-
-
-def _subterms(t: Term):
-    """`t` and every term inside it."""
-    pending = [t]
-    while pending:
-        u = pending.pop()
-        yield u
-        if isinstance(u, App):
-            pending.extend(reversed(u.args))
 
 
 def free_vars(t: Term) -> set:
@@ -937,7 +929,7 @@ def read_override(text: str, machine: MachineDef) -> Tuple[App, Term]:
     if decl is not None and decl.kind == FunctionKind.ABSTRACT:
         # the resolver draws it at every read, so a start value would be ignored
         raise ManifestError(f"init cannot set abstract function {lhs.fname!r}")
-    return lhs, parse_term(rhs_text.strip(), machine.sig)
+    return lhs, read_resolver_free(rhs_text.strip(), machine.sig, f"init {text.strip()!r}")
 
 
 def read_location(text: str, sig: Signature) -> Location:
@@ -954,11 +946,9 @@ def read_resolver_free(text: str, sig: Signature, where: str) -> Term:
     assertion or an observation; refuse one that reads an abstract
     function, naming `where` (say, a manifest line)."""
     t = parse_term(text, sig)
-    for u in _subterms(t):
-        decl = sig.get(u.fname) if isinstance(u, App) else None
-        if decl is not None and decl.kind == FunctionKind.ABSTRACT:
-            raise ManifestError(
-                f"{where} reads abstract function {u.fname!r}, which needs a resolver")
+    for u in abstract_reads(t, sig):
+        raise ManifestError(
+            f"{where} reads abstract function {u.fname!r}, which needs a resolver")
     return t
 
 

@@ -3,10 +3,11 @@
 `agent_successors` is the one state expansion: one agent's step outcomes
 from a state, sorted into successors, inconsistent branches and stalls.
 `explore` walks it breadth-first, deduplicating states by their exact
-content (`State.key`, no hash), and reports the shortest trace to a state
-violating a safety assertion: each frontier state carries its path as
-parent links (`interp.Links`), which `interp.trace_of` turns into that
-trace. `refine.enumerate_runs` walks it depth-first.
+content (`State.key`: their (location, value) items, hash-consed objects
+compared by identity, so no digest collision can merge two states), and
+reports the shortest trace to a state violating a safety assertion: each
+frontier state carries its path as parent links (`interp.Links`), which
+`interp.trace_of` turns into that trace. `refine.enumerate_runs` walks it depth-first.
 A machine without agent lines is explored as the anonymous agent "",
 exactly as `run` steps it, so its counterexamples replay with `run`.
 A successor is the `Progressed` outcome itself, carrying its `updates`

@@ -64,6 +64,25 @@ class App(Term):
     pos: Optional[Pos] = field(default=None, compare=False)
 
 
+def _subterms(t: Term):
+    """`t` and every term inside it."""
+    pending = [t]
+    while pending:
+        u = pending.pop()
+        yield u
+        if isinstance(u, App):
+            pending.extend(reversed(u.args))
+
+
+def abstract_reads(t: Term, sig: Signature) -> Iterator[App]:
+    """The applications of abstract functions in `t`: only a resolver can
+    evaluate them."""
+    for u in _subterms(t):
+        decl = sig.get(u.fname) if isinstance(u, App) else None
+        if decl is not None and decl.kind == FunctionKind.ABSTRACT:
+            yield u
+
+
 @dataclass(frozen=True)
 class RuleExpr:
     pass
@@ -448,6 +467,9 @@ class _Parser:
             problem = f"init target {lhs.fname!r} has arity {decl.arity}"
         else:
             init.append((lhs, rhs))
+            for u in abstract_reads(rhs, self.sig):  # init has no resolver
+                self.err(u.pos, f"init term reads abstract function {u.fname!r}, "
+                                "which needs a resolver")
             return
         del self.diags[mark:]  # the terms of a rejected entry are not checked
         self.err(lhs.pos, problem)

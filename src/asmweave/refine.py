@@ -35,7 +35,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .errors import BranchBudgetExceeded, ManifestError, SourceEncodingError
+from .errors import (BranchBudgetExceeded, ManifestError, ParseError, ResolveError,
+                     SourceEncodingError)
 from .interp import (Links, Trace, agents_of, eval_term, initial_state, read_override,
                      read_resolver_free, trace_of)
 from .multiagent import OutcomeMemo, agent_successors
@@ -347,9 +348,12 @@ def parse_manifest(text: str, base_dir: Path) -> List[RefinementStep]:
         observations = []
         for lineno, label, abs_text, ref_text in current["observe"]:
             where = f"line {lineno}: observation {label!r}"
-            observations.append((label,
-                                 read_resolver_free(abs_text, abstract.sig, where),
-                                 read_resolver_free(ref_text, refined.sig, where)))
+            try:
+                observations.append((label,
+                                     read_resolver_free(abs_text, abstract.sig, where),
+                                     read_resolver_free(ref_text, refined.sig, where)))
+            except (ParseError, ResolveError) as e:
+                raise ManifestError(f"{where}: {e}") from None
         a_init = tuple(read_override(t, abstract) for t in current["init"]["abstract"])
         r_init = tuple(read_override(t, refined) for t in current["init"]["refined"])
         steps.append(RefinementStep(

@@ -40,6 +40,7 @@ from .interp import (
     ma_run,
     read_location,
     read_override,
+    read_resolver_free,
 )
 from .parser import (
     App,
@@ -274,8 +275,11 @@ def run_scenario(source: Union[Scenario, str, Path], base_dir: Optional[Path] = 
 
 def _evaluate(cond: str, kind: str, index: Optional[int], trace: Trace,
               machine: MachineDef) -> AssertionResult:
+    where = f"assertion {cond!r} at step {index}" if kind == "step" else f"final {cond!r}"
     try:
-        term = parse_term(cond, machine.sig)
+        term = read_resolver_free(cond, machine.sig, where)
+    except ManifestError:
+        raise  # a condition no run can decide refuses the scenario
     except AsmError as e:
         return AssertionResult(kind, index, cond, False, f"parse error: {e}")
     if kind == "step":

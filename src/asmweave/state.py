@@ -14,7 +14,7 @@ from enum import Enum
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .errors import ArityMismatch, InconsistentUpdateSet, KindViolation, UnknownFunction
-from .values import UNDEF, SetV, Value, encode_value, show_value, value_key
+from .values import UNDEF, Interned, SetV, Value, encode_value, show_value, value_key
 
 
 class FunctionKind(Enum):
@@ -43,27 +43,20 @@ class Signature:
     def get(self, name: str) -> Optional[FuncDecl]:
         return self._by_name.get(name)
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._by_name
-
     def of_kind(self, kind: FunctionKind) -> List[FuncDecl]:
         return [d for d in self.entries if d.kind == kind]
 
 
-@dataclass(frozen=True, init=False)
-class Location:
-    fname: str
-    args: Tuple[Value, ...] = ()
+class Location(Interned):
+    """A function name and argument tuple, hash-consed: equal means identical."""
 
-    def __init__(self, fname: str, args: Tuple[Value, ...] = ()) -> None:
-        # written past the frozen __setattr__; the dataclass's own hash is
-        # computed once, since every state read and update-set insertion
-        # hashes a location
-        fields = self.__dict__
-        fields["fname"], fields["args"], fields["_hash"] = fname, args, hash((fname, args))
+    __slots__ = _fields = ("fname", "args")
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __new__(cls, fname: str, args: Tuple[Value, ...] = ()) -> "Location":
+        try:
+            return cls._table[fname, args]
+        except KeyError:
+            return Interned.__new__(cls, fname, args)
 
     def key(self) -> tuple:
         return (self.fname, tuple(value_key(a) for a in self.args))
@@ -74,10 +67,10 @@ class Location:
         return f"{self.fname}({', '.join(show_value(a) for a in self.args)})"
 
 
-@dataclass(frozen=True)
-class Update:
-    loc: Location
-    val: Value
+class Update(Interned):
+    """A location and the value written to it, hash-consed."""
+
+    __slots__ = _fields = ("loc", "val")
 
     def key(self) -> tuple:
         return (self.loc.key(), value_key(self.val))
@@ -121,21 +114,13 @@ class State:
 
     __slots__ = ("sig", "content", "statics", "_key")
 
-    def __init__(
-        self,
-        sig: Signature,
-        content: Optional[Dict[Location, Value]] = None,
-        statics: Optional[Dict[Location, Value]] = None,
-    ) -> None:
+    def __init__(self, sig: Signature, content: Optional[Dict[Location, Value]] = None,
+                 statics: Optional[Dict[Location, Value]] = None) -> None:
         self.sig = sig
         # A location holding undef is indistinguishable from an absent one,
         # so normalize away explicit undef entries.
-        self.content: Dict[Location, Value] = {
-            k: v for k, v in (content or {}).items() if v is not UNDEF
-        }
-        self.statics: Dict[Location, Value] = {
-            k: v for k, v in (statics or {}).items() if v is not UNDEF
-        }
+        self.content = {k: v for k, v in (content or {}).items() if v is not UNDEF}
+        self.statics = {k: v for k, v in (statics or {}).items() if v is not UNDEF}
         self._key: Optional[frozenset] = None
 
     def key(self) -> frozenset:
@@ -156,11 +141,8 @@ class State:
         )
 
     def __repr__(self) -> str:
-        pairs = ", ".join(
-            f"{loc.show()}={show_value(v)}"
-            for loc, v in sorted(self.content.items(), key=lambda kv: kv[0].key())
-        )
-        return f"State({pairs})"
+        pairs = sorted(self.content.items(), key=lambda kv: kv[0].key())
+        return "State(" + ", ".join(f"{loc.show()}={show_value(v)}" for loc, v in pairs) + ")"
 
     def with_content(self, extra: Dict[Location, Value]) -> "State":
         merged = dict(self.content)
@@ -199,22 +181,21 @@ def conflicts(us: UpdateSet) -> List[Tuple[Location, set]]:
     seen: Dict[Location, set] = {}
     for u in us.updates:
         seen.setdefault(u.loc, set()).add(u.val)
-    out = [(loc, vals) for loc, vals in seen.items() if len(vals) > 1]
-    out.sort(key=lambda kv: kv[0].key())
-    return out
+    return sorted(((loc, vals) for loc, vals in seen.items() if len(vals) > 1),
+                  key=lambda kv: kv[0].key())
 
 
 def fire(state: State, us: UpdateSet) -> State:
-    """Apply a consistent update set; untouched locations keep their values."""
-    clashes = conflicts(us)
-    if clashes:
-        raise InconsistentUpdateSet(clashes)
-    for u in us.updates:
+    """Apply a consistent update set, one whose updates (equal ones being
+    identical) have distinct locations; untouched locations keep their values."""
+    updates = us.updates
+    if len({u.loc for u in updates}) != len(updates):
+        raise InconsistentUpdateSet(conflicts(us))
+    new_content = dict(state.content)
+    for u in updates:
         decl = _check_loc(state.sig, u.loc)
         if decl.kind != FunctionKind.CONTROLLED:
             raise KindViolation(f"cannot update {u.loc.fname!r}: kind is {decl.kind.value}")
-    new_content = dict(state.content)
-    for u in us.updates:
         if u.val is UNDEF:  # `x := undef` empties the location
             new_content.pop(u.loc, None)
         else:
@@ -222,29 +203,19 @@ def fire(state: State, us: UpdateSet) -> State:
     return state.derive(new_content)
 
 
-def _canonical_pairs(content: Dict[Location, Value]) -> list:
-    items = []
-    for loc, v in content.items():
-        if v is UNDEF:
-            continue  # an explicit undef write is indistinguishable from absence
-        items.append([loc.fname, [encode_value(a) for a in loc.args], encode_value(v)])
-    items.sort(key=json.dumps)
-    return items
+def _digest(content: Dict[Location, Value]) -> str:
+    pairs = sorted(([loc.fname, [encode_value(a) for a in loc.args], encode_value(v)]
+                    for loc, v in content.items()), key=json.dumps)
+    blob = json.dumps(pairs, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
 def state_digest(state: State) -> str:
     """Stable hash of the sorted (location, value) content list."""
-    blob = json.dumps(_canonical_pairs(state.content), separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+    return _digest(state.content)
 
 
 def controlled_digest(state: State) -> str:
     """Digest over controlled content only; monitored input is excluded."""
-    controlled = {
-        loc: v
-        for loc, v in state.content.items()
-        if state.sig.get(loc.fname) is not None
-        and state.sig.get(loc.fname).kind == FunctionKind.CONTROLLED
-    }
-    blob = json.dumps(_canonical_pairs(controlled), separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+    controlled = {d.name for d in state.sig.of_kind(FunctionKind.CONTROLLED)}
+    return _digest({loc: v for loc, v in state.content.items() if loc.fname in controlled})

@@ -1,47 +1,85 @@
 """Universe elements: integers, booleans, strings, symbols, finite sets, undef.
 
-All value classes are frozen and hashable. Equality is strict across kinds
-(`IntV(1) != BoolV(True)`), and `UNDEF` is a singleton equal only to itself.
-`value_key` defines one canonical total order used everywhere an iteration
-order must be reproducible (set enumeration, printing, digests).
+Values are hash-consed (Filliâtre & Conchon, "Type-Safe Modular
+Hash-Consing", ML Workshop 2006): equal values are one immutable object, so
+`==` and `hash` are `object`'s identity, run in C. Kinds stay apart
+(`IntV(1) != BoolV(True)`), and `UNDEF` is a singleton. `value_key` is the
+canonical total order for set enumeration, printing and digests.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Iterable
 
 
-class Value:
-    """Marker base class for universe elements."""
+class Interned:
+    """An immutable object, the only one of its class with its `_fields`:
+    the class's table, a plain dict kept for the life of the process, maps
+    each tuple of fields made so far (for IntV, each int) to its object."""
+
+    __slots__ = ()
+    _fields: tuple = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._table = {}
+
+    def __new__(cls, *fields):
+        try:
+            return cls._table[fields]
+        except KeyError:
+            obj = object.__new__(cls)
+            for name, field in zip(cls._fields, fields):
+                object.__setattr__(obj, name, field)
+            return cls._table.setdefault(fields, obj)  # one C call: one winner per key
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):  # copy and pickle rebuild through the table
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+class Value(Interned):
+    """Base class for universe elements."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class IntV(Value):
-    n: int
+    __slots__ = _fields = ("n",)
+
+    def __new__(cls, n: int) -> "IntV":
+        if n.__class__ is bool:  # True == 1 would share 1's entry
+            raise TypeError(f"IntV takes an int, not {n!r}")
+        try:  # keyed by the int itself, no tuple per entry: a counter makes many
+            return cls._table[n]
+        except KeyError:
+            obj = object.__new__(cls)
+            object.__setattr__(obj, "n", n)
+            return cls._table.setdefault(n, obj)
 
 
-@dataclass(frozen=True)
 class BoolV(Value):
-    b: bool
+    __slots__ = _fields = ("b",)
 
 
-@dataclass(frozen=True)
 class StrV(Value):
-    s: str
+    __slots__ = _fields = ("s",)
 
 
-@dataclass(frozen=True)
 class SymV(Value):
-    """Interned identifier-like constant, written 'name in source."""
+    """Identifier-like constant, written 'name in source."""
 
-    name: str
+    __slots__ = _fields = ("name",)
 
 
-@dataclass(frozen=True)
 class SetV(Value):
-    elems: frozenset
+    __slots__ = ("elems", "_order")
+    _fields = ("elems",)
 
     def __iter__(self):
         """The elements in canonical order, sorted on the first iteration."""
@@ -59,12 +97,6 @@ class _Undef(Value):
     """The distinguished default value; equal only to itself."""
 
     __slots__ = ()
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
 
     def __repr__(self) -> str:
         return "undef"
@@ -82,9 +114,6 @@ def mkbool(b: bool) -> BoolV:
 
 def mkset(elems: Iterable[Value]) -> SetV:
     return SetV(frozenset(elems))
-
-
-_RANK = {_Undef: 0, BoolV: 1, IntV: 2, StrV: 3, SymV: 4, SetV: 5}
 
 
 def value_key(v: Value) -> tuple:

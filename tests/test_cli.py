@@ -292,6 +292,39 @@ def test_a_term_evaluated_without_a_resolver_cannot_read_an_abstract_function(tm
         assert "Traceback" not in r.stderr
 
 
+def test_init_terms_and_scenario_conditions_cannot_read_an_abstract_function(tmp_path,
+                                                                             capsys):
+    machine = tmp_path / "init.asm"
+    machine.write_text("machine M\n  abstract flip\n  controlled heads\n  rule R = skip\n"
+                       "  init { heads := flip }\n  main R\n", encoding="utf-8")
+    scenario = tmp_path / "flip.scn"
+    scenario.write_text(f"scenario flipper\nmachine {MODELS / 'coin.asm'}\nsteps 1\n"
+                        "assert 1: flip\n", encoding="utf-8")
+    manifest = tmp_path / "link.refine"
+    manifest.write_text(f"step s\nabstract {MODELS / 'coin.asm'}\n"
+                        f"refined {MODELS / 'coin.asm'}\nobserve h : heads ~ heads\n"
+                        "init_link refined heads := flip\n", encoding="utf-8")
+    for args, where in ((["run", machine], "5:19: init term"),
+                        (["scenario", scenario], "assertion 'flip' at step 1"),
+                        (["check-refine", manifest], "init 'heads := flip'")):
+        assert cli.main([str(a) for a in args]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {where} reads abstract function 'flip', which needs a resolver\n")
+
+
+@pytest.mark.parametrize("terms, message", [
+    ("nope ~ heads", "1:1: unknown name 'nope'"),
+    ("(heads ~ heads", "1:7: expected ')', found 'EOF'"),
+])
+def test_a_bad_observation_term_names_its_manifest_line(tmp_path, capsys, terms, message):
+    manifest = tmp_path / "observe.refine"
+    manifest.write_text(f"step s\nabstract {MODELS / 'coin.asm'}\n"
+                        f"refined {MODELS / 'coin.asm'}\n\nobserve h : {terms}\n",
+                        encoding="utf-8")
+    assert cli.main(["check-refine", str(manifest)]) == 2
+    assert capsys.readouterr().err == f"error: line 5: observation 'h': {message}\n"
+
+
 def test_skeleton_subcommand():
     r = asmweave("skeleton", MODELS / "accumulator.asm")
     assert r.returncode == 0

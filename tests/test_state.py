@@ -73,6 +73,23 @@ def test_fire_detects_clash():
     assert e.value.clashes == [(A, {IntV(1), IntV(2)})]
 
 
+def test_equal_locations_and_updates_are_identical():
+    f1 = Location("f", (IntV(1),))
+    assert Location("a") is Location("a", ()) is A
+    assert Location("f", (IntV(1),)) is f1 is not Location("f", (IntV(2),))
+    assert Update(Location("a"), IntV(1)) is Update(A, IntV(1))
+    # so an update set holds each equal update once, and fire finds a clash
+    # by counting locations
+    assert len(us((A, IntV(1)), (Location("a", ()), IntV(1)))) == 1
+    s = fire(State(SIG), us((A, IntV(1)), (Location("a", ()), IntV(1)), (f1, SymV("x"))))
+    assert s.content == {A: IntV(1), f1: SymV("x")}
+    with pytest.raises(InconsistentUpdateSet) as e:
+        fire(State(SIG), us((f1, IntV(1)), (A, IntV(1)), (Location("f", (IntV(1),)), UNDEF)))
+    assert e.value.clashes == [(f1, {IntV(1), UNDEF})]
+    # the message is canonical, whatever order the values sit in their set
+    assert str(e.value) == "inconsistent update set: f(1) <- {undef, 1}"
+
+
 def test_fire_rejects_non_controlled_target():
     s = State(SIG)
     with pytest.raises(KindViolation):
