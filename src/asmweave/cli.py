@@ -31,7 +31,7 @@ from .parser import parse_machine, pp_rule_expr, pretty_print, read_source
 from .refine import BudgetExhausted, Fail, Pass, check_chain
 from .scenario import run_scenario, run_suite, skeleton
 from .state import FunctionKind, Location
-from .values import BoolV, IntV, UNDEF, show_value
+from .values import BoolV, IntV, UNDEF, show_value, value_key
 
 EXIT_OK = 0
 EXIT_SEMANTIC = 1
@@ -104,7 +104,7 @@ def cmd_run(args) -> int:
     if trace.outcome == "inconsistent":
         print("run ended inconsistent:", file=sys.stderr)
         for loc, vals in trace.clashes:
-            vals_text = ", ".join(sorted(show_value(v) for v in vals))
+            vals_text = ", ".join(show_value(v) for v in sorted(vals, key=value_key))
             print(f"  {loc.show()} <- {{{vals_text}}}", file=sys.stderr)
         return EXIT_SEMANTIC
     return EXIT_OK

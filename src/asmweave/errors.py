@@ -13,12 +13,10 @@ class AsmError(Exception):
 class ParseError(AsmError):
     """Raised when source text cannot be tokenized or parsed."""
 
-    def __init__(self, message: str, line: int, col: int, expected: Optional[str] = None) -> None:
+    def __init__(self, message: str, line: int, col: int) -> None:
         super().__init__(f"{line}:{col}: {message}")
-        self.message = message
         self.line = line
         self.col = col
-        self.expected = expected
 
 
 class SourceEncodingError(AsmError):
@@ -45,7 +43,6 @@ class EvalError(AsmError):
 
     def __init__(self, message: str, pos: Optional[tuple[int, int]] = None) -> None:
         super().__init__(message if pos is None else f"{pos[0]}:{pos[1]}: {message}")
-        self.message = message
         self.pos = pos
 
 
@@ -105,14 +102,11 @@ class InconsistentUpdateSet(AsmError):
 class BranchBudgetExceeded(AsmError):
     def __init__(self, bound: int) -> None:
         super().__init__(f"branch budget of {bound} exceeded")
-        self.bound = bound
 
 
 class SpaceTooLarge(AsmError):
     def __init__(self, size: int, budget: int) -> None:
         super().__init__(f"state space of {size} exceeds budget {budget}")
-        self.size = size
-        self.budget = budget
 
 
 class NotPGA(AsmError):

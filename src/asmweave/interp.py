@@ -21,17 +21,17 @@ not once per evaluation. `eval_term`, `update_set` and `_probe` run the
 closures; the tree walk they replaced is the test oracle.
 
 Every step is a step of an agent set over one shared state, taken by
-`ma_step` under one of three schedulers: synchronous (all agents step
-against the same pre-state and their update sets are unioned),
-interleaving (one schedulable agent per step, picked through the
-resolver) and a scripted order. Each agent loops its own rule with the
-implicit `self` input bound to its id. A machine without agent lines is
-the anonymous agent "": it has no `self`, its draw keys are unscoped and
-its steps name no schedule; with nobody to pick among, interleaving steps
-it as synchronous does. `step` and `run` are `ma_step` and `ma_run`
-for that agent, so `run`, `explore` and refinement agree on what a plain
-machine does, and a counterexample `explore` exports for it replays with
-`run`.
+`ma_step`. A scheduler only picks who steps and whether the step may
+stutter: synchronous picks every agent, interleaving one schedulable
+agent through the resolver, a scripted order the agent it names; `ma_step`
+evaluates their rules against the same pre-state, unions the update sets
+and calls `_outcome` once. Each agent loops its own rule with the implicit
+`self` input bound to its id. A machine without agent lines is the
+anonymous agent "": it has no `self`, its draw keys are unscoped and its
+steps name no schedule; with nobody to pick among, interleaving steps it
+as synchronous does. `step` and `run` are `ma_step` and `ma_run` for that
+agent, so `run`, `explore` and refinement agree on what a plain machine
+does, and a counterexample `explore` exports for it replays with `run`.
 
 Nondeterminism is funneled through `Resolver`: seeded draws are a pure
 function of (seed, step, resolution key), and scripted draws replay
@@ -739,30 +739,6 @@ def agents_of(machine: MachineDef) -> Tuple[Tuple[str, str], ...]:
     return machine.agents or (("", machine.main),)
 
 
-@dataclass(frozen=True)
-class Synchronous:
-    pass
-
-
-@dataclass(frozen=True)
-class Interleaving:
-    pass
-
-
-@dataclass(frozen=True)
-class ScriptedOrder:
-    order: Tuple[str, ...]
-
-
-def _agent_update_set(machine, state, aid, rule, resolver) -> UpdateSet:
-    resolver.set_agent(aid)
-    try:
-        return update_set(rule_body(machine, rule), _agent_view(state, aid), None,
-                          resolver, machine)
-    finally:
-        resolver.set_agent("")
-
-
 # resolutions the interleaving scheduler tries per agent before it assumes
 # the agent can move
 PROGRESS_BUDGET = 4096
@@ -778,6 +754,45 @@ def _can_progress(machine, state, aid, rule) -> bool:
         return True
 
 
+# A scheduler only picks who steps: `pick(machine, state, agents, resolver,
+# moved)` is (the agents that step, whether the step may stutter), where
+# `moved` says whether the step's monitored input changed the state.
+@dataclass(frozen=True)
+class Synchronous:
+    def pick(self, machine, state, agents, resolver, moved):
+        return agents, moved
+
+
+@dataclass(frozen=True)
+class Interleaving:
+    def pick(self, machine, state, agents, resolver, moved):
+        if len(agents) == 1 and agents[0][0] == "":
+            return agents, moved  # the lone anonymous agent: no probe, no draw
+        schedulable = {aid: rule for aid, rule in agents
+                       if _can_progress(machine, state, aid, rule)}
+        if not schedulable:
+            return (), moved  # monitored input alone still moves the state
+        aid = resolver.schedule(list(schedulable))
+        # the picked agent's own draws may still give no updates; it stutters
+        return ((aid, schedulable[aid]),), True
+
+
+@dataclass(frozen=True)
+class ScriptedOrder:
+    order: Tuple[str, ...]
+
+    def pick(self, machine, state, agents, resolver, moved):
+        # the agent named for step `resolver.step_index` steps and may
+        # stutter; past the order's end nobody steps, so the step stalls
+        if resolver.step_index >= len(self.order):
+            return (), False
+        aid = self.order[resolver.step_index]
+        rules = dict(agents)
+        if aid not in rules:
+            raise EvalError(f"scheduled agent {aid!r} does not exist")
+        return ((aid, rules[aid]),), True
+
+
 def ma_step(
     machine: MachineDef,
     state: State,
@@ -785,50 +800,25 @@ def ma_step(
     resolver: Resolver,
     agents: Optional[Tuple[Tuple[str, str], ...]] = None,
 ) -> StepResult:
-    """One loop iteration: inject monitored input, evaluate the scheduled
-    agents' rules against the same state, and decide the outcome. A
-    scripted order names the agent of step `resolver.step_index`."""
+    """One loop iteration: inject monitored input, let the scheduler pick
+    who steps, evaluate their rules against the same state, and decide the
+    outcome."""
     if agents is None:
         agents = agents_of(machine)
     injections = resolver.begin_step(state)
     eval_state = state.with_content(injections) if injections else state
-    moved = eval_state.content != state.content
-
-    # the lone anonymous agent needs no pick, so interleaving steps it
-    # exactly as the synchronous scheduler does: no probe, no schedule draw
-    lone = len(agents) == 1 and agents[0][0] == ""
-    if isinstance(scheduler, Synchronous) or (lone and isinstance(scheduler, Interleaving)):
-        union = UpdateSet.empty()
-        for aid, rule in agents:
-            union = union.union(_agent_update_set(machine, eval_state, aid, rule, resolver))
-        return _outcome(eval_state, union, resolver.end_step(),
-                        tuple(aid for aid, _ in agents), moved)
-
-    if isinstance(scheduler, ScriptedOrder):
-        if resolver.step_index >= len(scheduler.order):
-            return _outcome(eval_state, UpdateSet.empty(), resolver.end_step())
-        aid = scheduler.order[resolver.step_index]
-        by_id = dict(agents)
-        if aid not in by_id:
-            raise EvalError(f"scheduled agent {aid!r} does not exist")
-        us = _agent_update_set(machine, eval_state, aid, by_id[aid], resolver)
-        # an explicitly scripted agent may stutter with no updates
-        return _outcome(eval_state, us, resolver.end_step(), (aid,), stutter=True)
-
-    if isinstance(scheduler, Interleaving):
-        schedulable = [
-            (aid, rule) for aid, rule in agents
-            if _can_progress(machine, eval_state, aid, rule)
-        ]
-        if not schedulable:
-            # monitored input alone still moves the state
-            return _outcome(eval_state, UpdateSet.empty(), resolver.end_step(), (), moved)
-        aid = resolver.schedule([a for a, _ in schedulable])
-        us = _agent_update_set(machine, eval_state, aid, dict(schedulable)[aid], resolver)
-        # the picked agent's own draws may still give no updates; it stutters
-        return _outcome(eval_state, us, resolver.end_step(), (aid,), stutter=True)
-
-    raise TypeError(f"unknown scheduler: {scheduler!r}")
+    picked, stutter = scheduler.pick(machine, eval_state, agents, resolver,
+                                     eval_state.content != state.content)
+    us = UpdateSet.empty()
+    for aid, rule in picked:
+        resolver.set_agent(aid)
+        try:
+            us = us.union(update_set(rule_body(machine, rule), _agent_view(eval_state, aid),
+                                     None, resolver, machine))
+        finally:
+            resolver.set_agent("")
+    return _outcome(eval_state, us, resolver.end_step(),
+                    tuple(aid for aid, _ in picked), stutter)
 
 
 def step(state: State, machine: MachineDef, rule: str, resolver: Resolver) -> StepResult:

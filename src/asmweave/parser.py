@@ -333,8 +333,7 @@ class _Parser:
     def expect(self, ttype: str) -> Token:
         t = self.peek()
         if t.type != ttype:
-            raise ParseError(f"expected {ttype!r}, found {t.type!r}", t.line, t.col,
-                             expected=ttype)
+            raise ParseError(f"expected {ttype!r}, found {t.type!r}", t.line, t.col)
         return self.next()
 
     def _enter(self) -> None:
@@ -364,8 +363,7 @@ class _Parser:
         self.sig = Signature(tuple(funcs))
         if not self.at("rule"):
             t = self.peek()
-            raise ParseError("expected at least one rule declaration", t.line, t.col,
-                             expected="rule")
+            raise ParseError("expected at least one rule declaration", t.line, t.col)
         decls: Dict[str, RuleDecl] = {}
         while self.at("rule"):
             rd = self.ruledecl()
@@ -497,7 +495,7 @@ class _Parser:
                 while not self.at("endpar"):
                     if self.at("EOF"):
                         raise ParseError("expected 'endpar'", self.peek().line,
-                                         self.peek().col, expected="endpar")
+                                         self.peek().col)
                     children.append(self.op())
                 self.expect("endpar")
                 return Par(tuple(children), pos)
@@ -553,8 +551,7 @@ class _Parser:
                     self.calls.append((head.fname, len(head.args), pos))
                     return Call(head.fname, head.args, pos)
                 nxt = self.peek()
-                raise ParseError("expected ':=' or call arguments", nxt.line, nxt.col,
-                                 expected=":=")
+                raise ParseError("expected ':=' or call arguments", nxt.line, nxt.col)
             raise ParseError(f"expected an operation, found {t.type!r}", t.line, t.col)
         finally:
             self._exit()

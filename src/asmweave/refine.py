@@ -23,7 +23,9 @@ and the check marks on each node the abstract runs that end there; only
 nodes some abstract run passes through count as prefixes. The refined walk
 steps through the same trie, so each refined run is matched by reading its
 node. No run becomes a `Trace` except a FAIL counterexample, rebuilt from
-its parent links by `interp.trace_of`, as `explore` rebuilds a violation.
+its parent links by `interp.trace_of`, as `explore` rebuilds a violation;
+its observed sequence is read off its node, as the nearest abstract ones
+are. `observe` projects a `Trace` directly: the reference for the trie.
 
 Verdicts are three-valued. When the abstract side was truncated in a way
 that could still hide a match, the result is BudgetExhausted rather than
@@ -225,7 +227,8 @@ def enumerate_runs(
 
 def observe(trace: Trace, spec: RefinementSpec, side: str) -> ObservationSeq:
     """Project a run onto the side's observation terms, stutter-compressed.
-    A run cut off at a violation counts as cut off by the step bound."""
+    A run cut off at a violation counts as cut off by the step bound. The
+    check reads its sequences off the trie instead; this is the reference."""
     marker = "budget" if trace.outcome == "violation" else trace.outcome
     terms = _terms(spec, side)
     seq: List[Tuple[Value, ...]] = []
@@ -297,13 +300,12 @@ def check_refinement(spec: RefinementSpec) -> RefinementVerdict:
             first_fail = run
 
     if first_fail is not None:
-        marker, path, _ = first_fail
-        trace = trace_of(r_start, path, marker)
-        observed = observe(trace, spec, "refined")
-        abstract_seqs = [ObservationSeq(_tuples(n), marker) for marker, _, n in abs_runs]
+        marker, path, node = first_fail
+        observed = ObservationSeq(_tuples(node), marker)
+        abstract_seqs = [ObservationSeq(_tuples(n), m) for m, _, n in abs_runs]
         nearest = sorted(abstract_seqs,
                          key=lambda a: -_common_prefix_len(a.tuples, observed.tuples))[:3]
-        return Fail(stats, trace, observed, nearest)
+        return Fail(stats, trace_of(r_start, path, marker), observed, nearest)
     if undecided or ref_trunc:
         return BudgetExhausted(stats)
     return Pass(stats)
@@ -348,14 +350,13 @@ def parse_manifest(text: str, base_dir: Path) -> List[RefinementStep]:
         observations = []
         for lineno, label, abs_text, ref_text in current["observe"]:
             where = f"line {lineno}: observation {label!r}"
-            try:
-                observations.append((label,
-                                     read_resolver_free(abs_text, abstract.sig, where),
-                                     read_resolver_free(ref_text, refined.sig, where)))
-            except (ParseError, ResolveError) as e:
-                raise ManifestError(f"{where}: {e}") from None
-        a_init = tuple(read_override(t, abstract) for t in current["init"]["abstract"])
-        r_init = tuple(read_override(t, refined) for t in current["init"]["refined"])
+            observations.append((
+                label, _located(where, read_resolver_free, abs_text, abstract.sig, where),
+                _located(where, read_resolver_free, ref_text, refined.sig, where)))
+        a_init, r_init = (
+            tuple(_located(f"line {lineno}: init_link {side} {text!r}", read_override,
+                           text, machine) for lineno, text in current["init"][side])
+            for side, machine in (("abstract", abstract), ("refined", refined)))
         steps.append(RefinementStep(
             current["name"],
             RefinementSpec(abstract, refined, tuple(observations),
@@ -395,11 +396,20 @@ def parse_manifest(text: str, base_dir: Path) -> List[RefinementStep]:
             if side not in ("abstract", "refined") or ":=" not in assignment:
                 raise ManifestError(
                     f"line {lineno}: expected 'init_link <side> <loc> := <term>'")
-            current["init"][side].append(assignment)
+            current["init"][side].append((lineno, assignment))
         else:
             raise ManifestError(f"line {lineno}: unknown directive {head!r}")
     finish()
     return steps
+
+
+def _located(where: str, read, *args):
+    """`read(*args)`, with a parse or resolution error reported as a
+    ManifestError that starts with `where` (say, a manifest line)."""
+    try:
+        return read(*args)
+    except (ParseError, ResolveError) as e:
+        raise ManifestError(f"{where}: {e}") from None
 
 
 def _read(path: Path, failure: str) -> str:

@@ -48,12 +48,11 @@ from .parser import (
     Term,
     directive_lines,
     parse_machine,
-    parse_term,
     pp_term,
     read_source,
 )
 from .state import FunctionKind, State
-from .values import BoolV, Value, show_value
+from .values import BoolV, show_value
 
 
 @dataclass
@@ -66,7 +65,6 @@ class Scenario:
     step_cmds: Dict[int, List[str]] = field(default_factory=dict)
     assertions: List[Tuple[int, str]] = field(default_factory=list)
     finals: List[str] = field(default_factory=list)
-    source_path: Optional[Path] = None
 
 
 @dataclass
@@ -98,7 +96,7 @@ def _line_int(text: str, lineno: int, what: str) -> int:
         raise ManifestError(f"line {lineno}: bad {what} {text!r}") from None
 
 
-def parse_scenario(text: str, source_path: Optional[Path] = None) -> Scenario:
+def parse_scenario(text: str) -> Scenario:
     name = None
     machine_path = None
     sc = Scenario("", "")
@@ -150,13 +148,7 @@ def parse_scenario(text: str, source_path: Optional[Path] = None) -> Scenario:
         raise ManifestError(f"scenario {name!r} lacks a 'machine <path>' line")
     sc.name = name
     sc.machine_path = machine_path
-    sc.source_path = source_path
     return sc
-
-
-def _literal_value(text: str, machine: MachineDef) -> Value:
-    term = parse_term(text.strip(), machine.sig)
-    return eval_term(term, State(machine.sig))
 
 
 def _compile_steps(sc: Scenario, machine: MachineDef,
@@ -197,7 +189,9 @@ def _compile_steps(sc: Scenario, machine: MachineDef,
             # a draw or an injection reads only the last entry for its label
             if any((e.kind, e.label) == (kind, label) for e in entries[k - 1]):
                 raise ManifestError(f"step {k} sets {shown} twice")
-            entries[k - 1].append(ResEntry(kind, label, "", _literal_value(val_text, machine)))
+            term = read_resolver_free(val_text.strip(), machine.sig, f"step {k}: {cmd!r}")
+            value = eval_term(term, State(machine.sig))
+            entries[k - 1].append(ResEntry(kind, label, "", value))
     return entries, schedule
 
 
@@ -224,18 +218,13 @@ def _witnesses(term: Term, state: State, machine: MachineDef) -> str:
     return ", ".join(found)
 
 
-def run_scenario(source: Union[Scenario, str, Path], base_dir: Optional[Path] = None) -> ScenarioReport:
-    """Execute one scenario and report every assertion outcome."""
-    if isinstance(source, Scenario):
-        sc = source
-    else:
-        path = Path(source)
-        sc = parse_scenario(read_source(path), path)
-    if base_dir is None:
-        base_dir = sc.source_path.parent if sc.source_path else Path(".")
-
+def run_scenario(path: Union[str, Path]) -> ScenarioReport:
+    """Execute the scenario file at `path`, whose machine path is relative
+    to the file's directory, and report every assertion outcome."""
+    path = Path(path)
+    sc = parse_scenario(read_source(path))
     warnings: List[str] = []
-    machine_file = (base_dir / sc.machine_path).resolve()
+    machine_file = (path.parent / sc.machine_path).resolve()
     try:
         machine = parse_machine(read_source(machine_file))
     except (OSError, AsmError) as e:

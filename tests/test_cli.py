@@ -165,6 +165,14 @@ def test_run_inconsistent_exits_1(tmp_path):
     assert "inconsistent" in r.stderr
 
 
+def test_run_lists_a_clash_in_value_order(tmp_path, capsys):
+    clash = tmp_path / "clash.asm"
+    clash.write_text("machine Clash controlled x rule R = par x := 9 x := 10 endpar main R",
+                     encoding="utf-8")
+    assert cli.main(["run", str(clash)]) == 1
+    assert capsys.readouterr().err == "run ended inconsistent:\n  x <- {9, 10}\n"
+
+
 def test_run_exports_trace(tmp_path):
     out = tmp_path / "t.jsonl"
     r = asmweave("run", MODELS / "swap.asm", "--steps", 2, "--trace", out)
@@ -323,6 +331,31 @@ def test_a_bad_observation_term_names_its_manifest_line(tmp_path, capsys, terms,
                         encoding="utf-8")
     assert cli.main(["check-refine", str(manifest)]) == 2
     assert capsys.readouterr().err == f"error: line 5: observation 'h': {message}\n"
+
+
+@pytest.mark.parametrize("link, message", [
+    ("refined heads := (true",
+     "init_link refined 'heads := (true': 1:6: expected ')', found 'EOF'"),
+    ("abstract heads := nope", "init_link abstract 'heads := nope': 1:1: unknown name 'nope'"),
+])
+def test_a_bad_init_link_term_names_its_manifest_line(tmp_path, capsys, link, message):
+    manifest = tmp_path / "link.refine"
+    manifest.write_text(f"step s\nabstract {MODELS / 'coin.asm'}\n"
+                        f"refined {MODELS / 'coin.asm'}\nobserve h : heads ~ heads\n"
+                        f"init_link {link}\n", encoding="utf-8")
+    assert cli.main(["check-refine", str(manifest)]) == 2
+    assert capsys.readouterr().err == f"error: line 5: {message}\n"
+
+
+def test_a_scenario_step_value_cannot_read_an_abstract_function(tmp_path, capsys):
+    scenario = tmp_path / "flip.scn"
+    scenario.write_text(f"scenario flipper\nmachine {MODELS / 'coin.asm'}\n"
+                        "step 1: abstract flip = flip\nfinal: true\n", encoding="utf-8")
+    assert cli.main(["scenario", str(scenario)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "FAIL  scenario flipper\n"
+    assert err == ("  error: step 1: 'abstract flip = flip' reads abstract function 'flip', "
+                   "which needs a resolver\n")
 
 
 def test_skeleton_subcommand():

@@ -295,7 +295,7 @@ def test_every_bundled_scenario_trace_replays_through_its_script():
     replayed = 0
     for path in sorted(GREEN.glob("*.scn")) + sorted(MUTANT.glob("*.scn")):
         trace = run_scenario(path).trace
-        sc = parse_scenario(read_source(path), path)
+        sc = parse_scenario(read_source(path))
         machine = parse_machine(read_source(path.parent / sc.machine_path))
         order = tuple(cmd.split()[1] for k in sorted(sc.step_cmds)
                       for cmd in sc.step_cmds[k] if cmd.startswith("schedule "))

@@ -2,6 +2,7 @@
 digests are derived from the recorded states, and a machine without
 agents is one anonymous agent to run, explore and refinement alike."""
 import hashlib
+import itertools
 import json
 import random
 
@@ -14,11 +15,14 @@ from asmweave.interp import (
     Progressed,
     ResEntry,
     Resolver,
+    ScriptedOrder,
+    Stalled,
     Synchronous,
     agents_of,
     enumerate_steps,
     export_trace_jsonl,
     initial_state,
+    ma_step,
     run,
 )
 from asmweave.multiagent import explore, ma_run
@@ -209,3 +213,78 @@ def test_lone_anonymous_agent_interleaves_without_a_pick(monkeypatch):
         plain = run(m, 3, Resolver.seeded(seed))
         assert (trace.outcome, export_trace_jsonl(trace)) == (
             plain.outcome, export_trace_jsonl(plain))
+
+
+# each agent moves only when the monitored input m is 1
+INPUT_AGENTS = """
+machine Input
+  monitored m
+  controlled x, y
+  rule A = if m = 1 then x := 1
+  rule B = if m = 1 then y := 1
+  main A
+"""
+
+
+def _pinned(outcome) -> tuple:
+    draws = tuple(f"{e.kind} {e.label} = {show_value(e.value)}" for e in outcome.resolutions)
+    if isinstance(outcome, Stalled):
+        return ("stalled", draws)
+    shown = lambda pairs: ", ".join(sorted(f"{loc.show()} = {show_value(v)}"
+                                           for loc, v in pairs))
+    return (type(outcome).__name__.lower(), shown(outcome.next_state.content.items()),
+            shown((u.loc, u.val) for u in outcome.updates), outcome.schedule, draws)
+
+
+def test_scheduler_outcomes_are_pinned():
+    """`ma_step`'s outcome under each scheduler when monitored input alone
+    moves the state, when nothing moves, and past a scripted order's end."""
+    with_agents = parse_machine(INPUT_AGENTS + "agent a1 runs A\nagent a2 runs B\n")
+    anonymous = parse_machine(INPUT_AGENTS)
+    schedulers = {"sync": Synchronous(), "interleave": Interleaving(),
+                  "order": ScriptedOrder(("a1",)), "past": ScriptedOrder(())}
+    inputs = {"m := 5": [ResEntry("monitored", "m", "", IntV(5))], "none": [],
+              "m := 1": [ResEntry("monitored", "m", "", IntV(1))]}
+    got = {}
+    for (mname, m), (sname, sched), (iname, script) in itertools.product(
+            (("agents", with_agents), ("anonymous", anonymous)),
+            schedulers.items(), inputs.items()):
+        if mname == "anonymous" and sname == "order":
+            sched = ScriptedOrder(("",))
+        resolver = Resolver.scripted([script], fallback_seed=0)
+        got[mname, sname, iname] = _pinned(ma_step(m, initial_state(m), sched, resolver))
+    m5, m1 = "monitored m = 5", "monitored m = 1"
+    assert got == {
+        # monitored input alone moves the state: a step that schedules every
+        # agent, an explicit pick, or nobody under interleaving
+        ("agents", "sync", "m := 5"): ("progressed", "m = 5", "", ("a1", "a2"), (m5,)),
+        ("agents", "interleave", "m := 5"): ("progressed", "m = 5", "", (), (m5,)),
+        ("agents", "order", "m := 5"): ("progressed", "m = 5", "", ("a1",), (m5,)),
+        ("agents", "past", "m := 5"): ("stalled", (m5,)),
+        # nobody can move: only an explicitly scheduled agent stutters
+        ("agents", "sync", "none"): ("stalled", ()),
+        ("agents", "interleave", "none"): ("stalled", ()),
+        ("agents", "order", "none"): ("progressed", "", "", ("a1",), ()),
+        ("agents", "past", "none"): ("stalled", ()),
+        ("agents", "sync", "m := 1"): (
+            "progressed", "m = 1, x = 1, y = 1", "x = 1, y = 1", ("a1", "a2"), (m1,)),
+        ("agents", "interleave", "m := 1"): (
+            "progressed", "m = 1, y = 1", "y = 1", ("a2",), (m1, "schedule sched = 'a2")),
+        ("agents", "order", "m := 1"): ("progressed", "m = 1, x = 1", "x = 1", ("a1",), (m1,)),
+        # past the end of its order nobody steps, even an agent that could
+        ("agents", "past", "m := 1"): ("stalled", (m1,)),
+        # the anonymous agent is never named in a schedule
+        ("anonymous", "sync", "m := 5"): ("progressed", "m = 5", "", (), (m5,)),
+        ("anonymous", "interleave", "m := 5"): ("progressed", "m = 5", "", (), (m5,)),
+        ("anonymous", "order", "m := 5"): ("progressed", "m = 5", "", (), (m5,)),
+        ("anonymous", "past", "m := 5"): ("stalled", (m5,)),
+        ("anonymous", "sync", "none"): ("stalled", ()),
+        ("anonymous", "interleave", "none"): ("stalled", ()),
+        ("anonymous", "order", "none"): ("progressed", "", "", (), ()),
+        ("anonymous", "past", "none"): ("stalled", ()),
+        ("anonymous", "sync", "m := 1"): ("progressed", "m = 1, x = 1", "x = 1", (), (m1,)),
+        ("anonymous", "interleave", "m := 1"): (
+            "progressed", "m = 1, x = 1", "x = 1", (), (m1,)),
+        ("anonymous", "order", "m := 1"): ("progressed", "m = 1, x = 1", "x = 1", (), (m1,)),
+        ("anonymous", "past", "m := 1"): ("stalled", (m1,)),
+    }

@@ -84,3 +84,34 @@ def test_the_run_counter_sees_the_refinement_walk(monkeypatch):
     runs = sum(v.stats.abstract_runs + v.stats.refined_runs for _, v in verdicts)
     assert runs == 32
     assert tracer.layer_metrics()["refine.runs"] == runs
+
+
+def test_every_imported_name_is_used(monkeypatch):
+    """Each name a module under `src/asmweave` imports is read in that
+    module, except the names `__init__` exports through `__all__` and the
+    `multiagent` re-exports the bench reads: the names `tracing.TARGETS`
+    wraps there and `workloads.py` reads as `multiagent.<name>`."""
+    monkeypatch.syspath_prepend(str(SRC.parent / "bench"))
+    import asmweave
+    import tracing
+
+    bench = ast.parse((SRC.parent / "bench" / "workloads.py").read_text(encoding="utf-8"))
+    exempt = {
+        "__init__": set(asmweave.__all__),
+        "multiagent": {qualname for module, qualname in tracing.TARGETS.values()
+                       if module == "asmweave.multiagent"}
+        | {path[1] for path in map(_dotted, ast.walk(bench))
+           if path and len(path) == 2 and path[0] == "multiagent"},
+    }
+    unused = []
+    for path in sorted((SRC / "asmweave").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(
+                    node, "module", None) != "__future__":
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in read and name not in exempt.get(path.stem, ()):
+                        unused.append(f"{path.name}:{node.lineno}: {name}")
+    assert unused == []
