@@ -101,9 +101,6 @@ class Par(RuleExpr):
     pos: Optional[Pos] = field(default=None, compare=False)
 
 
-SKIP = Par(())
-
-
 @dataclass(frozen=True)
 class If(RuleExpr):
     guard: Term
@@ -247,16 +244,17 @@ def _tokenize(text: str) -> List[Token]:
     return tokens
 
 
-def directive_lines(text: str) -> Iterator[Tuple[int, str]]:
-    """The numbered non-blank lines of a scenario or manifest, stripped and
-    cut at a `//` comment as the tokenizer finds one, so a `//` inside a
-    string literal stays."""
+def directive_lines(text: str) -> Iterator[Tuple[int, str, str]]:
+    """The non-blank lines of a scenario or manifest as (line number,
+    directive, rest), split at the first run of whitespace, each line cut at
+    a `//` comment as the tokenizer finds one, so a `//` inside a string
+    literal stays."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         cut = next((m.start() for m in _TOKEN.finditer(raw) if m.lastgroup == "comment"),
                    len(raw))
-        line = raw[:cut].strip()
-        if line:
-            yield lineno, line
+        words = raw[:cut].split(None, 1)
+        if words:
+            yield lineno, words[0], words[1].strip() if len(words) > 1 else ""
 
 
 # ---------------------------------------------------------------------------

@@ -12,20 +12,23 @@ matched exactly.
 
 One depth-first walk, `enumerate_runs`, serves both sides and observes as
 it goes. Runs share their states, so the work is done per distinct state,
-told apart by its exact content (`State.key`): the walk expands each once
-through `multiagent.agent_successors`, the expansion `explore` uses, with
-one outcome memo per call, evaluates its observation terms once, and
-charges the branch budget on every visit. Each stack entry carries the
-outcomes that reached it as parent links and its place in a trie of
-collapsed observation sequences, one node per distinct prefix, with
-children keyed by observation tuple. The abstract walk builds the trie,
+told apart by its exact content (`State.key`) in one table that holds its
+observation, `observe(state, terms)`, taken when the walk first reaches
+it, and its expansion through `multiagent.agent_successors` (the expansion
+`explore` uses, with one outcome memo per call), made when it is first
+popped; the branch budget is charged on every visit. Each stack entry
+carries the outcomes that reached it as parent links, its table entry and
+its parent's node in a trie of collapsed observation sequences, one node
+per distinct prefix, with children keyed by observation tuple; the entry's
+own node is found when it is popped. The abstract walk builds the trie,
 and the check marks on each node the abstract runs that end there; only
 nodes some abstract run passes through count as prefixes. The refined walk
 steps through the same trie, so each refined run is matched by reading its
 node. No run becomes a `Trace` except a FAIL counterexample, rebuilt from
 its parent links by `interp.trace_of`, as `explore` rebuilds a violation;
 its observed sequence is read off its node, as the nearest abstract ones
-are. `observe` projects a `Trace` directly: the reference for the trie.
+are. `tests/refine_oracle.py` projects each `Trace` directly and is the
+reference for the trie.
 
 Verdicts are three-valued. When the abstract side was truncated in a way
 that could still hide a match, the result is BudgetExhausted rather than
@@ -141,6 +144,11 @@ def _successors(machine: MachineDef, state: State, budget: int, memo: OutcomeMem
     return progressed, stalled, inconsistent
 
 
+def observe(state: State, terms: Sequence[Term]) -> tuple:
+    """The observation of `state`: the value of each of `terms` in it."""
+    return tuple([eval_term(t, state) for t in terms])
+
+
 def enumerate_runs(
     machine: MachineDef,
     max_steps: int,
@@ -159,42 +167,46 @@ def enumerate_runs(
     list is incomplete.
     """
     init = start if start is not None else initial_state(machine)
-    root = _Node(None, None) if trie is None else trie
     runs: List[RunRecord] = []
     spent = 0
-    # each distinct state is expanded and observed once; a revisit is still
-    # charged. key -> (stalled, inconsistent, [(progressed, its observation)])
-    expanded: Dict[frozenset, tuple] = {}
-    seen: Dict[frozenset, tuple] = {}
+    # State.key() -> [state, observation, expansion]: a distinct state is
+    # observed when the walk first reaches it and expanded when it is first
+    # popped below the bound; a revisit is still charged. An expansion is
+    # (stalled, inconsistent, [(progressed, its successor's entry)]).
+    table: Dict[frozenset, list] = {}
     memo: OutcomeMemo = {}
 
-    def observation(state: State) -> tuple:
+    def entry(state: State) -> list:
         key = state.key()
-        obs = seen.get(key)
-        if obs is None:
-            obs = seen[key] = tuple([eval_term(t, state) for t in terms])
-        return obs
+        found = table.get(key)
+        if found is None:
+            found = table[key] = [state, observe(state, terms), None]
+        return found
 
-    first = observation(init)
-    stack: List[Tuple[State, int, Links, _Node]] = [
-        (init, 0, None, root.children.setdefault(first, _Node(root, first)))]
+    # (depth, parent links, table entry, the parent's trie node)
+    stack: List[Tuple[int, Links, list, _Node]] = [
+        (0, None, entry(init), _Node(None, None) if trie is None else trie)]
     while stack:
-        state, depth, path, node = stack.pop()
+        depth, path, known, parent = stack.pop()
+        obs = known[1]
+        if obs == parent.obs:  # a stutter step stays on its node
+            node = parent
+        else:
+            node = parent.children.get(obs)
+            if node is None:
+                node = parent.children[obs] = _Node(parent, obs)
         if depth >= max_steps:
             runs.append(("budget", path, node))
             continue
-        key = state.key()
-        found = expanded.get(key)
-        if found is None:
+        if known[2] is None:
             try:
                 progressed, stalled, inconsistent = _successors(
-                    machine, state, budget, memo)
+                    machine, known[0], budget, memo)
             except BranchBudgetExceeded:
                 return runs, True
-            found = expanded[key] = (
-                stalled, inconsistent,
-                [(p, observation(p.next_state)) for p in progressed])
-        stalled, inconsistent, successors = found
+            known[2] = (stalled, inconsistent,
+                        [(p, entry(p.next_state)) for p in progressed])
+        stalled, inconsistent, successors = known[2]
         spent += len(successors) + len(inconsistent)
         if spent > budget:
             return runs, True
@@ -203,48 +215,9 @@ def enumerate_runs(
         for res in inconsistent:
             runs.append(("inconsistent", (res, path), node))
         depth += 1
-        # successors at the step bound are runs; they would be popped
-        # next, last pushed first, so they are recorded in that order
-        at_bound = depth >= max_steps
-        last, children = node.obs, node.children
-        for res, obs in reversed(successors) if at_bound else successors:
-            if obs == last:  # a stutter step stays on its node
-                nxt = node
-            else:
-                nxt = children.get(obs)
-                if nxt is None:
-                    nxt = children[obs] = _Node(node, obs)
-            if at_bound:
-                runs.append(("budget", (res, path), nxt))
-            else:
-                stack.append((res.next_state, depth, (res, path), nxt))
+        for res, succ in successors:
+            stack.append((depth, (res, path), succ, node))
     return runs, False
-
-
-# ---------------------------------------------------------------------------
-# Observation
-
-
-def observe(trace: Trace, spec: RefinementSpec, side: str) -> ObservationSeq:
-    """Project a run onto the side's observation terms, stutter-compressed.
-    A run cut off at a violation counts as cut off by the step bound. The
-    check reads its sequences off the trie instead; this is the reference."""
-    marker = "budget" if trace.outcome == "violation" else trace.outcome
-    terms = _terms(spec, side)
-    seq: List[Tuple[Value, ...]] = []
-    for s in trace.states:
-        obs = tuple(eval_term(t, s) for t in terms)
-        if not seq or seq[-1] != obs:
-            seq.append(obs)
-    return ObservationSeq(tuple(seq), marker)
-
-
-def _terms(spec: RefinementSpec, side: str) -> List[Term]:
-    if side == "abstract":
-        return [abs_t for _, abs_t, _ in spec.observations]
-    if side == "refined":
-        return [ref_t for _, _, ref_t in spec.observations]
-    raise ValueError(f"side must be abstract or refined, not {side!r}")
 
 
 def _tuples(node: _Node) -> tuple:
@@ -275,7 +248,7 @@ def check_refinement(spec: RefinementSpec) -> RefinementVerdict:
     r_start = initial_state(spec.refined, spec.refined_init)
     trie = _Node(None, None)
     abs_runs, abs_trunc = enumerate_runs(spec.abstract, a_steps, budget, a_start,
-                                         _terms(spec, "abstract"), trie)
+                                         [a for _, a, _ in spec.observations], trie)
     for marker, _, node in abs_runs:
         if marker not in node.ends:
             node.ends += (marker,)
@@ -283,7 +256,7 @@ def check_refinement(spec: RefinementSpec) -> RefinementVerdict:
             node.live = True
             node = node.parent
     ref_runs, ref_trunc = enumerate_runs(spec.refined, r_steps, budget, r_start,
-                                         _terms(spec, "refined"), trie)
+                                         [r for _, _, r in spec.observations], trie)
     stats = RefineStats(len(abs_runs), len(ref_runs), abs_trunc, ref_trunc)
 
     first_fail: Optional[RunRecord] = None
@@ -345,8 +318,7 @@ def parse_manifest(text: str, base_dir: Path) -> List[RefinementStep]:
                     f"step {current['name']!r} is missing a {required} machine")
         if not current["observe"]:
             raise ManifestError(f"step {current['name']!r} declares no observations")
-        abstract = parse_machine(current["abstract"])
-        refined = parse_machine(current["refined"])
+        abstract, refined = current["abstract"], current["refined"]
         observations = []
         for lineno, label, abs_text, ref_text in current["observe"]:
             where = f"line {lineno}: observation {label!r}"
@@ -362,9 +334,7 @@ def parse_manifest(text: str, base_dir: Path) -> List[RefinementStep]:
             RefinementSpec(abstract, refined, tuple(observations),
                            current["bounds"], a_init, r_init)))
 
-    for lineno, line in directive_lines(text):
-        words = line.split(None, 1)
-        head, rest = words[0], (words[1].strip() if len(words) > 1 else "")
+    for lineno, head, rest in directive_lines(text):
         if head == "step":
             finish()
             current = {"name": rest, "observe": [], "bounds": (3, 3, 10_000),
@@ -373,7 +343,9 @@ def parse_manifest(text: str, base_dir: Path) -> List[RefinementStep]:
         if current is None:
             raise ManifestError(f"line {lineno}: {head!r} before any 'step'")
         if head in ("abstract", "refined"):
-            current[head] = _read((base_dir / rest).resolve(), f"line {lineno}: cannot read")
+            where = f"line {lineno}: {head} {rest}"
+            current[head] = _located(where, parse_machine, _read(
+                (base_dir / rest).resolve(), f"line {lineno}: cannot read"))
         elif head == "observe":
             if ":" not in rest or "~" not in rest:
                 raise ManifestError(

@@ -100,9 +100,7 @@ def parse_scenario(text: str) -> Scenario:
     name = None
     machine_path = None
     sc = Scenario("", "")
-    for lineno, line in directive_lines(text):
-        head, _, rest = line.partition(" ")
-        rest = rest.strip()
+    for lineno, head, rest in directive_lines(text):
         if head == "scenario":
             name = rest
         elif head == "machine":

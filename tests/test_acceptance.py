@@ -9,6 +9,7 @@ import sys
 import time
 
 from conftest import MODELS, cli_env, load_model
+from refine_oracle import observe
 from rulegen import (
     pga_test_machine,
     pga_test_space,
@@ -37,7 +38,7 @@ from asmweave.parser import (
     parse_term,
     pretty_print,
 )
-from asmweave.refine import Fail, Pass, RefinementSpec, check_refinement, observe
+from asmweave.refine import Fail, Pass, RefinementSpec, check_refinement
 from asmweave.state import (
     FuncDecl,
     FunctionKind,

@@ -1,8 +1,11 @@
+import re
+
 import pytest
 
 import refine_oracle
 from conftest import MODELS, load_model
-from asmweave import cli
+from refine_oracle import observe
+from asmweave import cli, refine
 from asmweave.errors import ManifestError
 from asmweave.interp import Resolver, eval_term, initial_state, run, trace_of
 from asmweave.refine import (
@@ -13,7 +16,6 @@ from asmweave.refine import (
     check_chain,
     check_refinement,
     enumerate_runs,
-    observe,
     parse_manifest,
 )
 from asmweave.parser import parse_machine, parse_term, pp_term
@@ -192,6 +194,19 @@ def test_manifest_non_utf8_machine_names_its_line(tmp_path):
         parse_manifest("step s\nabstract bad.asm\n", tmp_path)
 
 
+def test_manifest_machine_error_names_its_line(tmp_path, capsys):
+    (tmp_path / "bad.asm").write_text(
+        "machine Bad\n  controlled x\n  rule R = x := (1\n  main R\n", encoding="utf-8")
+    manifest = tmp_path / "bad.refine"
+    manifest.write_text(f"step s\nabstract {MODELS / 'swap.asm'}\nrefined bad.asm\n"
+                        "observe a : x ~ x\n", encoding="utf-8")
+    message = "line 3: refined bad.asm: 4:3: expected ')', found 'main'"
+    with pytest.raises(ManifestError, match=re.escape(message)):
+        parse_manifest(manifest.read_text(encoding="utf-8"), tmp_path)
+    assert cli.main(["check-refine", str(manifest)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_init_link_aligns_initial_states():
     base = MODELS / "chains"
     misaligned = """
@@ -269,3 +284,29 @@ def test_only_recorded_abstract_runs_make_prefixes(budget, verdict, abstract_run
     assert type(got) is verdict
     assert got.stats.abstract_runs == abstract_runs
     assert got == refine_oracle.check_refinement(spec)
+
+
+def test_the_walk_observes_each_distinct_state_once_per_side(monkeypatch):
+    calls, observe_state = [], refine.observe
+
+    def counting(state, terms):
+        calls.append(state.key())
+        return observe_state(state, terms)
+
+    monkeypatch.setattr(refine, "observe", counting)
+    for step in parse_manifest((MODELS / "chains" / "chain_ok.refine").read_text(
+            encoding="utf-8"), MODELS / "chains"):
+        spec = step.spec
+        a_steps, r_steps, budget = spec.bounds
+        sides = []
+        for machine, init, steps in ((spec.abstract, spec.abstract_init, a_steps),
+                                     (spec.refined, spec.refined_init, r_steps)):
+            runs, _ = refine_oracle.enumerate_runs(
+                machine, steps, budget, initial_state(machine, init))
+            sides.append({s.key() for run in runs for s in run.states})
+        calls.clear()
+        assert isinstance(check_refinement(spec), Pass)
+        # the abstract walk runs first
+        abstract = len(sides[0])
+        assert len(calls) == abstract + len(sides[1]), step.name
+        assert (set(calls[:abstract]), set(calls[abstract:])) == tuple(sides), step.name

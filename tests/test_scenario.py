@@ -133,6 +133,11 @@ def test_final_takes_a_colon_after_a_space():
     assert sc.finals == ["a = 1", "b = 2"]
 
 
+def test_a_directive_ends_at_any_whitespace():
+    sc = parse_scenario("scenario x\nmachine m.asm\nseed\t1\nsteps \t 2\n")
+    assert (sc.seed, sc.max_steps) == (1, 2)
+
+
 @pytest.mark.parametrize("line", ["seed abc", "steps x", "steps -1", "assert -1: a = 1"])
 def test_bad_scenario_integer_names_its_line(line):
     with pytest.raises(ManifestError, match="line 3"):

@@ -115,3 +115,44 @@ def test_every_imported_name_is_used(monkeypatch):
                     if name not in read and name not in exempt.get(path.stem, ()):
                         unused.append(f"{path.name}:{node.lineno}: {name}")
     assert unused == []
+
+
+def test_every_top_level_name_is_read(monkeypatch):
+    """Each function, class and constant a module under `src/asmweave`
+    defines at its top level is read somewhere in `src/asmweave`, except
+    dunders, the names `__init__` exports, the names the README's Library
+    block imports, the names `tracing.TARGETS` wraps, and
+    `background.apply_background`, which the interpreter oracle calls."""
+    monkeypatch.syspath_prepend(str(SRC.parent / "bench"))
+    import asmweave
+    import tracing
+
+    readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    library = readme.split("## Library", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+    exempt = set(asmweave.__all__) | {"apply_background"}
+    exempt |= {alias.name for node in ast.walk(ast.parse(library))
+               if isinstance(node, ast.ImportFrom) for alias in node.names}
+    exempt |= {qualname.split(".")[0] for _, qualname in tracing.TARGETS.values()}
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted((SRC / "asmweave").glob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    unread = []
+    for path, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            unread += [f"{path.name}:{node.lineno}: {name}" for name in names
+                       if name not in read and name not in exempt
+                       and not (name.startswith("__") and name.endswith("__"))]
+    assert unread == []
