@@ -30,10 +30,6 @@ def is_background(name: str) -> bool:
     return name in _REGISTRY
 
 
-def background_arity(name: str) -> Optional[int]:
-    return _REGISTRY[name][0]
-
-
 def background_op(name: str) -> Tuple[Optional[int], Callable[..., Value]]:
     """The (arity, implementation) registered under `name`."""
     return _REGISTRY[name]

@@ -913,10 +913,11 @@ def read_override(text: str, machine: MachineDef) -> Tuple[App, Term]:
     """Read `<location> := <term>` into an override for `initial_state`."""
     lhs_text, rhs_text = text.split(":=", 1)
     lhs = parse_term(lhs_text.strip(), machine.sig)
-    if not isinstance(lhs, App):
+    # an operator application such as `a + 1` is an App, not a location
+    decl = machine.sig.get(lhs.fname) if isinstance(lhs, App) else None
+    if decl is None:
         raise ManifestError(f"override target {lhs_text.strip()!r} is not a location")
-    decl = machine.sig.get(lhs.fname)
-    if decl is not None and decl.kind == FunctionKind.ABSTRACT:
+    if decl.kind == FunctionKind.ABSTRACT:
         # the resolver draws it at every read, so a start value would be ignored
         raise ManifestError(f"init cannot set abstract function {lhs.fname!r}")
     return lhs, read_resolver_free(rhs_text.strip(), machine.sig, f"init {text.strip()!r}")

@@ -28,8 +28,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
-from .background import background_arity, is_background
-from .errors import ParseError, ResolveError, SourceEncodingError
+from .background import background_op, is_background
+from .errors import EvalError, ManifestError, ParseError, ResolveError, SourceEncodingError
 from .state import FuncDecl, FunctionKind, Signature
 from .values import FALSE, TRUE, UNDEF, IntV, SetV, StrV, SymV, Value, mkset, show_value
 
@@ -255,6 +255,27 @@ def directive_lines(text: str) -> Iterator[Tuple[int, str, str]]:
         words = raw[:cut].split(None, 1)
         if words:
             yield lineno, words[0], words[1].strip() if len(words) > 1 else ""
+
+
+def located(where: str, read, *args):
+    """`read(*args)`, with a parse, resolution or evaluation error reported
+    as a ManifestError that starts with `where` (say, a manifest line or a
+    scenario entry)."""
+    try:
+        return read(*args)
+    except (ParseError, ResolveError, EvalError) as e:
+        raise ManifestError(f"{where}: {e}") from None
+
+
+def read_input(path: Path, failure: str) -> str:
+    """`read_source`, with a failure reported as a ManifestError that
+    starts with `failure` and names the path."""
+    try:
+        return read_source(path)
+    except SourceEncodingError as e:  # its message starts with the path
+        raise ManifestError(f"{failure} {e}") from None
+    except OSError as e:
+        raise ManifestError(f"{failure} {path}: {e}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -618,7 +639,7 @@ class _Parser:
                 if decl.arity != len(args):
                     self.err(pos, f"{fname!r} has arity {decl.arity}, got {len(args)}")
             elif is_background(fname):
-                want = background_arity(fname)
+                want, _ = background_op(fname)
                 if want is not None and want != len(args):
                     self.err(pos, f"{fname!r} expects {want} argument(s), got {len(args)}")
             elif fname in self.scope:

@@ -40,12 +40,12 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .errors import (BranchBudgetExceeded, ManifestError, ParseError, ResolveError,
-                     SourceEncodingError)
+from .errors import BranchBudgetExceeded, ManifestError
 from .interp import (Links, Trace, agents_of, eval_term, initial_state, read_override,
                      read_resolver_free, trace_of)
 from .multiagent import OutcomeMemo, agent_successors
-from .parser import App, MachineDef, Term, directive_lines, parse_machine, read_source
+from .parser import (App, MachineDef, Term, directive_lines, located, parse_machine,
+                     read_input)
 from .state import State
 from .values import Value
 
@@ -323,11 +323,11 @@ def parse_manifest(text: str, base_dir: Path) -> List[RefinementStep]:
         for lineno, label, abs_text, ref_text in current["observe"]:
             where = f"line {lineno}: observation {label!r}"
             observations.append((
-                label, _located(where, read_resolver_free, abs_text, abstract.sig, where),
-                _located(where, read_resolver_free, ref_text, refined.sig, where)))
+                label, located(where, read_resolver_free, abs_text, abstract.sig, where),
+                located(where, read_resolver_free, ref_text, refined.sig, where)))
         a_init, r_init = (
-            tuple(_located(f"line {lineno}: init_link {side} {text!r}", read_override,
-                           text, machine) for lineno, text in current["init"][side])
+            tuple(located(f"line {lineno}: init_link {side} {text!r}", read_override,
+                          text, machine) for lineno, text in current["init"][side])
             for side, machine in (("abstract", abstract), ("refined", refined)))
         steps.append(RefinementStep(
             current["name"],
@@ -344,7 +344,7 @@ def parse_manifest(text: str, base_dir: Path) -> List[RefinementStep]:
             raise ManifestError(f"line {lineno}: {head!r} before any 'step'")
         if head in ("abstract", "refined"):
             where = f"line {lineno}: {head} {rest}"
-            current[head] = _located(where, parse_machine, _read(
+            current[head] = located(where, parse_machine, read_input(
                 (base_dir / rest).resolve(), f"line {lineno}: cannot read"))
         elif head == "observe":
             if ":" not in rest or "~" not in rest:
@@ -364,7 +364,7 @@ def parse_manifest(text: str, base_dir: Path) -> List[RefinementStep]:
                     f"line {lineno}: bounds needs three non-negative integers")
             current["bounds"] = bounds
         elif head == "init_link":
-            side, _, assignment = rest.partition(" ")
+            side, assignment = (rest.split(None, 1) + ["", ""])[:2]
             if side not in ("abstract", "refined") or ":=" not in assignment:
                 raise ManifestError(
                     f"line {lineno}: expected 'init_link <side> <loc> := <term>'")
@@ -375,28 +375,8 @@ def parse_manifest(text: str, base_dir: Path) -> List[RefinementStep]:
     return steps
 
 
-def _located(where: str, read, *args):
-    """`read(*args)`, with a parse or resolution error reported as a
-    ManifestError that starts with `where` (say, a manifest line)."""
-    try:
-        return read(*args)
-    except (ParseError, ResolveError) as e:
-        raise ManifestError(f"{where}: {e}") from None
-
-
-def _read(path: Path, failure: str) -> str:
-    """`read_source`, with a failure reported as a ManifestError that
-    starts with `failure` and names the path."""
-    try:
-        return read_source(path)
-    except SourceEncodingError as e:  # its message starts with the path
-        raise ManifestError(f"{failure} {e}") from None
-    except OSError as e:
-        raise ManifestError(f"{failure} {path}: {e}") from None
-
-
 def check_chain(manifest_path: Union[str, Path]) -> List[Tuple[str, RefinementVerdict]]:
     """Check every step of a refinement chain manifest, in order."""
     path = Path(manifest_path)
-    steps = parse_manifest(_read(path, "cannot read manifest"), path.parent)
+    steps = parse_manifest(read_input(path, "cannot read manifest"), path.parent)
     return [(s.name, check_refinement(s.spec)) for s in steps]

@@ -16,11 +16,17 @@ language internals:
 scheduled agent for the k-th step (1-based), each at most once. A binding
 `loc := value` becomes a `monitored` entry of the step's script, the form
 an exported trace records it in. A machine without agents runs as the
-anonymous agent and takes no `schedule`. `assert k:` conditions are
-evaluated in the state reached after step k (`assert 0:` checks the
-initial state); `final:` conditions are evaluated in the last state. Every
-assertion is evaluated even after failures, and the report carries the
-values that witnessed each failure.
+anonymous agent and takes no `schedule`; once any step names an agent,
+every step up to the run length names one of the machine's agents.
+`assert k:` conditions are evaluated in the state reached after step k
+(`assert 0:` checks the initial state); `final:` conditions are evaluated
+in the last state. Every assertion is evaluated even after failures, and
+the report carries the values that witnessed each failure.
+
+A scenario is read against its machine once, before it runs: an error in
+its input (the machine, an override, a step, a condition) is a
+ManifestError that names its entry, and only an error of the run itself
+fails the report.
 """
 from __future__ import annotations
 
@@ -47,8 +53,10 @@ from .parser import (
     MachineDef,
     Term,
     directive_lines,
+    located,
     parse_machine,
     pp_term,
+    read_input,
     read_source,
 )
 from .state import FunctionKind, State
@@ -149,48 +157,64 @@ def parse_scenario(text: str) -> Scenario:
     return sc
 
 
-def _compile_steps(sc: Scenario, machine: MachineDef,
-                   n_steps: int) -> Tuple[List[List[ResEntry]], Dict[int, str]]:
-    """The script of each step, and the agent scheduled at each 1-based step."""
+def _read_command(cmd: str, machine: MachineDef, where: str) -> ResEntry:
+    """The script entry of one step command other than `schedule`."""
+    kind, _, rest = cmd.partition(" ")
+    if kind in ("choose", "abstract"):
+        label, eq, val_text = rest.partition("=")
+        if not eq:
+            what = "<label>" if kind == "choose" else "<f(args)>"
+            raise ManifestError(f"{where}: expected '{kind} {what} = <value>'")
+        label = label.strip()
+        if kind == "abstract":
+            label = read_location(label, machine.sig).show()
+    elif ":=" in cmd:
+        loc_text, val_text = cmd.split(":=", 1)
+        kind, label = "monitored", read_location(loc_text, machine.sig).show()
+    else:
+        raise ManifestError(f"{where}: cannot parse step command")
+    term = read_resolver_free(val_text.strip(), machine.sig, where)
+    return ResEntry(kind, label, "", eval_term(term, State(machine.sig)))
+
+
+def _read_steps(sc: Scenario, machine: MachineDef,
+                n_steps: int) -> Tuple[List[List[ResEntry]], Tuple[str, ...]]:
+    """The script of each step, and the agent scheduled at each step: none,
+    or one of the machine's agents at every step up to `n_steps`."""
     entries: List[List[ResEntry]] = [[] for _ in range(n_steps)]
     schedule: Dict[int, str] = {}
     for k, cmds in sc.step_cmds.items():
         if k > n_steps:
             raise ManifestError(f"step {k} is beyond the run length {n_steps}")
         for cmd in cmds:
-            kind, _, rest = cmd.partition(" ")
-            if kind in ("choose", "abstract"):
-                label, eq, val_text = rest.partition("=")
-                if not eq:
-                    what = "<label>" if kind == "choose" else "<f(args)>"
-                    raise ManifestError(f"expected '{kind} {what} = <value>': {cmd!r}")
-                label = label.strip()
-                if kind == "abstract":
-                    label = read_location(label, machine.sig).show()
-                shown = f"{kind} {label}"
-            elif cmd.startswith("schedule "):
-                if not machine.agents:
-                    # a plain machine is the anonymous agent, which no line can name
-                    raise ManifestError(f"step {k}: {cmd!r}: machine {machine.name} "
-                                        "has no agents to schedule")
+            where = f"step {k}: {cmd!r}"
+            if cmd.startswith("schedule "):
                 aid = cmd[len("schedule "):].strip()
+                # a plain machine is the anonymous agent, which no line can name
+                if aid not in dict(machine.agents):
+                    raise ManifestError(
+                        f"{where}: machine {machine.name} has no agent {aid!r}")
                 if k in schedule:
                     raise ManifestError(f"step {k} schedules two agents")
                 schedule[k] = aid
                 continue
-            elif ":=" in cmd:
-                loc_text, val_text = cmd.split(":=", 1)
-                kind = "monitored"
-                label = shown = read_location(loc_text, machine.sig).show()
-            else:
-                raise ManifestError(f"cannot parse step command {cmd!r}")
+            e = located(where, _read_command, cmd, machine, where)
             # a draw or an injection reads only the last entry for its label
-            if any((e.kind, e.label) == (kind, label) for e in entries[k - 1]):
+            if any((d.kind, d.label) == (e.kind, e.label) for d in entries[k - 1]):
+                shown = e.label if e.kind == "monitored" else f"{e.kind} {e.label}"
                 raise ManifestError(f"step {k} sets {shown} twice")
-            term = read_resolver_free(val_text.strip(), machine.sig, f"step {k}: {cmd!r}")
-            value = eval_term(term, State(machine.sig))
-            entries[k - 1].append(ResEntry(kind, label, "", value))
-    return entries, schedule
+            entries[k - 1].append(e)
+    order = tuple(schedule.get(k) for k in range(1, n_steps + 1)) if schedule else ()
+    if None in order:
+        raise ManifestError(f"step {order.index(None) + 1} lacks a schedule entry")
+    return entries, order
+
+
+def _condition(cond: str, index: Optional[int],
+               machine: MachineDef) -> Tuple[Optional[int], str, Term]:
+    """An `assert index:` condition, or a `final:` one when `index` is None."""
+    where = f"final {cond!r}" if index is None else f"assertion {cond!r} at step {index}"
+    return index, cond, located(where, read_resolver_free, cond, machine.sig, where)
 
 
 def _witnesses(term: Term, state: State, machine: MachineDef) -> str:
@@ -217,67 +241,42 @@ def _witnesses(term: Term, state: State, machine: MachineDef) -> str:
 
 
 def run_scenario(path: Union[str, Path]) -> ScenarioReport:
-    """Execute the scenario file at `path`, whose machine path is relative
-    to the file's directory, and report every assertion outcome."""
+    """Read the scenario file at `path` against its machine, whose path is
+    relative to the file's directory, then run it and report every
+    assertion outcome."""
     path = Path(path)
     sc = parse_scenario(read_source(path))
-    warnings: List[str] = []
     machine_file = (path.parent / sc.machine_path).resolve()
-    try:
-        machine = parse_machine(read_source(machine_file))
-    except (OSError, AsmError) as e:
-        return ScenarioReport(sc.name, [], [], error=f"cannot load machine: {e}")
+    machine = located(f"cannot load machine {machine_file}", parse_machine,
+                      read_input(machine_file, "cannot load machine"))
+    overrides = [located(f"init {text!r}", read_override, text, machine)
+                 for text in sc.init_entries]
+    n_steps = sc.max_steps
+    if n_steps is None:
+        n_steps = max([*(k for k, _ in sc.assertions), *sc.step_cmds, 0])
+    entries, order = _read_steps(sc, machine, n_steps)
+    conditions = ([_condition(cond, k, machine) for k, cond in sc.assertions]
+                  + [_condition(cond, None, machine) for cond in sc.finals])
 
     try:
-        indices = [k for k, _ in sc.assertions]
-        n_steps = sc.max_steps
-        if n_steps is None:
-            n_steps = max([*indices, *sc.step_cmds.keys(), 0])
-        entries, schedule = _compile_steps(sc, machine, n_steps)
-        start = initial_state(machine, [read_override(t, machine) for t in sc.init_entries])
-        resolver = Resolver.scripted(entries, fallback_seed=sc.seed)
-        if schedule:
-            order = []
-            for k in range(1, max(schedule) + 1):
-                if k not in schedule:
-                    raise ManifestError(f"step {k} lacks a schedule entry")
-                order.append(schedule[k])
-            scheduler = ScriptedOrder(tuple(order))
-        else:
-            scheduler = Synchronous()
-        trace = ma_run(machine, scheduler, n_steps, resolver, start)
-    except (AsmError, OSError) as e:
-        return ScenarioReport(sc.name, [], warnings, error=str(e))
-
-    if not sc.assertions and not sc.finals:
-        warnings.append("scenario declares no assertions; it passes vacuously")
-
-    results: List[AssertionResult] = []
-    for k, cond in sc.assertions:
-        results.append(_evaluate(cond, "step", k, trace, machine))
-    for cond in sc.finals:
-        results.append(_evaluate(cond, "final", None, trace, machine))
-    return ScenarioReport(sc.name, results, warnings, trace=trace)
-
-
-def _evaluate(cond: str, kind: str, index: Optional[int], trace: Trace,
-              machine: MachineDef) -> AssertionResult:
-    where = f"assertion {cond!r} at step {index}" if kind == "step" else f"final {cond!r}"
-    try:
-        term = read_resolver_free(cond, machine.sig, where)
-    except ManifestError:
-        raise  # a condition no run can decide refuses the scenario
+        trace = ma_run(machine, ScriptedOrder(order) if order else Synchronous(), n_steps,
+                       Resolver.scripted(entries, fallback_seed=sc.seed),
+                       initial_state(machine, overrides))
     except AsmError as e:
-        return AssertionResult(kind, index, cond, False, f"parse error: {e}")
-    if kind == "step":
-        states = trace.states
-        if index >= len(states):
-            return AssertionResult(
-                kind, index, cond, False,
-                f"run ended after {len(states) - 1} step(s) ({trace.outcome})")
-        state = states[index]
-    else:
-        state = trace.final_state
+        return ScenarioReport(sc.name, [], [], error=str(e))
+    warnings = [] if conditions else ["scenario declares no assertions; it passes vacuously"]
+    return ScenarioReport(sc.name, [_evaluate(*c, trace, machine) for c in conditions],
+                          warnings, trace=trace)
+
+
+def _evaluate(index: Optional[int], cond: str, term: Term, trace: Trace,
+              machine: MachineDef) -> AssertionResult:
+    kind = "final" if index is None else "step"
+    states = trace.states
+    if kind == "step" and index >= len(states):
+        return AssertionResult(kind, index, cond, False,
+                               f"run ended after {len(states) - 1} step(s) ({trace.outcome})")
+    state = states[-1 if index is None else index]
     try:
         value = eval_term(term, state)
     except AsmError as e:

@@ -351,11 +351,54 @@ def test_a_scenario_step_value_cannot_read_an_abstract_function(tmp_path, capsys
     scenario = tmp_path / "flip.scn"
     scenario.write_text(f"scenario flipper\nmachine {MODELS / 'coin.asm'}\n"
                         "step 1: abstract flip = flip\nfinal: true\n", encoding="utf-8")
+    assert cli.main(["scenario", str(scenario)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: step 1: 'abstract flip = flip' reads abstract function 'flip', "
+                   "which needs a resolver\n")
+
+
+@pytest.mark.parametrize("machine, lines, message", [
+    (MODELS / "swap.asm", "init a := (1", "init 'a := (1': 1:3: expected ')', found 'EOF'"),
+    (MODELS / "swap.asm", "init a + 1 := 2", "override target 'a + 1' is not a location"),
+    (MODELS / "coin.asm", "init heads := flip",
+     "init 'heads := flip' reads abstract function 'flip', which needs a resolver"),
+    (MODELS / "swap.asm", "assert 1: a = (2",
+     "assertion 'a = (2' at step 1: 1:7: expected ')', found 'EOF'"),
+    (MODELS / "swap.asm", "assert 1: nope = 1",
+     "assertion 'nope = 1' at step 1: 1:1: unknown name 'nope'"),
+    (MODELS / "accumulator.asm", "steps 1\nstep 3: inc := 1",
+     "step 3 is beyond the run length 1"),
+    (MODELS / "ring3.asm", "steps 2\nstep 1: schedule m0\nstep 2: choose Step.choose1 = 'stop",
+     "step 2 lacks a schedule entry"),
+    (MODELS / "ring3.asm", "step 1: schedule m9",
+     "step 1: 'schedule m9': machine TokenRing has no agent 'm9'"),
+    ("missing.asm", "steps 1", "cannot load machine {tmp}/missing.asm: "),
+], ids=["init-syntax", "init-operator-target", "init-abstract-read", "assert-syntax",
+        "assert-unknown-name", "step-past-steps", "unscheduled-step", "unknown-agent",
+        "missing-machine"])
+def test_a_malformed_scenario_exits_2_naming_its_entry(tmp_path, capsys, machine, lines,
+                                                      message):
+    scenario = tmp_path / "bad.scn"
+    scenario.write_text(f"scenario bad\nmachine {machine}\n{lines}\n", encoding="utf-8")
+    assert cli.main(["scenario", str(scenario)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: " + message.format(tmp=tmp_path))
+
+
+def test_a_failing_run_is_still_a_scenario_failure(tmp_path, capsys):
+    (tmp_path / "bad.asm").write_text(
+        "machine B controlled x, c rule R = if c then x := 1 main R", encoding="utf-8")
+    scenario = tmp_path / "err.scn"
+    # guard c is undef: the input reads, the run itself errors
+    scenario.write_text("scenario err\nmachine bad.asm\nsteps 1\nassert 1: x = 1\n",
+                        encoding="utf-8")
     assert cli.main(["scenario", str(scenario)]) == 1
     out, err = capsys.readouterr()
-    assert out == "FAIL  scenario flipper\n"
-    assert err == ("  error: step 1: 'abstract flip = flip' reads abstract function 'flip', "
-                   "which needs a resolver\n")
+    assert out == "FAIL  scenario err\n"
+    assert err == "  error: 1:39: guard c evaluated to undef\n"
 
 
 def test_skeleton_subcommand():

@@ -1,7 +1,8 @@
 """Fuzz the whole command line: edited copies of the bundled machines,
 scenarios and refinement manifests go through `cli.main` with small
 bounds, and every command must end in exit 0, 1 or 2 with no exception
-escaping. The run is derandomized, so it is the same on every machine."""
+escaping; exit 2 prints one `error:` line on stderr and nothing on stdout.
+The run is derandomized, so it is the same on every machine."""
 import re
 import shutil
 
@@ -72,5 +73,9 @@ def test_edited_inputs_never_escape(models, capsys, source, edits, pick):
     target = original.with_name("fuzzed" + original.suffix)
     target.write_text(_edit(original.read_text(encoding="utf-8"), edits), encoding="utf-8")
     commands = _COMMANDS[original.suffix]
-    assert cli.main([*commands[pick % len(commands)], str(target)]) in (0, 1, 2)
-    capsys.readouterr()
+    status = cli.main([*commands[pick % len(commands)], str(target)])
+    out, err = capsys.readouterr()
+    assert status in (0, 1, 2)
+    if status == 2:  # an input error: one line on stderr and nothing on stdout
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")

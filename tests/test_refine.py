@@ -226,6 +226,16 @@ init_link refined counter := 1
     assert isinstance(chk(step2.spec), Pass)
 
 
+@pytest.mark.parametrize("gap", ["\t", " \t ", "   "])
+def test_init_link_side_ends_at_any_whitespace(gap):
+    (step,) = parse_manifest(
+        "step s\nabstract ../round_robin.asm\nrefined ../round_robin.asm\n"
+        f"observe out : out ~ out\ninit_link refined{gap}counter := 1\n", MODELS / "chains")
+    assert [(pp_term(loc), pp_term(t)) for loc, t in step.spec.refined_init] == [
+        ("counter", "1")]
+    assert step.spec.abstract_init == ()
+
+
 def test_init_link_cannot_set_an_abstract_function(tmp_path, capsys):
     manifest = tmp_path / "flip.refine"
     manifest.write_text(f"""

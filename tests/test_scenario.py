@@ -160,8 +160,8 @@ def test_bad_file_in_suite_fails_alone(tmp_path):
         f"scenario good\nmachine {swap}\nsteps 1\nfinal: a = 2\n", encoding="utf-8")
     suite = run_suite(tmp_path)
     assert [(r.name, r.passed) for r in suite.reports] == [
-        ("a_bad.scn", False), ("a_binary.scn", False), ("binary_machine", False),
-        ("plain_schedule", False), ("good", True)]
+        ("a_bad.scn", False), ("a_binary.scn", False), ("a_binary_machine.scn", False),
+        ("a_plain_schedule.scn", False), ("good", True)]
     assert "line 3" in suite.reports[0].error
     assert "can't decode" in suite.reports[1].error
     assert "cannot load machine" in suite.reports[2].error
@@ -244,9 +244,9 @@ seed {seed}
 init flip := true
 assert 1: heads = true
 """, encoding="utf-8")
-    report = run_scenario(scn)
-    assert not report.passed
-    assert report.error == "init cannot set abstract function 'flip'"
+    with pytest.raises(ManifestError) as refused:
+        run_scenario(scn)
+    assert str(refused.value) == "init cannot set abstract function 'flip'"
 
 
 @pytest.mark.parametrize("model, commands, what", [
@@ -260,9 +260,9 @@ def test_a_step_that_sets_one_input_twice_is_refused(tmp_path, model, commands, 
     scn = tmp_path / "twice.scn"
     scn.write_text(f"scenario twice\nmachine {model_path(model)}\n{steps}assert 1: true\n",
                    encoding="utf-8")
-    report = run_scenario(scn)
-    assert not report.passed
-    assert report.error == f"step 1 sets {what} twice"
+    with pytest.raises(ManifestError) as refused:
+        run_scenario(scn)
+    assert str(refused.value) == f"step 1 sets {what} twice"
     # one entry per input, or the same input at another step, is accepted
     once = "".join(f"step {k}: {c.split(';')[0]}\n" for k, c in enumerate(commands, 1))
     scn.write_text(f"scenario once\nmachine {model_path(model)}\n{once}assert 1: true\n",
