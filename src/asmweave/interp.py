@@ -7,8 +7,11 @@ value; a rule call substitutes argument terms for formals (by name, so
 arguments are re-evaluated at each use); forall unions the body's set over
 every range element satisfying the guard; choose picks one such element
 through the resolver. What a step does with its update set is decided in
-one place, `_outcome`: a clash is Inconsistent, an empty set is Stalled
-(unless the step may stutter), and anything else fires into Progressed.
+one place, `_outcome`: an empty set is Stalled (unless the step may
+stutter), a clash is Inconsistent, and anything else is a `Move`, the set
+checked once and split into writes and clears. A step fires its move
+into Progressed; a search fires a move only where it leads to a state
+not seen before.
 
 Terms and rules are compiled into Python closures (Feeley & Lapalme,
 "Using closures for code generation", 1987). A node is compiled on its
@@ -39,10 +42,11 @@ recorded or hand-written choices. Monitored input is scripted too: a
 step's `monitored` entries name the locations it injects, and an exported
 trace records them in the same form. One enumerator, `_probe`, evaluates an
 agent's rule to its end once per combination of draws, replaying a stack
-of choice points; `enumerate_steps`, `enumerate_update_sets` and the
-interleaving scheduler's progress check all consume it. `enumerate_steps`
+of choice points; `enumerate_moves`, `enumerate_update_sets` and the
+interleaving scheduler's progress check all consume it. `enumerate_moves`
 deduplicates and orders its outcomes by update set (by clash set when
-inconsistent). Given a `reads` dict, the rule reads a view whose content
+inconsistent), and `enumerate_steps` is those outcomes with each move
+fired. Given a `reads` dict, the rule reads a view whose content
 records every location read; `multiagent`'s outcome memo keys on those
 locations. Resolution keys
 combine the choose label with a digest of the lexical bindings in scope,
@@ -104,7 +108,8 @@ from .state import (
     State,
     Update,
     UpdateSet,
-    fire,
+    applied,
+    checked,
     state_digest,
 )
 from .values import (
@@ -675,7 +680,9 @@ def update_set(
 # Steps
 
 
-@dataclass(frozen=True, slots=True)
+# treated as immutable like the other step records, but not frozen: one is
+# built for every step, and a frozen dataclass is slower to build
+@dataclass(slots=True)
 class Progressed:
     next_state: State
     updates: UpdateSet
@@ -700,19 +707,51 @@ class Stalled:
 StepResult = Union[Progressed, Inconsistent, Stalled]
 
 
-def _outcome(state: State, us: UpdateSet, resolutions: Tuple[ResEntry, ...],
-             aids: Tuple[str, ...] = (), stutter: bool = False) -> StepResult:
-    """What a step of the agents `aids` does with its update set: a clash
-    is Inconsistent, an empty set Stalled (scheduling nobody) unless the
-    step may `stutter`, anything else fires. The schedule does not name
-    the anonymous agent "". `fire` decides consistency."""
+@dataclass(slots=True, eq=False)
+class Move:
+    """A step that progresses, before it is fired: its update set, checked
+    once for consistency and controlled kinds and split by `state.checked`
+    into what it writes and what it clears, which fire it on any state of
+    the same signature. Not frozen, for the reason Progressed is not."""
+
+    updates: UpdateSet
+    resolutions: Tuple[ResEntry, ...]
+    schedule: Tuple[str, ...]
+    writes: Dict[Location, Value]
+    clears: Tuple[Location, ...]
+
+    def to(self, next_state: State) -> Progressed:
+        """The step record of this move into `next_state`."""
+        return Progressed(next_state, self.updates, self.resolutions, self.schedule)
+
+    def fire(self, state: State) -> Progressed:
+        return self.to(state.derive(applied(state.content, self.writes, self.clears)))
+
+
+# what an update set does, decided once by `_outcome`
+Outcome = Union[Move, Inconsistent, Stalled]
+
+
+def _outcome(sig: Signature, us: UpdateSet, resolutions: Tuple[ResEntry, ...],
+             aids: Tuple[str, ...] = (), stutter: bool = False) -> Outcome:
+    """What a step of the agents `aids` does with its update set: an empty
+    set is Stalled (scheduling nobody) unless the step may `stutter`, a
+    clash is Inconsistent, anything else is a Move, whose locations
+    `checked` has found controlled. The schedule does not name the
+    anonymous agent ""."""
     schedule = () if aids == ("",) else aids
     if len(us) == 0 and not stutter:
         return Stalled(resolutions)
     try:
-        return Progressed(fire(state, us), us, resolutions, schedule)
+        writes, clears = checked(sig, us)
     except InconsistentUpdateSet as e:
         return Inconsistent(tuple(e.clashes), us, resolutions, schedule)
+    return Move(us, resolutions, schedule, writes, clears)
+
+
+def _fired(state: State, res: Outcome) -> StepResult:
+    """`res` as a step outcome from `state`: a Move fired, anything else as it is."""
+    return res.fire(state) if isinstance(res, Move) else res
 
 
 def rule_body(machine: MachineDef, rule: str) -> RuleExpr:
@@ -817,8 +856,8 @@ def ma_step(
                                      None, resolver, machine))
         finally:
             resolver.set_agent("")
-    return _outcome(eval_state, us, resolver.end_step(),
-                    tuple(aid for aid, _ in picked), stutter)
+    return _fired(eval_state, _outcome(eval_state.sig, us, resolver.end_step(),
+                                       tuple(aid for aid, _ in picked), stutter))
 
 
 def step(state: State, machine: MachineDef, rule: str, resolver: Resolver) -> StepResult:
@@ -910,16 +949,18 @@ def initial_state(machine: MachineDef, overrides: Sequence[Tuple[App, Term]] = (
 
 
 def read_override(text: str, machine: MachineDef) -> Tuple[App, Term]:
-    """Read `<location> := <term>` into an override for `initial_state`."""
+    """Read `<location> := <term>` into an override for `initial_state`.
+    A target that is no location, or is an abstract function, is refused
+    with an EvalError, so `parser.located` names the entry it came from."""
     lhs_text, rhs_text = text.split(":=", 1)
     lhs = parse_term(lhs_text.strip(), machine.sig)
     # an operator application such as `a + 1` is an App, not a location
     decl = machine.sig.get(lhs.fname) if isinstance(lhs, App) else None
     if decl is None:
-        raise ManifestError(f"override target {lhs_text.strip()!r} is not a location")
+        raise EvalError(f"override target {lhs_text.strip()!r} is not a location")
     if decl.kind == FunctionKind.ABSTRACT:
         # the resolver draws it at every read, so a start value would be ignored
-        raise ManifestError(f"init cannot set abstract function {lhs.fname!r}")
+        raise EvalError(f"init cannot set abstract function {lhs.fname!r}")
     return lhs, read_resolver_free(rhs_text.strip(), machine.sig, f"init {text.strip()!r}")
 
 
@@ -1085,27 +1126,28 @@ def enumerate_update_sets(
     return sorted({us for us, _ in _probe(op, state, machine, bound)}, key=UpdateSet.key)
 
 
-def enumerate_steps(
+def enumerate_moves(
     state: State,
     machine: MachineDef,
     rule: str,
     bound: int = 10_000,
     agent: str = "",
     reads: Optional[Dict[Location, None]] = None,
-) -> List[StepResult]:
-    """All step outcomes over every choose/abstract resolution combination.
+) -> List[Outcome]:
+    """All step outcomes over every choose/abstract resolution combination,
+    a progressing one as its unfired Move.
 
-    With an `agent`, the rule reads that agent's view of `state` and
-    successors fire on `state` itself. Outcomes come from `_outcome`, once
-    per distinct update set (per clash set when inconsistent), in that
-    order, each with the resolutions of its first witness. Raises
-    BranchBudgetExceeded once the number of combinations passes `bound`.
-    With `reads`, every location the rule read is added to it as a key.
+    With an `agent`, the rule reads that agent's view of `state`. Outcomes
+    come from `_outcome`, once per distinct update set (per clash set when
+    inconsistent), in that order, each with the resolutions of its first
+    witness. Raises BranchBudgetExceeded once the number of combinations
+    passes `bound`. With `reads`, every location the rule read is added to
+    it as a key.
     """
-    results: Dict[tuple, StepResult] = {}
+    results: Dict[tuple, Outcome] = {}
     for us, resolutions in _probe(rule_body(machine, rule), state, machine, bound,
                                   agent, reads):
-        res = _outcome(state, us, resolutions, (agent,))
+        res = _outcome(state.sig, us, resolutions, (agent,))
         if isinstance(res, Inconsistent):
             key = (1, tuple((loc.key(), tuple(sorted(map(value_key, vals))))
                             for loc, vals in res.clashes))
@@ -1113,3 +1155,9 @@ def enumerate_steps(
             key = (0, us.key())
         results.setdefault(key, res)
     return [results[k] for k in sorted(results)]
+
+
+def enumerate_steps(state: State, machine: MachineDef, rule: str, bound: int = 10_000,
+                    agent: str = "") -> List[StepResult]:
+    """`enumerate_moves`, each Move fired on `state` itself."""
+    return [_fired(state, res) for res in enumerate_moves(state, machine, rule, bound, agent)]

@@ -12,14 +12,17 @@ matched exactly.
 
 One depth-first walk, `enumerate_runs`, serves both sides and observes as
 it goes. Runs share their states, so the work is done per distinct state,
-told apart by its exact content (`State.key`) in one table that holds its
-observation, `observe(state, terms)`, taken when the walk first reaches
-it, and its expansion through `multiagent.agent_successors` (the expansion
-`explore` uses, with one outcome memo per call), made when it is first
-popped; the branch budget is charged on every visit. Each stack entry
-carries the outcomes that reached it as parent links, its table entry and
-its parent's node in a trie of collapsed observation sequences, one node
-per distinct prefix, with children keyed by observation tuple; the entry's
+in the `multiagent.SearchTable` that `explore` also walks: a successor's
+key is derived from its parent's by the locations its move changes, the
+key only picks candidates and exact content equality decides, and only an
+unseen successor is fired into a new state. Each state's table entry
+holds its observation, `observe(state, terms)`, taken when the walk first
+reaches it, and its expansion through `multiagent.agent_successors` (with
+the table's outcome memo, one per call), made when it is first popped;
+the branch budget is charged on every visit. Each stack entry carries the
+outcomes that reached it as parent links, its table entry and its
+parent's node in a trie of collapsed observation sequences, one node per
+distinct prefix, with children keyed by observation tuple; the entry's
 own node is found when it is popped. The abstract walk builds the trie,
 and the check marks on each node the abstract runs that end there; only
 nodes some abstract run passes through count as prefixes. The refined walk
@@ -43,7 +46,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from .errors import BranchBudgetExceeded, ManifestError
 from .interp import (Links, Trace, agents_of, eval_term, initial_state, read_override,
                      read_resolver_free, trace_of)
-from .multiagent import OutcomeMemo, agent_successors
+from .multiagent import OutcomeMemo, SearchTable, agent_successors
 from .parser import (App, MachineDef, Term, directive_lines, located, parse_machine,
                      read_input)
 from .state import State
@@ -129,19 +132,19 @@ RunRecord = Tuple[str, Links, _Node]
 
 
 def _successors(machine: MachineDef, state: State, budget: int, memo: OutcomeMemo):
-    """Every agent's `agent_successors`, merged: (progressed outcomes, stall
-    reachable, inconsistent outcomes)."""
-    progressed, inconsistent, stalled = [], [], False
+    """Every agent's `agent_successors`, merged: (moves, stall reachable,
+    inconsistent outcomes)."""
+    moves, inconsistent, stalled = [], [], False
     for aid, rule in agents_of(machine):
         succs, bad, stalls = agent_successors(machine, state, aid, rule, budget, memo)
-        progressed += succs
+        moves += succs
         # an inconsistent single-agent update set ends a run
         inconsistent += bad
         stalled = stalled or stalls
     if machine.agents:
         # interleaving: an agent with nothing to do leaves the others to move
-        stalled = not progressed and not inconsistent
-    return progressed, stalled, inconsistent
+        stalled = not moves and not inconsistent
+    return moves, stalled, inconsistent
 
 
 def observe(state: State, terms: Sequence[Term]) -> tuple:
@@ -169,26 +172,19 @@ def enumerate_runs(
     init = start if start is not None else initial_state(machine)
     runs: List[RunRecord] = []
     spent = 0
-    # State.key() -> [state, observation, expansion]: a distinct state is
-    # observed when the walk first reaches it and expanded when it is first
-    # popped below the bound; a revisit is still charged. An expansion is
-    # (stalled, inconsistent, [(progressed, its successor's entry)]).
-    table: Dict[frozenset, list] = {}
-    memo: OutcomeMemo = {}
-
-    def entry(state: State) -> list:
-        key = state.key()
-        found = table.get(key)
-        if found is None:
-            found = table[key] = [state, observe(state, terms), None]
-        return found
-
+    # a table entry is [state, key, observation, expansion]: a distinct
+    # state is observed when the walk first reaches it and expanded when it
+    # is first popped below the bound; a revisit is still charged. An
+    # expansion is (stalled, inconsistent, [(progressed, successor's entry)]).
+    table = SearchTable()
+    root = table.root(init)
+    root += [observe(init, terms), None]
     # (depth, parent links, table entry, the parent's trie node)
     stack: List[Tuple[int, Links, list, _Node]] = [
-        (0, None, entry(init), _Node(None, None) if trie is None else trie)]
+        (0, None, root, _Node(None, None) if trie is None else trie)]
     while stack:
         depth, path, known, parent = stack.pop()
-        obs = known[1]
+        obs = known[2]
         if obs == parent.obs:  # a stutter step stays on its node
             node = parent
         else:
@@ -198,15 +194,20 @@ def enumerate_runs(
         if depth >= max_steps:
             runs.append(("budget", path, node))
             continue
-        if known[2] is None:
+        if known[3] is None:
             try:
-                progressed, stalled, inconsistent = _successors(
-                    machine, known[0], budget, memo)
+                moves, stalled, inconsistent = _successors(
+                    machine, known[0], budget, table.memo)
             except BranchBudgetExceeded:
                 return runs, True
-            known[2] = (stalled, inconsistent,
-                        [(p, entry(p.next_state)) for p in progressed])
-        stalled, inconsistent, successors = known[2]
+            successors = []
+            for move in moves:
+                succ, new = table.successor(known, move)
+                if new:
+                    succ += [observe(succ[0], terms), None]
+                successors.append((move.to(succ[0]), succ))
+            known[3] = (stalled, inconsistent, successors)
+        stalled, inconsistent, successors = known[3]
         spent += len(successors) + len(inconsistent)
         if spent > budget:
             return runs, True

@@ -109,10 +109,15 @@ class State:
     """A signature plus finite content; unwritten dynamic locations read undef.
 
     Instances are treated as immutable: `fire`, `with_content`, and the
-    monitored-injection helpers all return fresh states.
+    monitored-injection helpers all return fresh states. A state carries no
+    search key. A search's `multiagent.SearchTable` keeps one beside each
+    state: the sum of its content items' hashes, derived for a successor
+    from its parent's by the locations a move changes. The key only picks
+    candidates, equal content decides, and only a successor not seen
+    before is built into a state.
     """
 
-    __slots__ = ("sig", "content", "statics", "_key")
+    __slots__ = ("sig", "content", "statics")
 
     def __init__(self, sig: Signature, content: Optional[Dict[Location, Value]] = None,
                  statics: Optional[Dict[Location, Value]] = None) -> None:
@@ -121,15 +126,6 @@ class State:
         # so normalize away explicit undef entries.
         self.content = {k: v for k, v in (content or {}).items() if v is not UNDEF}
         self.statics = {k: v for k, v in (statics or {}).items() if v is not UNDEF}
-        self._key: Optional[frozenset] = None
-
-    def key(self) -> frozenset:
-        """The content items as a frozenset: equal exactly when the contents
-        are equal, so a search over one signature and one set of statics can
-        deduplicate on it. Built on first use; a plain run never needs it."""
-        if self._key is None:
-            self._key = frozenset(self.content.items())
-        return self._key
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, State):
@@ -153,7 +149,7 @@ class State:
         """A state with this one's signature and statics dict and `content`,
         taken as it is: the caller guarantees it holds no undef."""
         out = State.__new__(State)
-        out.sig, out.content, out.statics, out._key = self.sig, content, self.statics, None
+        out.sig, out.content, out.statics = self.sig, content, self.statics
         return out
 
 
@@ -185,22 +181,43 @@ def conflicts(us: UpdateSet) -> List[Tuple[Location, set]]:
                   key=lambda kv: kv[0].key())
 
 
-def fire(state: State, us: UpdateSet) -> State:
-    """Apply a consistent update set, one whose updates (equal ones being
-    identical) have distinct locations; untouched locations keep their values."""
+def checked(sig: Signature, us: UpdateSet) -> Tuple[Dict[Location, Value],
+                                                   Tuple[Location, ...]]:
+    """What a consistent update set does: the values it writes, by location,
+    and the locations it empties (sets to undef). Consistent means its
+    updates (equal ones being identical) have distinct locations, all
+    declared controlled; a clash raises InconsistentUpdateSet, a location
+    of another kind KindViolation, as `_check_loc` raises for the rest."""
     updates = us.updates
     if len({u.loc for u in updates}) != len(updates):
         raise InconsistentUpdateSet(conflicts(us))
-    new_content = dict(state.content)
+    writes: Dict[Location, Value] = {}
+    clears: List[Location] = []
     for u in updates:
-        decl = _check_loc(state.sig, u.loc)
+        decl = _check_loc(sig, u.loc)
         if decl.kind != FunctionKind.CONTROLLED:
             raise KindViolation(f"cannot update {u.loc.fname!r}: kind is {decl.kind.value}")
         if u.val is UNDEF:  # `x := undef` empties the location
-            new_content.pop(u.loc, None)
+            clears.append(u.loc)
         else:
-            new_content[u.loc] = u.val
-    return state.derive(new_content)
+            writes[u.loc] = u.val
+    return writes, tuple(clears)
+
+
+def applied(content: Dict[Location, Value], writes: Dict[Location, Value],
+            clears: Tuple[Location, ...]) -> Dict[Location, Value]:
+    """A copy of `content` with `writes` and `clears` (from `checked`) applied;
+    untouched locations keep their values."""
+    out = dict(content)
+    out.update(writes)
+    for loc in clears:
+        out.pop(loc, None)
+    return out
+
+
+def fire(state: State, us: UpdateSet) -> State:
+    """Apply a consistent update set of controlled locations (see `checked`)."""
+    return state.derive(applied(state.content, *checked(state.sig, us)))
 
 
 def _digest(content: Dict[Location, Value]) -> str:

@@ -21,6 +21,12 @@ def model_path(name: str) -> Path:
     return MODELS / name
 
 
+def content_key(state) -> frozenset:
+    """The items of a state's content: equal exactly when the contents are
+    equal, so a test can deduplicate states on it as the searches do."""
+    return frozenset(state.content.items())
+
+
 def cli_env(extra=None) -> dict:
     """Environment for `python -m asmweave` from a checkout that is not installed."""
     env = dict(os.environ)

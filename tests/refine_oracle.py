@@ -51,15 +51,16 @@ def enumerate_runs(
                 continue
             try:
                 # a fresh outcome memo: every expansion evaluates the rules
-                progressed, stalled, inconsistent = _successors(machine, state, budget, {})
+                moves, stalled, inconsistent = _successors(machine, state, budget, {})
             except BranchBudgetExceeded:
                 raise _Truncated() from None
-            charge(len(progressed) + len(inconsistent))
+            charge(len(moves) + len(inconsistent))
             if stalled:
                 runs.append(Trace(init, steps, "stalled"))
             for res in inconsistent:
                 runs.append(Trace(init, steps + [res], "inconsistent"))
-            for res in progressed:
+            for move in moves:
+                res = move.fire(state)
                 stack.append((res.next_state, steps + [res]))
     except _Truncated:
         return runs, True

@@ -360,7 +360,8 @@ def test_a_scenario_step_value_cannot_read_an_abstract_function(tmp_path, capsys
 
 @pytest.mark.parametrize("machine, lines, message", [
     (MODELS / "swap.asm", "init a := (1", "init 'a := (1': 1:3: expected ')', found 'EOF'"),
-    (MODELS / "swap.asm", "init a + 1 := 2", "override target 'a + 1' is not a location"),
+    (MODELS / "swap.asm", "init a + 1 := 2",
+     "init 'a + 1 := 2': override target 'a + 1' is not a location"),
     (MODELS / "coin.asm", "init heads := flip",
      "init 'heads := flip' reads abstract function 'flip', which needs a resolver"),
     (MODELS / "swap.asm", "assert 1: a = (2",

@@ -9,7 +9,7 @@ import weakref
 import pytest
 
 import interp_oracle
-from conftest import MODELS, load_model
+from conftest import MODELS, content_key, load_model
 from parse_corpus import _TERM_SOURCE, term_texts
 from rulegen import random_machine, random_par_machine
 from asmweave import interp
@@ -113,7 +113,7 @@ def visit_reachable(machine, depth, results_of) -> int:
     successors. Return the number of states visited."""
     agents = agents_of(machine)
     frontier = [initial_state(machine)]
-    seen = {frontier[0].key()}
+    seen = {content_key(frontier[0])}
     for _ in range(depth):
         nxt = []
         for state in frontier:
@@ -124,8 +124,8 @@ def visit_reachable(machine, depth, results_of) -> int:
                     us = item[0]
                     if len(us) and not conflicts(us):
                         succ = fire(state, us)
-                        if succ.key() not in seen:
-                            seen.add(succ.key())
+                        if content_key(succ) not in seen:
+                            seen.add(content_key(succ))
                             nxt.append(succ)
         frontier = nxt
     return len(seen)

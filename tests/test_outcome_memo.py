@@ -1,11 +1,11 @@
 """The outcome memo of `multiagent.agent_successors` gives exactly what
-`interp.enumerate_steps` gives when it evaluates the rule afresh, and a
-plain `run` never records reads."""
+`interp.enumerate_steps` gives when it evaluates the rule afresh, once
+its moves are fired, and a plain `run` never records reads."""
 import random
 
 import pytest
 
-from conftest import MODELS, load_model
+from conftest import MODELS, content_key, load_model
 from rulegen import pga_test_machine, pga_test_space, random_agent_machine, random_pga_rule
 from asmweave import interp
 from asmweave.errors import AsmError
@@ -46,10 +46,9 @@ def _oracle(machine, state, aid, rule, budget):
             any(isinstance(r, Stalled) for r in results))
 
 
-def _summary(outcomes) -> tuple:
-    progressed, inconsistent, stalled = outcomes
-    return ([(r.updates, r.resolutions, r.schedule, r.next_state.key()) for r in progressed],
-            inconsistent, stalled)
+def _summary(progressed, inconsistent, stalled) -> tuple:
+    return ([(r.updates, r.resolutions, r.schedule, content_key(r.next_state))
+             for r in progressed], list(inconsistent), stalled)
 
 
 def _walk(machine, depth: int, budget: int) -> tuple:
@@ -57,7 +56,7 @@ def _walk(machine, depth: int, budget: int) -> tuple:
     through one memo checked against the oracle: (expansions, misses)."""
     memo: dict = {}
     init = initial_state(machine)
-    seen, frontier, expansions = {init.key()}, [init], 0
+    seen, frontier, expansions = {content_key(init)}, [init], 0
     for _ in range(depth):
         next_frontier = []
         for state in frontier:
@@ -70,10 +69,12 @@ def _walk(machine, depth: int, budget: int) -> tuple:
                 expansions += 1
                 if want_error is not None:
                     continue
-                assert _summary(got) == _summary(want)
+                moves, inconsistent, stalled = got
+                assert (_summary([m.fire(state) for m in moves], inconsistent, stalled)
+                        == _summary(*want))
                 for res in want[0]:
-                    if res.next_state.key() not in seen:
-                        seen.add(res.next_state.key())
+                    if content_key(res.next_state) not in seen:
+                        seen.add(content_key(res.next_state))
                         next_frontier.append(res.next_state)
         frontier = next_frontier
     # a miss adds one row to its agent's memo, a hit none
@@ -113,7 +114,8 @@ def test_a_miss_leaves_the_anonymous_agents_state_alone():
     succs, _, _ = agent_successors(machine, state, "", machine.main, 10_000, {})
     assert succs
     assert state.content is content and type(content) is dict and content == before
-    assert succs[0].next_state.content == {Location("a"): IntV(2), Location("b"): IntV(1)}
+    assert succs[0].fire(state).next_state.content == {Location("a"): IntV(2),
+                                                       Location("b"): IntV(1)}
 
 
 def test_run_never_records_reads(monkeypatch):

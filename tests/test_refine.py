@@ -3,7 +3,7 @@ import re
 import pytest
 
 import refine_oracle
-from conftest import MODELS, load_model
+from conftest import MODELS, content_key, load_model
 from refine_oracle import observe
 from asmweave import cli, refine
 from asmweave.errors import ManifestError
@@ -248,7 +248,23 @@ init_link abstract flip := true
     with pytest.raises(ManifestError, match="init cannot set abstract function 'flip'"):
         parse_manifest(manifest.read_text(encoding="utf-8"), tmp_path)
     assert cli.main(["check-refine", str(manifest)]) == 2
-    assert capsys.readouterr().err == "error: init cannot set abstract function 'flip'\n"
+    assert capsys.readouterr().err == ("error: line 6: init_link abstract 'flip := true': "
+                                       "init cannot set abstract function 'flip'\n")
+
+
+@pytest.mark.parametrize("model, assignment, refusal", [
+    ("swap.asm", "1 := 2", "override target '1' is not a location"),
+    ("coin.asm", "flip := true", "init cannot set abstract function 'flip'"),
+], ids=["not-a-location", "abstract"])
+def test_an_init_link_refusal_names_its_line(tmp_path, capsys, model, assignment, refusal):
+    manifest = tmp_path / "bad.refine"
+    manifest.write_text(f"step bad\nabstract {MODELS / model}\nrefined {MODELS / model}\n"
+                        f"observe one : 1 ~ 1\ninit_link refined {assignment}\n",
+                        encoding="utf-8")
+    assert cli.main(["check-refine", str(manifest)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: line 5: init_link refined {assignment!r}: {refusal}\n"
 
 
 def test_enumerate_runs_markers():
@@ -300,7 +316,7 @@ def test_the_walk_observes_each_distinct_state_once_per_side(monkeypatch):
     calls, observe_state = [], refine.observe
 
     def counting(state, terms):
-        calls.append(state.key())
+        calls.append(content_key(state))
         return observe_state(state, terms)
 
     monkeypatch.setattr(refine, "observe", counting)
@@ -313,7 +329,7 @@ def test_the_walk_observes_each_distinct_state_once_per_side(monkeypatch):
                                      (spec.refined, spec.refined_init, r_steps)):
             runs, _ = refine_oracle.enumerate_runs(
                 machine, steps, budget, initial_state(machine, init))
-            sides.append({s.key() for run in runs for s in run.states})
+            sides.append({content_key(s) for run in runs for s in run.states})
         calls.clear()
         assert isinstance(check_refinement(spec), Pass)
         # the abstract walk runs first

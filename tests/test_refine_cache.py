@@ -7,7 +7,7 @@ import random
 from collections import Counter
 
 import refine_oracle
-from conftest import MODELS
+from conftest import MODELS, content_key
 from rulegen import random_machine
 from asmweave import refine
 from asmweave.interp import eval_term, export_trace_jsonl, initial_state, trace_of
@@ -88,7 +88,7 @@ def test_a_pass_builds_no_trace_and_observes_each_state_once(monkeypatch):
     evaluated = Counter()
 
     def counting_eval(term, state, *rest):
-        evaluated[id(term), state.key()] += 1
+        evaluated[id(term), content_key(state)] += 1
         return eval_term(term, state, *rest)
 
     monkeypatch.setattr(refine, "Trace", no_trace)
@@ -101,5 +101,5 @@ def test_a_pass_builds_no_trace_and_observes_each_state_once(monkeypatch):
         (_, abstract_term, refined_term), = spec.observations
         for machine, term in ((spec.abstract, abstract_term), (spec.refined, refined_term)):
             oracle_runs, _ = refine_oracle.enumerate_runs(machine, 7, 10_000)
-            states = {st.key() for run in oracle_runs for st in run.states}
+            states = {content_key(st) for run in oracle_runs for st in run.states}
             assert {k for t, k in evaluated if t == id(term)} == states

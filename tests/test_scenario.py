@@ -246,7 +246,21 @@ assert 1: heads = true
 """, encoding="utf-8")
     with pytest.raises(ManifestError) as refused:
         run_scenario(scn)
-    assert str(refused.value) == "init cannot set abstract function 'flip'"
+    assert str(refused.value) == ("init 'flip := true': "
+                                  "init cannot set abstract function 'flip'")
+
+
+@pytest.mark.parametrize("model, assignment, refusal", [
+    ("swap.asm", "1 := 2", "override target '1' is not a location"),
+    ("coin.asm", "flip := true", "init cannot set abstract function 'flip'"),
+], ids=["not-a-location", "abstract"])
+def test_an_init_refusal_names_its_entry(tmp_path, model, assignment, refusal):
+    scn = tmp_path / "bad.scn"
+    scn.write_text(f"scenario bad\nmachine {model_path(model)}\ninit {assignment}\n"
+                   "final: true\n", encoding="utf-8")
+    with pytest.raises(ManifestError) as refused:
+        run_scenario(scn)
+    assert str(refused.value) == f"init {assignment!r}: {refusal}"
 
 
 @pytest.mark.parametrize("model, commands, what", [

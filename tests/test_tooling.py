@@ -2,7 +2,9 @@
 import ast
 import importlib
 
-from conftest import MODELS, SRC
+from conftest import MODELS, SRC, content_key, load_model
+from asmweave import multiagent
+from asmweave.interp import Progressed, agents_of, enumerate_steps, initial_state
 from asmweave.refine import check_chain
 
 
@@ -84,6 +86,43 @@ def test_the_run_counter_sees_the_refinement_walk(monkeypatch):
     runs = sum(v.stats.abstract_runs + v.stats.refined_runs for _, v in verdicts)
     assert runs == 32
     assert tracer.layer_metrics()["refine.runs"] == runs
+
+
+def _expansion_counts(machine, depth: int) -> tuple:
+    """(successors, distinct states) of a breadth-first walk to `depth`,
+    each state's successors taken from `enumerate_steps`."""
+    seen = {content_key(initial_state(machine))}
+    frontier, successors = [initial_state(machine)], 0
+    for _ in range(depth):
+        next_frontier = []
+        for state in frontier:
+            for aid, rule in agents_of(machine):
+                for res in enumerate_steps(state, machine, rule, agent=aid):
+                    if isinstance(res, Progressed):
+                        successors += 1
+                        if content_key(res.next_state) not in seen:
+                            seen.add(content_key(res.next_state))
+                            next_frontier.append(res.next_state)
+        frontier = next_frontier
+    return successors, len(seen)
+
+
+def test_the_successor_counter_sees_the_explore_walk(monkeypatch):
+    monkeypatch.syspath_prepend(str(SRC.parent / "bench"))
+    import tracing
+
+    machine = load_model("ring3.asm")
+    successors, states = _expansion_counts(machine, 12)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        report = multiagent.explore(machine, 12)
+    finally:
+        tracer.uninstall()
+    assert report.states_visited == states == 199
+    metrics = tracer.layer_metrics()
+    assert metrics["multiagent.successors_generated"] == successors
+    assert metrics["multiagent.new_state_ratio"] == (states - 1) / successors
 
 
 def test_every_imported_name_is_used(monkeypatch):
