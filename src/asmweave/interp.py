@@ -948,10 +948,10 @@ def initial_state(machine: MachineDef, overrides: Sequence[Tuple[App, Term]] = (
     return State(machine.sig, content, statics)
 
 
-def read_override(text: str, machine: MachineDef) -> Tuple[App, Term]:
+def read_override(text: str, machine: MachineDef, where: str) -> Tuple[App, Term]:
     """Read `<location> := <term>` into an override for `initial_state`.
-    A target that is no location, or is an abstract function, is refused
-    with an EvalError, so `parser.located` names the entry it came from."""
+    A target that is no location or an abstract function is an EvalError,
+    which `parser.located` labels; a value that reads one names `where`."""
     lhs_text, rhs_text = text.split(":=", 1)
     lhs = parse_term(lhs_text.strip(), machine.sig)
     # an operator application such as `a + 1` is an App, not a location
@@ -961,7 +961,7 @@ def read_override(text: str, machine: MachineDef) -> Tuple[App, Term]:
     if decl.kind == FunctionKind.ABSTRACT:
         # the resolver draws it at every read, so a start value would be ignored
         raise EvalError(f"init cannot set abstract function {lhs.fname!r}")
-    return lhs, read_resolver_free(rhs_text.strip(), machine.sig, f"init {text.strip()!r}")
+    return lhs, read_resolver_free(rhs_text.strip(), machine.sig, where)
 
 
 def read_location(text: str, sig: Signature) -> Location:

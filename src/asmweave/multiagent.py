@@ -5,7 +5,7 @@ from a state, as its moves (`interp.Move`: update sets checked once and
 split into writes and clears, not yet fired), its inconsistent branches
 and whether it can stall. `SearchTable` holds one search's distinct
 states, and both searches are its clients: `explore` walks it
-breadth-first, and `refine.enumerate_runs` depth-first.
+breadth-first, and `refine.enumerate_runs` builds its graph depth-first.
 
 The table keys each state by an incremental content hash (Zobrist, "A New
 Hashing Method with Application for Game Playing", 1970): the sum of the

@@ -8,40 +8,24 @@ collapsed (so machines at different step granularities compare), and the
 check passes when every refined observation sequence is accounted for by
 some abstract one. A refined run cut off by its step bound only needs to
 be a prefix of an abstract sequence; a run that genuinely stalled must be
-matched exactly.
+matched exactly. Verdicts are three-valued: when the abstract side was
+truncated in a way that could still hide a match, the result is
+BudgetExhausted rather than Fail, and a Pass needs every refined run.
 
-One depth-first walk, `enumerate_runs`, serves both sides and observes as
-it goes. Runs share their states, so the work is done per distinct state,
-in the `multiagent.SearchTable` that `explore` also walks: a successor's
-key is derived from its parent's by the locations its move changes, the
-key only picks candidates and exact content equality decides, and only an
-unseen successor is fired into a new state. Each state's table entry
-holds its observation, `observe(state, terms)`, taken when the walk first
-reaches it, and its expansion through `multiagent.agent_successors` (with
-the table's outcome memo, one per call), made when it is first popped;
-the branch budget is charged on every visit. Each stack entry carries the
-outcomes that reached it as parent links, its table entry and its
-parent's node in a trie of collapsed observation sequences, one node per
-distinct prefix, with children keyed by observation tuple; the entry's
-own node is found when it is popped. The abstract walk builds the trie,
-and the check marks on each node the abstract runs that end there; only
-nodes some abstract run passes through count as prefixes. The refined walk
-steps through the same trie, so each refined run is matched by reading its
-node. No run becomes a `Trace` except a FAIL counterexample, rebuilt from
-its parent links by `interp.trace_of`, as `explore` rebuilds a violation;
-its observed sequence is read off its node, as the nearest abstract ones
-are. `tests/refine_oracle.py` projects each `Trace` directly and is the
-reference for the trie.
-
-Verdicts are three-valued. When the abstract side was truncated in a way
-that could still hide a match, the result is BudgetExhausted rather than
-Fail; a Pass is only reported when every refined run was enumerated.
+No run is walked: `enumerate_runs` builds each side's graph of (state,
+depth) nodes on a `multiagent.SearchTable`, in depth-first order, so a side
+cut by the branch budget keeps exactly the walk's prefix of runs, and
+`check_refinement` pairs refined nodes with the abstract nodes that match
+their collapsed observations (a subset construction, De Wulf et al.,
+"Antichains", CAV 2006, for Börger's (m, n) diagrams, FAC 2003). Only a
+FAIL lists runs. `tests/refine_oracle.py` is the reference.
 """
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .errors import BranchBudgetExceeded, ManifestError
 from .interp import (Links, Trace, agents_of, eval_term, initial_state, read_override,
@@ -50,7 +34,7 @@ from .multiagent import OutcomeMemo, SearchTable, agent_successors
 from .parser import (App, MachineDef, Term, directive_lines, located, parse_machine,
                      read_input)
 from .state import State
-from .values import Value
+from .values import Value, show_value
 
 
 @dataclass
@@ -70,11 +54,7 @@ class ObservationSeq:
     marker: str  # stalled | budget | inconsistent
 
     def pretty(self) -> str:
-        from .values import show_value
-
-        shown = " -> ".join(
-            "(" + ", ".join(show_value(v) for v in t) + ")" for t in self.tuples
-        )
+        shown = " -> ".join("(" + ", ".join(map(show_value, t)) + ")" for t in self.tuples)
         return f"{shown} [{self.marker}]"
 
 
@@ -108,27 +88,43 @@ RefinementVerdict = Union[Pass, Fail, BudgetExhausted]
 
 
 # ---------------------------------------------------------------------------
-# The walk
+# The graph
 
 
 class _Node:
-    """One distinct prefix of the collapsed observation sequences: its last
-    observation, its children keyed by observation tuple, the markers of the
-    abstract runs that end here, and whether some abstract run passes
-    through it (only then is it a prefix of an abstract sequence)."""
+    """A table entry at a depth, with the runs that end on it as (marker,
+    inconsistent outcome or None), its recorded children in visiting order
+    as (outcome, node), the count of recorded runs through it and, once
+    complete, the budget the walk charges in its subgraph. A side's top
+    node stands for the empty prefix; `len` counts the side's runs."""
 
-    __slots__ = ("parent", "obs", "children", "ends", "live")
+    __slots__ = ("entry", "depth", "ends", "children", "runs", "charge")
 
-    def __init__(self, parent: Optional["_Node"], obs: Optional[tuple]) -> None:
-        self.parent = parent
-        self.obs = obs
-        self.children: Dict[tuple, _Node] = {}
-        self.ends: Tuple[str, ...] = ()
-        self.live = False
+    def __init__(self, entry: list, depth: int, ends: tuple) -> None:
+        self.entry, self.depth, self.ends = entry, depth, ends
+        self.children: List[Tuple[object, _Node]] = []
+        self.runs, self.charge = len(ends), 0
 
+    def adopt(self, via, child: "_Node") -> None:
+        """Record `child`, reached by the outcome `via`, if a run passes it."""
+        if child.runs:
+            self.children.append((via, child))
+            self.runs += child.runs
 
-# (marker, path, trie node of its collapsed observation sequence)
-RunRecord = Tuple[str, Links, _Node]
+    def __len__(self) -> int:
+        return self.runs
+
+    def __iter__(self) -> Iterator[Tuple[str, Links, tuple]]:
+        """The top node's runs in depth-first order, as (marker, path, collapsed
+        observations); `interp.trace_of(start, path, marker)` rebuilds one."""
+        stack = [(node, None, ()) for _, node in self.children]
+        while stack:
+            node, path, seq = stack.pop()
+            if not seq or seq[-1] != node.entry[2]:  # a stutter step adds nothing
+                seq += (node.entry[2],)
+            for marker, res in node.ends:
+                yield marker, path if res is None else (res, path), seq
+            stack += [(child, (via, path), seq) for via, child in reversed(node.children)]
 
 
 def _successors(machine: MachineDef, state: State, budget: int, memo: OutcomeMemo):
@@ -152,91 +148,64 @@ def observe(state: State, terms: Sequence[Term]) -> tuple:
     return tuple([eval_term(t, state) for t in terms])
 
 
-def enumerate_runs(
-    machine: MachineDef,
-    max_steps: int,
-    budget: int,
-    start: Optional[State] = None,
-    terms: Sequence[Term] = (),
-    trie: Optional[_Node] = None,
-) -> Tuple[List[RunRecord], bool]:
-    """Depth-first enumeration of all runs up to `max_steps`, observed
-    through `terms` into `trie` (a fresh one when None), which gains a node
-    for every new prefix the walk reaches.
-
-    Each run is a (marker, path, node) record; `interp.trace_of(start,
-    path, marker)` rebuilds its `Trace`. The second component reports
-    truncation: the branch budget cut the enumeration short, so the run
-    list is incomplete.
-    """
+def enumerate_runs(machine: MachineDef, max_steps: int, budget: int,
+                   start: Optional[State] = None,
+                   terms: Sequence[Term] = ()) -> Tuple[_Node, bool]:
+    """The recorded runs up to `max_steps`, observed through `terms`, and
+    whether the branch budget cut them short to a depth-first prefix."""
     init = start if start is not None else initial_state(machine)
-    runs: List[RunRecord] = []
-    spent = 0
-    # a table entry is [state, key, observation, expansion]: a distinct
-    # state is observed when the walk first reaches it and expanded when it
-    # is first popped below the bound; a revisit is still charged. An
-    # expansion is (stalled, inconsistent, [(progressed, successor's entry)]).
+    # an entry is [state, key, observation, expansion, {depth: complete node}],
+    # an expansion (stalled, inconsistent, [(progressed, successor's entry)])
     table = SearchTable()
     root = table.root(init)
-    root += [observe(init, terms), None]
-    # (depth, parent links, table entry, the parent's trie node)
-    stack: List[Tuple[int, Links, list, _Node]] = [
-        (0, None, root, _Node(None, None) if trie is None else trie)]
+    root += [observe(init, terms), None, {}]
+    top = _Node([None, None, None, None, {}], -1, ())  # observed as no state is
+    spent = 0
+    # per node being built: [node, outcome that reached it, successors left
+    # to visit, budget spent before it]
+    stack: list = [[top, None, iter([(None, root)]), 0]]
     while stack:
-        depth, path, known, parent = stack.pop()
-        obs = known[2]
-        if obs == parent.obs:  # a stutter step stays on its node
-            node = parent
+        node, _, todo, _ = frame = stack[-1]
+        depth = node.depth + 1
+        for via, entry in todo:
+            child = entry[4].get(depth)
+            if child is None:
+                if depth < max_steps:
+                    break
+                child = entry[4][depth] = _Node(entry, depth, (("budget", None),))
+            elif spent + child.charge > budget:
+                break  # walk into it afresh: the budget runs out inside
+            spent += child.charge
+            node.adopt(via, child)
         else:
-            node = parent.children.get(obs)
-            if node is None:
-                node = parent.children[obs] = _Node(parent, obs)
-        if depth >= max_steps:
-            runs.append(("budget", path, node))
+            stack.pop()
+            node.charge = spent - frame[3]
+            node.entry[4][node.depth] = node
+            if stack:
+                stack[-1][0].adopt(frame[1], node)
             continue
-        if known[3] is None:
+        if entry[3] is None:
             try:
-                moves, stalled, inconsistent = _successors(
-                    machine, known[0], budget, table.memo)
+                moves, stalled, bad = _successors(machine, entry[0], budget, table.memo)
             except BranchBudgetExceeded:
-                return runs, True
+                break
             successors = []
             for move in moves:
-                succ, new = table.successor(known, move)
+                succ, new = table.successor(entry, move)
                 if new:
-                    succ += [observe(succ[0], terms), None]
+                    succ += [observe(succ[0], terms), None, {}]
                 successors.append((move.to(succ[0]), succ))
-            known[3] = (stalled, inconsistent, successors)
-        stalled, inconsistent, successors = known[3]
-        spent += len(successors) + len(inconsistent)
+            entry[3] = (stalled, bad, successors)
+        stalled, bad, successors = entry[3]
+        spent, before = spent + len(successors) + len(bad), spent
         if spent > budget:
-            return runs, True
-        if stalled:
-            runs.append(("stalled", path, node))
-        for res in inconsistent:
-            runs.append(("inconsistent", (res, path), node))
-        depth += 1
-        for res, succ in successors:
-            stack.append((depth, (res, path), succ, node))
-    return runs, False
-
-
-def _tuples(node: _Node) -> tuple:
-    """The collapsed observation sequence that ends at `node`."""
-    seq = []
-    while node.parent is not None:
-        seq.append(node.obs)
-        node = node.parent
-    return tuple(reversed(seq))
-
-
-def _common_prefix_len(a: tuple, b: tuple) -> int:
-    n = 0
-    for x, y in zip(a, b):
-        if x != y:
             break
-        n += 1
-    return n
+        ends = (("stalled", None),) * stalled + tuple(("inconsistent", r) for r in bad)
+        stack.append([_Node(entry, depth, ends), via, reversed(successors), before])
+    # if the budget ran out, each open node keeps the runs recorded below it
+    for (node, _, _, _), (child, via, _, _) in zip(stack[-2::-1], stack[:0:-1]):
+        node.adopt(via, child)
+    return top, bool(stack)
 
 
 # ---------------------------------------------------------------------------
@@ -247,52 +216,81 @@ def check_refinement(spec: RefinementSpec) -> RefinementVerdict:
     a_steps, r_steps, budget = spec.bounds
     a_start = initial_state(spec.abstract, spec.abstract_init)
     r_start = initial_state(spec.refined, spec.refined_init)
-    trie = _Node(None, None)
     abs_runs, abs_trunc = enumerate_runs(spec.abstract, a_steps, budget, a_start,
-                                         [a for _, a, _ in spec.observations], trie)
-    for marker, _, node in abs_runs:
-        if marker not in node.ends:
-            node.ends += (marker,)
-        while node is not None and not node.live:
-            node.live = True
-            node = node.parent
+                                         [a for _, a, _ in spec.observations])
     ref_runs, ref_trunc = enumerate_runs(spec.refined, r_steps, budget, r_start,
-                                         [r for _, _, r in spec.observations], trie)
-    stats = RefineStats(len(abs_runs), len(ref_runs), abs_trunc, ref_trunc)
+                                         [r for _, _, r in spec.observations])
+    # counted on the graph: `len` stops at sys.maxsize, and 3^40 runs pass it
+    stats = RefineStats(abs_runs.runs, ref_runs.runs, abs_trunc, ref_trunc)
 
-    first_fail: Optional[RunRecord] = None
-    undecided = False
-    for run in ref_runs:
-        marker, _, node = run
-        if node.live if marker == "budget" else marker in node.ends:
-            continue
-        # a truncated abstract run whose observations are a prefix of this
-        # one could still extend to a match at larger abstract bounds
-        if abs_trunc or _cut_by_bound(node):
-            undecided = True
-        elif first_fail is None:
-            first_fail = run
+    # A product node is (refined node, configuration: the recorded abstract
+    # nodes whose paths collapse to the same observations, whether an
+    # abstract run cut by its bound ends on a prefix of them).
+    def step(key: tuple, child: _Node) -> tuple:
+        node, config, cut = key
+        obs = child.entry[2]
+        if obs == node.entry[2]:  # a stutter step keeps the configuration
+            return child, config, cut
+        reached, more = set(), [a for n in config for _, a in n.children if a.entry[2] == obs]
+        while more:  # then any abstract stutter steps
+            a = more.pop()
+            if a not in reached:
+                reached.add(a)
+                more += [c for _, c in a.children if c.entry[2] == obs]
+        return child, frozenset(reached), cut or any(a.depth == a_steps for a in reached)
 
-    if first_fail is not None:
-        marker, path, node = first_fail
-        observed = ObservationSeq(_tuples(node), marker)
-        abstract_seqs = [ObservationSeq(_tuples(n), m) for m, _, n in abs_runs]
-        nearest = sorted(abstract_seqs,
-                         key=lambda a: -_common_prefix_len(a.tuples, observed.tuples))[:3]
-        return Fail(stats, trace_of(r_start, path, marker), observed, nearest)
+    start = ref_runs, frozenset([abs_runs]), False
+    kids: Dict[tuple, list] = {}  # each product node once, with its children
+    todo = [start]
+    while todo:
+        key = todo.pop()
+        if key not in kids:
+            kids[key] = [step(key, child) for _, child in key[0].children]
+            todo += kids[key]
+    # per product node, children first: whether a run below it is undecided, and
+    # the first failing one as a chain of (outcome, node, rest) to (marker, outcome)
+    below: Dict[tuple, tuple] = {}
+    for key in sorted(kids, key=lambda k: -k[0].depth):
+        node, config, cut = key
+        undecided, first = False, None
+        for marker, res in node.ends:
+            if config if marker == "budget" else any(
+                    m == marker for a in config for m, _ in a.ends):
+                continue
+            # a truncated abstract run whose observations are a prefix of
+            # this one could still extend to a match at larger abstract bounds
+            if abs_trunc or cut:
+                undecided = True
+            elif first is None:
+                first = marker, res
+        for (via, child), k in zip(node.children, kids[key]):
+            undecided |= below[k][0]
+            if first is None and below[k][1] is not None:
+                first = via, child, below[k][1]
+        below[key] = undecided, first
+
+    undecided, first = below[start]
+    if first is not None:
+        path, seq = None, []
+        while len(first) == 3:
+            via, node, first = first
+            path = path if via is None else (via, path)
+            if not seq or seq[-1] != node.entry[2]:
+                seq.append(node.entry[2])
+        marker, res = first
+        observed = ObservationSeq(tuple(seq), marker)
+        nearest = heapq.nsmallest(
+            3, (ObservationSeq(tuples, m) for m, _, tuples in abs_runs),
+            key=lambda a: -_common_prefix_len(a.tuples, observed.tuples))
+        counterexample = trace_of(r_start, path if res is None else (res, path), marker)
+        return Fail(stats, counterexample, observed, nearest)
     if undecided or ref_trunc:
         return BudgetExhausted(stats)
     return Pass(stats)
 
 
-def _cut_by_bound(node: Optional[_Node]) -> bool:
-    """Whether an abstract run cut by its step bound ends at `node` or at a
-    node above it."""
-    while node is not None:
-        if "budget" in node.ends:
-            return True
-        node = node.parent
-    return False
+def _common_prefix_len(a: tuple, b: tuple) -> int:
+    return next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
 
 
 # ---------------------------------------------------------------------------
@@ -327,8 +325,8 @@ def parse_manifest(text: str, base_dir: Path) -> List[RefinementStep]:
                 label, located(where, read_resolver_free, abs_text, abstract.sig, where),
                 located(where, read_resolver_free, ref_text, refined.sig, where)))
         a_init, r_init = (
-            tuple(located(f"line {lineno}: init_link {side} {text!r}", read_override,
-                          text, machine) for lineno, text in current["init"][side])
+            tuple(located(where, read_override, text, machine, where)
+                  for where, text in current["init"][side])
             for side, machine in (("abstract", abstract), ("refined", refined)))
         steps.append(RefinementStep(
             current["name"],
@@ -369,7 +367,8 @@ def parse_manifest(text: str, base_dir: Path) -> List[RefinementStep]:
             if side not in ("abstract", "refined") or ":=" not in assignment:
                 raise ManifestError(
                     f"line {lineno}: expected 'init_link <side> <loc> := <term>'")
-            current["init"][side].append((lineno, assignment))
+            current["init"][side].append(
+                (f"line {lineno}: init_link {side} {assignment!r}", assignment))
         else:
             raise ManifestError(f"line {lineno}: unknown directive {head!r}")
     finish()

@@ -249,7 +249,7 @@ def run_scenario(path: Union[str, Path]) -> ScenarioReport:
     machine_file = (path.parent / sc.machine_path).resolve()
     machine = located(f"cannot load machine {machine_file}", parse_machine,
                       read_input(machine_file, "cannot load machine"))
-    overrides = [located(f"init {text!r}", read_override, text, machine)
+    overrides = [located(f"init {text!r}", read_override, text, machine, f"init {text!r}")
                  for text in sc.init_entries]
     n_steps = sc.max_steps
     if n_steps is None:

@@ -314,7 +314,8 @@ def test_init_terms_and_scenario_conditions_cannot_read_an_abstract_function(tmp
                         "init_link refined heads := flip\n", encoding="utf-8")
     for args, where in ((["run", machine], "5:19: init term"),
                         (["scenario", scenario], "assertion 'flip' at step 1"),
-                        (["check-refine", manifest], "init 'heads := flip'")):
+                        (["check-refine", manifest],
+                         "line 5: init_link refined 'heads := flip'")):
         assert cli.main([str(a) for a in args]) == 2
         assert capsys.readouterr().err == (
             f"error: {where} reads abstract function 'flip', which needs a resolver\n")

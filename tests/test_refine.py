@@ -253,9 +253,11 @@ init_link abstract flip := true
 
 
 @pytest.mark.parametrize("model, assignment, refusal", [
-    ("swap.asm", "1 := 2", "override target '1' is not a location"),
-    ("coin.asm", "flip := true", "init cannot set abstract function 'flip'"),
-], ids=["not-a-location", "abstract"])
+    ("swap.asm", "1 := 2", ": override target '1' is not a location"),
+    ("coin.asm", "flip := true", ": init cannot set abstract function 'flip'"),
+    ("coin.asm", "heads := flip",
+     " reads abstract function 'flip', which needs a resolver"),
+], ids=["not-a-location", "abstract", "reads-abstract"])
 def test_an_init_link_refusal_names_its_line(tmp_path, capsys, model, assignment, refusal):
     manifest = tmp_path / "bad.refine"
     manifest.write_text(f"step bad\nabstract {MODELS / model}\nrefined {MODELS / model}\n"
@@ -264,7 +266,7 @@ def test_an_init_link_refusal_names_its_line(tmp_path, capsys, model, assignment
     assert cli.main(["check-refine", str(manifest)]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == f"error: line 5: init_link refined {assignment!r}: {refusal}\n"
+    assert err == f"error: line 5: init_link refined {assignment!r}{refusal}\n"
 
 
 def test_enumerate_runs_markers():
@@ -277,8 +279,8 @@ machine S
 """)
     runs, truncated = enumerate_runs(stopper, 10, 10_000)
     assert not truncated
+    (marker, path, _), = runs
     assert len(runs) == 1
-    marker, path, _ = runs[0]
     trace = trace_of(initial_state(stopper), path, marker)
     assert trace.outcome == "stalled"
     assert [eval_term(parse_term("out", stopper.sig), s) for s in trace.states] == [
@@ -286,7 +288,7 @@ machine S
     clash = parse_machine(
         "machine C controlled x rule Main = par x := 1 x := 2 endpar main Main")
     runs2, _ = enumerate_runs(clash, 10, 10_000)
-    marker, path, _ = runs2[0]
+    marker, path, _ = next(iter(runs2))
     trace2 = trace_of(initial_state(clash), path, marker)
     assert trace2.outcome == "inconsistent"
     assert len(trace2.steps) == 1 and trace2.clashes
@@ -336,3 +338,23 @@ def test_the_walk_observes_each_distinct_state_once_per_side(monkeypatch):
         abstract = len(sides[0])
         assert len(calls) == abstract + len(sides[1]), step.name
         assert (set(calls[:abstract]), set(calls[abstract:])) == tuple(sides), step.name
+
+
+def test_chain_ok_at_bounds_40_counts_its_runs(tmp_path, capsys):
+    # 3^40 abstract runs: counted on the graph, never walked one by one
+    text = (MODELS / "chains" / "chain_ok.refine").read_text(encoding="utf-8")
+    text = re.sub(r"(?m)^bounds .*$", f"bounds 40 40 {10 ** 30}", text)
+    text = text.replace("../", f"{MODELS}/")
+    manifest = tmp_path / "deep.refine"
+    manifest.write_text(text, encoding="utf-8")
+    assert cli.main(["check-refine", str(manifest)]) == 0
+    first = capsys.readouterr().out.splitlines()[0]
+    assert first == f"PASS  choice_to_round_robin  (abstract runs: {3 ** 40}, refined runs: 1)"
+
+
+@pytest.mark.parametrize("obs", ["out", "1"])
+def test_deep_deterministic_chains_pass(obs):
+    # 3000 steps each side: nothing in the check recurses per step
+    verdict = check_refinement(spec_for(RR, RR_TABLE, bounds=(3000, 3000, 10_000), obs=obs))
+    assert isinstance(verdict, Pass)
+    assert (verdict.stats.abstract_runs, verdict.stats.refined_runs) == (1, 1)

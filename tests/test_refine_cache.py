@@ -1,14 +1,15 @@
-"""The cached refinement check (each distinct state expanded and observed
-once, refined runs matched through a trie of abstract observation
-sequences) gives exactly the results of the uncached oracle in
-`refine_oracle`."""
+"""The refinement check on the state graph (each distinct state expanded
+and observed once, runs counted rather than walked, refined prefixes
+matched against configurations of abstract nodes) gives exactly the
+results of the uncached oracle in `refine_oracle`, down to the depth-first
+prefix of runs a truncating budget leaves."""
 import dataclasses
 import random
 from collections import Counter
 
 import refine_oracle
 from conftest import MODELS, content_key
-from rulegen import random_machine
+from rulegen import random_agent_machine, random_machine
 from asmweave import refine
 from asmweave.interp import eval_term, export_trace_jsonl, initial_state, trace_of
 from asmweave.parser import parse_term
@@ -62,23 +63,33 @@ def test_chain_ok_at_bounds_7_agrees_with_the_oracle():
         assert _assert_agrees(spec)[0] == "Pass"
 
 
-def test_rulegen_pairs_agree_with_the_oracle():
-    rng = random.Random(61)
-    machines = [random_machine(rng, f"O{i}", depth=4) for i in range(40)]
-    verdicts, truncated = [], 0
-    for i in range(200):
+def _random_specs(rng, machines, count, max_steps):
+    for _ in range(count):
         abstract, refined = rng.choice(machines), rng.choice(machines)
         loc = rng.choice(("b1", "n1", "b2"))
         obs = ((loc, parse_term(loc, abstract.sig), parse_term(loc, refined.sig)),)
         # tight budgets truncate one side or both
         budget = rng.choice((3, 8, 30, 2000))
-        spec = RefinementSpec(abstract, refined, obs,
-                              (rng.randrange(1, 5), rng.randrange(1, 5), budget))
+        yield RefinementSpec(abstract, refined, obs, (rng.randrange(1, max_steps + 1),
+                                                      rng.randrange(1, max_steps + 1), budget))
+
+
+def test_rulegen_pairs_agree_with_the_oracle():
+    rng = random.Random(61)
+    machines = [random_machine(rng, f"O{i}", depth=4) for i in range(40)]
+    specs = list(_random_specs(rng, machines, 200, 4))
+    # agents too, and deeper bounds, under the same truncating budgets
+    machines += [random_agent_machine(rng, f"A{i}") for i in range(20)]
+    specs += _random_specs(rng, machines, 200, 6)
+    outcomes = []
+    for spec in specs:
         verdict, (_, _, abstract_truncated, refined_truncated) = _assert_agrees(spec)[:2]
-        verdicts.append(verdict)
-        truncated += abstract_truncated or refined_truncated
-    assert {"Pass", "Fail", "BudgetExhausted"} <= set(verdicts)
-    assert truncated >= 20
+        outcomes.append((verdict, abstract_truncated, refined_truncated))
+    for part in (outcomes[:200], outcomes[200:]):
+        assert {"Pass", "Fail", "BudgetExhausted"} <= {v for v, _, _ in part}
+        assert sum(a or r for _, a, r in part) >= 20
+    # a refined side cut by the budget can still hold the first failing run
+    assert outcomes[200:].count(("Fail", False, True)) >= 3
 
 
 def test_a_pass_builds_no_trace_and_observes_each_state_once(monkeypatch):

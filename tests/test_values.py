@@ -110,7 +110,7 @@ def test_equal_values_are_identical_whichever_path_built_them(tmp_path):
     assert read_location("f(-1, {1 .. 3})", empty.sig) is Location("f", (IntV(-1), three))
 
     machine = parse_machine(model_path("accumulator.asm").read_text(encoding="utf-8"))
-    start = initial_state(machine, [read_override("total := 2 * 3", machine)])
+    start = initial_state(machine, [read_override("total := 2 * 3", machine, "init")])
     ((loc, total),) = start.content.items()
     assert loc is Location("total") and total is IntV(6)
 
