@@ -13,12 +13,13 @@ truncated in a way that could still hide a match, the result is
 BudgetExhausted rather than Fail, and a Pass needs every refined run.
 
 No run is walked: `enumerate_runs` builds each side's graph of (state,
-depth) nodes on a `multiagent.SearchTable`, in depth-first order, so a side
-cut by the branch budget keeps exactly the walk's prefix of runs, and
-`check_refinement` pairs refined nodes with the abstract nodes that match
-their collapsed observations (a subset construction, De Wulf et al.,
-"Antichains", CAV 2006, for Börger's (m, n) diagrams, FAC 2003). Only a
-FAIL lists runs. `tests/refine_oracle.py` is the reference.
+depth) nodes on a `multiagent.SearchTable`, observing and expanding each
+distinct state once, in depth-first order, so a side cut by the branch
+budget keeps exactly the walk's prefix of runs. `check_refinement` pairs
+refined nodes with the abstract nodes that match their collapsed
+observations (a subset construction, De Wulf et al., "Antichains", CAV
+2006, for Börger's (m, n) diagrams, FAC 2003). Only a FAIL lists runs.
+`tests/refine_oracle.py` is the reference.
 """
 from __future__ import annotations
 
@@ -241,18 +242,15 @@ def check_refinement(spec: RefinementSpec) -> RefinementVerdict:
 
     start = ref_runs, frozenset([abs_runs]), False
     kids: Dict[tuple, list] = {}  # each product node once, with its children
-    todo = [start]
+    failing: Dict[tuple, tuple] = {}  # its first run end that fails, if any
+    undecided, todo = False, [start]
     while todo:
         key = todo.pop()
-        if key not in kids:
-            kids[key] = [step(key, child) for _, child in key[0].children]
-            todo += kids[key]
-    # per product node, children first: whether a run below it is undecided, and
-    # the first failing one as a chain of (outcome, node, rest) to (marker, outcome)
-    below: Dict[tuple, tuple] = {}
-    for key in sorted(kids, key=lambda k: -k[0].depth):
+        if key in kids:
+            continue
+        kids[key] = [step(key, child) for _, child in key[0].children]
+        todo += kids[key]
         node, config, cut = key
-        undecided, first = False, None
         for marker, res in node.ends:
             if config if marker == "budget" else any(
                     m == marker for a in config for m, _ in a.ends):
@@ -261,23 +259,23 @@ def check_refinement(spec: RefinementSpec) -> RefinementVerdict:
             # this one could still extend to a match at larger abstract bounds
             if abs_trunc or cut:
                 undecided = True
-            elif first is None:
-                first = marker, res
-        for (via, child), k in zip(node.children, kids[key]):
-            undecided |= below[k][0]
-            if first is None and below[k][1] is not None:
-                first = via, child, below[k][1]
-        below[key] = undecided, first
-
-    undecided, first = below[start]
-    if first is not None:
-        path, seq = None, []
-        while len(first) == 3:
-            via, node, first = first
+            else:
+                failing.setdefault(key, (marker, res))
+    if failing:
+        # children first: the first failing run below each product node, as
+        # a chain of (outcome, node, rest) to (marker, outcome), or None
+        first: Dict[tuple, Optional[tuple]] = {}
+        for key in sorted(kids, key=lambda k: -k[0].depth):
+            first[key] = failing.get(key) or next(
+                ((via, c, first[k]) for (via, c), k in zip(key[0].children, kids[key])
+                 if first[k]), None)
+        path, seq, chain = None, [], first[start]
+        while len(chain) == 3:
+            via, node, chain = chain
             path = path if via is None else (via, path)
             if not seq or seq[-1] != node.entry[2]:
                 seq.append(node.entry[2])
-        marker, res = first
+        marker, res = chain
         observed = ObservationSeq(tuple(seq), marker)
         nearest = heapq.nsmallest(
             3, (ObservationSeq(tuples, m) for m, _, tuples in abs_runs),

@@ -358,3 +358,17 @@ def test_deep_deterministic_chains_pass(obs):
     verdict = check_refinement(spec_for(RR, RR_TABLE, bounds=(3000, 3000, 10_000), obs=obs))
     assert isinstance(verdict, Pass)
     assert (verdict.stats.abstract_runs, verdict.stats.refined_runs) == (1, 1)
+
+
+def test_a_fail_reports_the_first_failing_run_in_walk_order():
+    # one state ends a stalled run (x = 1 or 3) and an inconsistent one
+    # (x = 2); the abstract machine has neither, and the stalled run is first
+    abstract = parse_machine("machine A controlled out rule Main = out := 1 "
+                             "init { out := 0 } main Main")
+    refined = parse_machine("machine R controlled out, y rule Main = "
+                            "choose x in {1, 2, 3} do if x = 2 then par y := 1 y := 2 endpar "
+                            "init { out := 0 } main Main")
+    spec = spec_for(abstract, refined, bounds=(1, 1, 100))
+    got = check_refinement(spec)
+    assert isinstance(got, Fail) and got.observed.marker == "stalled"
+    assert got == refine_oracle.check_refinement(spec)
