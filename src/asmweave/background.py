@@ -56,8 +56,10 @@ def _ints(*vs: Value):
 
 def _int2(fn):
     def op(a: Value, b: Value) -> Value:
-        ns = _ints(a, b)
-        return UNDEF if ns is None else fn(ns[0], ns[1])
+        # exact class tests, no list: a `+` or `<` runs on every step
+        if a.__class__ is IntV and b.__class__ is IntV:
+            return fn(a.n, b.n)
+        return UNDEF
 
     return op
 

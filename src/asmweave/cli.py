@@ -9,6 +9,7 @@ machine-readable artifacts are only written when asked for explicitly.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -53,6 +54,18 @@ class UsageError(AsmError):
     """A command line the machine it names cannot serve; exits 2."""
 
 
+def _seed(given: Optional[int]) -> int:
+    """`--seed` if given, else $ASMWEAVE_SEED, read at each call, else 0."""
+    if given is not None:
+        return given
+    text = os.environ.get("ASMWEAVE_SEED") or "0"
+    try:
+        return int(text)
+    except ValueError:
+        raise UsageError(
+            f"ASMWEAVE_SEED, the --seed default: invalid int value: {text!r}") from None
+
+
 def _load_machine(path: str):
     return parse_machine(read_source(path))
 
@@ -88,8 +101,8 @@ def _write_trace(path: str, trace) -> None:
 
 
 def cmd_run(args) -> int:
+    resolver = Resolver.seeded(_seed(args.seed))
     machine = _load_machine(args.machine)
-    resolver = Resolver.seeded(args.seed)
     if machine.agents and args.agents != "single":
         if args.rule is not None:
             # each agent loops its own rule; only the single scheduler runs one
@@ -249,7 +262,9 @@ def cmd_skeleton(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; it reads no environment."""
     p = argparse.ArgumentParser(
         prog="asmweave",
         description="Run, normalize, validate, and refinement-check abstract "
@@ -259,9 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="run a machine and print its final state")
     run_p.add_argument("machine")
     run_p.add_argument("--steps", type=_non_negative, default=10)
-    # argparse converts a string default with `type`, so a bad
-    # ASMWEAVE_SEED is a usage error like a bad --seed
-    run_p.add_argument("--seed", type=int, default=os.environ.get("ASMWEAVE_SEED") or "0",
+    run_p.add_argument("--seed", type=int, default=None,
                        help="resolver seed (default: $ASMWEAVE_SEED, else 0)")
     run_p.add_argument("--rule", default=None, help="rule to loop (default: main)")
     run_p.add_argument("--agents", choices=["sync", "interleave", "single"],
@@ -311,8 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except (ParseError, ResolveError, SourceEncodingError, ManifestError, UsageError,

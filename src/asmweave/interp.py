@@ -818,18 +818,15 @@ class Interleaving:
 
 @dataclass(frozen=True)
 class ScriptedOrder:
+    """Step k runs agent `order[k]`, which may stutter. The order names an
+    existing agent for every step run: `scenario.run_scenario` checks both
+    before the run starts."""
+
     order: Tuple[str, ...]
 
     def pick(self, machine, state, agents, resolver, moved):
-        # the agent named for step `resolver.step_index` steps and may
-        # stutter; past the order's end nobody steps, so the step stalls
-        if resolver.step_index >= len(self.order):
-            return (), False
         aid = self.order[resolver.step_index]
-        rules = dict(agents)
-        if aid not in rules:
-            raise EvalError(f"scheduled agent {aid!r} does not exist")
-        return ((aid, rules[aid]),), True
+        return ((aid, dict(agents)[aid]),), True
 
 
 def ma_step(
@@ -1026,24 +1023,17 @@ def run(
 
 
 def export_trace_jsonl(trace: Trace) -> str:
-    """One JSON object per step, newline separated."""
+    """One compact JSON object per step, newline separated; each update is
+    written from its cached text (`Update.text`)."""
     lines = []
     digests = trace.digests()
     for k, st in enumerate(trace.steps):
-        obj = {
-            "step": k,
-            "updates": [
-                {"f": u.loc.fname,
-                 "args": [encode_value(a) for a in u.loc.args],
-                 "val": encode_value(u.val)}
-                for u in st.updates
-            ],
-            "resolutions": [e.to_json() for e in st.resolutions],
-            "digest": digests[k],
-        }
+        rest = {"resolutions": [e.to_json() for e in st.resolutions], "digest": digests[k]}
         if st.schedule:
-            obj["schedule"] = list(st.schedule)
-        lines.append(json.dumps(obj, separators=(",", ":")))
+            rest["schedule"] = list(st.schedule)
+        updates = ",".join(u.text() for u in st.updates)
+        lines.append(f'{{"step":{k},"updates":[{updates}],'
+                     + json.dumps(rest, separators=(",", ":"))[1:])
     return "\n".join(lines) + ("\n" if lines else "")
 
 

@@ -14,7 +14,7 @@ from enum import Enum
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .errors import ArityMismatch, InconsistentUpdateSet, KindViolation, UnknownFunction
-from .values import UNDEF, Interned, SetV, Value, encode_value, show_value, value_key
+from .values import UNDEF, Interned, SetV, Value, show_value, value_key, value_text
 
 
 class FunctionKind(Enum):
@@ -66,6 +66,16 @@ class Location(Interned):
             return self.fname
         return f"{self.fname}({', '.join(show_value(a) for a in self.args)})"
 
+    def pair_head(self) -> str:
+        """`["fname",[args],`: the compact JSON that opens this location's
+        pair in a state digest; computed on first use and kept on it."""
+        try:
+            return self._text
+        except AttributeError:
+            text = f'[{json.dumps(self.fname)},[{",".join(map(value_text, self.args))}],'
+            object.__setattr__(self, "_text", text)
+            return text
+
 
 class Update(Interned):
     """A location and the value written to it, hash-consed."""
@@ -74,6 +84,17 @@ class Update(Interned):
 
     def key(self) -> tuple:
         return (self.loc.key(), value_key(self.val))
+
+    def text(self) -> str:
+        """`{"f":"fname","args":[args],"val":val}`: this update in an
+        exported trace, as compact JSON; computed on first use and kept."""
+        try:
+            return self._text
+        except AttributeError:
+            loc, args = self.loc, ",".join(map(value_text, self.loc.args))
+            text = f'{{"f":{json.dumps(loc.fname)},"args":[{args}],"val":{value_text(self.val)}}}'
+            object.__setattr__(self, "_text", text)
+            return text
 
 
 @dataclass(frozen=True)
@@ -221,9 +242,17 @@ def fire(state: State, us: UpdateSet) -> State:
 
 
 def _digest(content: Dict[Location, Value]) -> str:
-    pairs = sorted(([loc.fname, [encode_value(a) for a in loc.args], encode_value(v)]
-                    for loc, v in content.items()), key=json.dumps)
-    blob = json.dumps(pairs, separators=(",", ":"))
+    """sha256 of the compact JSON list of `[fname, [args], value]` pairs,
+    sorted by their JSON text. The pair texts are joined from each
+    location's and value's cached text; sorting them compactly gives the
+    order of sorting their spaced `json.dumps` texts, since the two differ
+    only in a space after each `,` and `:` outside strings."""
+    try:  # each slot read directly: the common case, all texts known
+        pairs = [loc._text + v._text + "]" for loc, v in content.items()]
+    except AttributeError:
+        pairs = [loc.pair_head() + value_text(v) + "]" for loc, v in content.items()]
+    pairs.sort()
+    blob = "[" + ",".join(pairs) + "]"
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 

@@ -8,15 +8,18 @@ canonical total order for set enumeration, printing and digests.
 """
 from __future__ import annotations
 
+import json
 from typing import Any, Iterable
 
 
 class Interned:
     """An immutable object, the only one of its class with its `_fields`:
     the class's table, a plain dict kept for the life of the process, maps
-    each tuple of fields made so far (for IntV, each int) to its object."""
+    each tuple of fields made so far (for IntV, each int) to its object.
+    `_text`, set on first use, holds its canonical JSON text (see
+    `value_text`, `Location.pair_head`, `Update.text`)."""
 
-    __slots__ = ()
+    __slots__ = ("_text",)
     _fields: tuple = ()
 
     def __init_subclass__(cls, **kwargs) -> None:
@@ -148,6 +151,17 @@ def encode_value(v: Value) -> Any:
     if isinstance(v, SetV):
         return {"set": [encode_value(e) for e in v]}
     raise TypeError(f"not a Value: {v!r}")
+
+
+def value_text(v: Value) -> str:
+    """`encode_value(v)` as compact JSON (ASCII only, no spaces), as digests
+    and exported traces write it; computed on first use and kept on `v`."""
+    try:
+        return v._text
+    except AttributeError:
+        text = json.dumps(encode_value(v), separators=(",", ":"))
+        object.__setattr__(v, "_text", text)
+        return text
 
 
 def decode_value(obj: Any) -> Value:

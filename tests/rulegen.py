@@ -43,7 +43,7 @@ from asmweave.parser import (
     pretty_print,
 )
 from asmweave.state import FuncDecl, FunctionKind, Location, Signature
-from asmweave.values import FALSE, TRUE, IntV, SymV, Value
+from asmweave.values import FALSE, TRUE, UNDEF, IntV, StrV, SymV, Value, mkset
 
 BOOL_LOCS = ("b1", "b2")
 INT_LOCS = ("n1", "n2")
@@ -333,3 +333,42 @@ def random_pga_rule(rng: random.Random, max_depth: int = 4) -> RuleExpr:
         return Par(children)
     else_op = random_pga_rule(rng, max_depth - 1) if rng.random() < 0.4 else None
     return If(_rand_bool_term(rng, 2), random_pga_rule(rng, max_depth - 1), else_op)
+
+
+# Values and contents for the digest and export oracle tests: strings
+# that hold JSON's own separators, quotes, escapes and non-ASCII text, so
+# that a text built piecewise must escape and order them as `json.dumps`.
+TRICKY_TEXTS = ("", " ", "a", "a, b", '", "', '": "', "x: y", '"', "\\", '\\"', "]", "[",
+                "{}", ",", ":", "\n\t", "\x00\x1f", "é", "ü, ö", "中文", "😀", "\ud800",
+                "undef", "1")
+
+
+def random_value(rng: random.Random, depth: int = 2) -> Value:
+    """Any value: undef, booleans, ints, tricky strings and symbols, and
+    sets of them, nested up to `depth`."""
+    roll = rng.randrange(7 if depth > 0 else 6)
+    if roll == 0:
+        return UNDEF
+    if roll == 1:
+        return TRUE if rng.random() < 0.5 else FALSE
+    if roll == 2:
+        return IntV(rng.choice((0, 1, -1, 9, 10, -10, 12, 2**70, -2**64)))
+    if roll in (3, 4):
+        return StrV(rng.choice(TRICKY_TEXTS) + rng.choice(TRICKY_TEXTS))
+    if roll == 5:
+        return SymV(rng.choice(TRICKY_TEXTS))
+    return mkset(v for v in (random_value(rng, depth - 1) for _ in range(rng.randrange(4)))
+                 if v is not UNDEF)
+
+
+def random_location(rng: random.Random) -> Location:
+    """A location of arity 0 to 3 under a short function name, its
+    arguments (undef among them) from `random_value`."""
+    return Location(rng.choice(("f", "g", "f_1", "fé", "h\"")),
+                    tuple(random_value(rng, 1) for _ in range(rng.randrange(4))))
+
+
+def random_content(rng: random.Random, size: int) -> Dict[Location, Value]:
+    """Up to `size` locations with defined values, as a state holds them."""
+    content = {random_location(rng): random_value(rng) for _ in range(size)}
+    return {loc: v for loc, v in content.items() if v is not UNDEF}

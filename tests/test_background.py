@@ -99,6 +99,20 @@ def test_background_oracle_table(name, args, expected):
     assert apply_background(name, args) == expected
 
 
+# the integer operations on int/int and on every mixed pair: only two
+# IntVs give a result (division floors), a boolean is no integer
+INT_OPS = {"+": I(5), "-": I(9), "*": I(-14), "div": I(-4), "mod": I(-1), "<": F}
+MIXED = [(I(7), T), (T, I(7)), (I(7), F), (I(7), U), (U, I(7)), (I(7), StrV("7")),
+         (StrV("7"), I(7))]
+
+
+@pytest.mark.parametrize("name", sorted(INT_OPS))
+def test_integer_ops_on_int_bool_undef_and_str_pairs(name):
+    assert apply_background(name, (I(7), I(-2))) is INT_OPS[name]
+    for args in MIXED:
+        assert apply_background(name, args) is U, args
+
+
 def test_registry_is_extensible():
     register("double", 1, lambda v: IntV(v.n * 2) if isinstance(v, IntV) else UNDEF)
     assert is_background("double")

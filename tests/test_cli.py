@@ -42,6 +42,21 @@ def test_bad_seed_env_variable_exits_2():
     assert "--seed" in r.stderr and "'zz'" in r.stderr
 
 
+def test_seed_env_variable_is_read_on_every_call(monkeypatch, capsys):
+    # the parser is built once per process; the default seed is not
+    argv = ["run", str(MODELS / "choose_out.asm"), "--steps", "5"]
+    for seed, want in (("0", "out = 2\n"), ("1", "out = 1\n"), ("0", "out = 2\n")):
+        monkeypatch.setenv("ASMWEAVE_SEED", seed)
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == want
+        assert cli.main(argv + ["--seed", seed]) == 0
+        assert capsys.readouterr().out == want
+    monkeypatch.setenv("ASMWEAVE_SEED", "zz")
+    assert cli.main(argv) == 2
+    assert "ASMWEAVE_SEED" in capsys.readouterr().err
+    assert cli.main(argv + ["--seed", "4"]) == 0
+
+
 def test_run_rule_on_machine_with_agents_needs_single():
     r = asmweave("run", MODELS / "ring3.asm", "--rule", "Nope", "--steps", 2)
     assert r.returncode == 2

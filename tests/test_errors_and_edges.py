@@ -14,7 +14,6 @@ from asmweave.errors import (
 from asmweave.interp import (
     ResEntry,
     Resolver,
-    ScriptedOrder,
     Synchronous,
     export_trace_jsonl,
     initial_state,
@@ -22,7 +21,7 @@ from asmweave.interp import (
     step,
     update_set,
 )
-from asmweave.multiagent import ma_run, ma_step
+from asmweave.multiagent import ma_run
 from asmweave.parser import App, Lit, parse_machine, parse_term
 from asmweave.state import Location, lookup
 from asmweave.values import FALSE, TRUE, UNDEF, IntV, SymV, mkset
@@ -100,13 +99,6 @@ def test_trace_jsonl_resolutions_survive_reload():
         reloaded.append(tuple(ResEntry.from_json(r) for r in obj["resolutions"]))
     replay = run(choice, 3, Resolver.scripted(reloaded))
     assert replay.digests() == trace.digests()
-
-
-def test_scripted_order_unknown_agent_is_an_error():
-    ring = load_model("ring3.asm")
-    with pytest.raises(EvalError):
-        ma_step(ring, initial_state(ring), ScriptedOrder(("nobody",)),
-                Resolver.seeded(0))
 
 
 def test_monitored_script_rejects_non_monitored_target():

@@ -128,12 +128,6 @@ def test_scripted_order_runs_ring_to_detection():
         assert final.content[Location("active", (SymV(aid),))] == FALSE
 
 
-def test_scripted_order_beyond_script_stalls():
-    t = ma_run(TWO_AGENTS, ScriptedOrder(("a1",)), 5, Resolver.seeded(0))
-    assert t.outcome == "stalled"
-    assert len(t.steps) == 1
-
-
 # ---------------------------------------------------------------------------
 # Exploration
 

@@ -238,11 +238,11 @@ def _pinned(outcome) -> tuple:
 
 def test_scheduler_outcomes_are_pinned():
     """`ma_step`'s outcome under each scheduler when monitored input alone
-    moves the state, when nothing moves, and past a scripted order's end."""
+    moves the state, and when nothing moves."""
     with_agents = parse_machine(INPUT_AGENTS + "agent a1 runs A\nagent a2 runs B\n")
     anonymous = parse_machine(INPUT_AGENTS)
     schedulers = {"sync": Synchronous(), "interleave": Interleaving(),
-                  "order": ScriptedOrder(("a1",)), "past": ScriptedOrder(())}
+                  "order": ScriptedOrder(("a1",))}
     inputs = {"m := 5": [ResEntry("monitored", "m", "", IntV(5))], "none": [],
               "m := 1": [ResEntry("monitored", "m", "", IntV(1))]}
     got = {}
@@ -260,31 +260,24 @@ def test_scheduler_outcomes_are_pinned():
         ("agents", "sync", "m := 5"): ("progressed", "m = 5", "", ("a1", "a2"), (m5,)),
         ("agents", "interleave", "m := 5"): ("progressed", "m = 5", "", (), (m5,)),
         ("agents", "order", "m := 5"): ("progressed", "m = 5", "", ("a1",), (m5,)),
-        ("agents", "past", "m := 5"): ("stalled", (m5,)),
         # nobody can move: only an explicitly scheduled agent stutters
         ("agents", "sync", "none"): ("stalled", ()),
         ("agents", "interleave", "none"): ("stalled", ()),
         ("agents", "order", "none"): ("progressed", "", "", ("a1",), ()),
-        ("agents", "past", "none"): ("stalled", ()),
         ("agents", "sync", "m := 1"): (
             "progressed", "m = 1, x = 1, y = 1", "x = 1, y = 1", ("a1", "a2"), (m1,)),
         ("agents", "interleave", "m := 1"): (
             "progressed", "m = 1, y = 1", "y = 1", ("a2",), (m1, "schedule sched = 'a2")),
         ("agents", "order", "m := 1"): ("progressed", "m = 1, x = 1", "x = 1", ("a1",), (m1,)),
-        # past the end of its order nobody steps, even an agent that could
-        ("agents", "past", "m := 1"): ("stalled", (m1,)),
         # the anonymous agent is never named in a schedule
         ("anonymous", "sync", "m := 5"): ("progressed", "m = 5", "", (), (m5,)),
         ("anonymous", "interleave", "m := 5"): ("progressed", "m = 5", "", (), (m5,)),
         ("anonymous", "order", "m := 5"): ("progressed", "m = 5", "", (), (m5,)),
-        ("anonymous", "past", "m := 5"): ("stalled", (m5,)),
         ("anonymous", "sync", "none"): ("stalled", ()),
         ("anonymous", "interleave", "none"): ("stalled", ()),
         ("anonymous", "order", "none"): ("progressed", "", "", (), ()),
-        ("anonymous", "past", "none"): ("stalled", ()),
         ("anonymous", "sync", "m := 1"): ("progressed", "m = 1, x = 1", "x = 1", (), (m1,)),
         ("anonymous", "interleave", "m := 1"): (
             "progressed", "m = 1, x = 1", "x = 1", (), (m1,)),
         ("anonymous", "order", "m := 1"): ("progressed", "m = 1, x = 1", "x = 1", (), (m1,)),
-        ("anonymous", "past", "m := 1"): ("stalled", (m1,)),
     }
