@@ -18,12 +18,14 @@ distinct state once, in depth-first order, so a side cut by the branch
 budget keeps exactly the walk's prefix of runs. `check_refinement` pairs
 refined nodes with the abstract nodes that match their collapsed
 observations (a subset construction, De Wulf et al., "Antichains", CAV
-2006, for Börger's (m, n) diagrams, FAC 2003). Only a FAIL lists runs.
+2006, for Börger's (m, n) diagrams, FAC 2003), in one depth-first walk of
+the product in run order that stops at the first failing run. No run is
+listed: a FAIL's counterexample is the walk's own path, and the nearest
+abstract runs are ranked on the abstract graph.
 `tests/refine_oracle.py` is the reference.
 """
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
@@ -115,17 +117,15 @@ class _Node:
     def __len__(self) -> int:
         return self.runs
 
-    def __iter__(self) -> Iterator[Tuple[str, Links, tuple]]:
-        """The top node's runs in depth-first order, as (marker, path, collapsed
-        observations); `interp.trace_of(start, path, marker)` rebuilds one."""
-        stack = [(node, None, ()) for _, node in self.children]
+    def __iter__(self) -> Iterator[Tuple[str, Links]]:
+        """The top node's runs in depth-first order, as (marker, path);
+        `interp.trace_of(start, path, marker)` rebuilds one."""
+        stack = [(node, None) for _, node in self.children]
         while stack:
-            node, path, seq = stack.pop()
-            if not seq or seq[-1] != node.entry[2]:  # a stutter step adds nothing
-                seq += (node.entry[2],)
+            node, path = stack.pop()
             for marker, res in node.ends:
-                yield marker, path if res is None else (res, path), seq
-            stack += [(child, (via, path), seq) for via, child in reversed(node.children)]
+                yield marker, path if res is None else (res, path)
+            stack += [(child, (via, path)) for via, child in reversed(node.children)]
 
 
 def _successors(machine: MachineDef, state: State, budget: int, memo: OutcomeMemo):
@@ -214,6 +214,9 @@ def enumerate_runs(machine: MachineDef, max_steps: int, budget: int,
 
 
 def check_refinement(spec: RefinementSpec) -> RefinementVerdict:
+    """Pass, BudgetExhausted, or Fail with the first failing refined run in
+    depth-first order, found by walking each product node once and stopping
+    at the first run end that fails."""
     a_steps, r_steps, budget = spec.bounds
     a_start = initial_state(spec.abstract, spec.abstract_init)
     r_start = initial_state(spec.refined, spec.refined_init)
@@ -240,16 +243,17 @@ def check_refinement(spec: RefinementSpec) -> RefinementVerdict:
                 more += [c for _, c in a.children if c.entry[2] == obs]
         return child, frozenset(reached), cut or any(a.depth == a_steps for a in reached)
 
-    start = ref_runs, frozenset([abs_runs]), False
-    kids: Dict[tuple, list] = {}  # each product node once, with its children
-    failing: Dict[tuple, tuple] = {}  # its first run end that fails, if any
-    undecided, todo = False, [start]
+    # One depth-first walk of the product in run order, each product node
+    # once: a node met again has no failing run below it, or the walk would
+    # have returned, so the first failure met ends the first failing run.
+    # An item is (product node, path from the refined start, parent item).
+    seen, undecided = set(), False
+    todo = [((ref_runs, frozenset([abs_runs]), False), None, None)]
     while todo:
-        key = todo.pop()
-        if key in kids:
+        key, path, _ = item = todo.pop()
+        if key in seen:
             continue
-        kids[key] = [step(key, child) for _, child in key[0].children]
-        todo += kids[key]
+        seen.add(key)
         node, config, cut = key
         for marker, res in node.ends:
             if config if marker == "budget" else any(
@@ -260,35 +264,69 @@ def check_refinement(spec: RefinementSpec) -> RefinementVerdict:
             if abs_trunc or cut:
                 undecided = True
             else:
-                failing.setdefault(key, (marker, res))
-    if failing:
-        # children first: the first failing run below each product node, as
-        # a chain of (outcome, node, rest) to (marker, outcome), or None
-        first: Dict[tuple, Optional[tuple]] = {}
-        for key in sorted(kids, key=lambda k: -k[0].depth):
-            first[key] = failing.get(key) or next(
-                ((via, c, first[k]) for (via, c), k in zip(key[0].children, kids[key])
-                 if first[k]), None)
-        path, seq, chain = None, [], first[start]
-        while len(chain) == 3:
-            via, node, chain = chain
-            path = path if via is None else (via, path)
-            if not seq or seq[-1] != node.entry[2]:
-                seq.append(node.entry[2])
-        marker, res = chain
-        observed = ObservationSeq(tuple(seq), marker)
-        nearest = heapq.nsmallest(
-            3, (ObservationSeq(tuples, m) for m, _, tuples in abs_runs),
-            key=lambda a: -_common_prefix_len(a.tuples, observed.tuples))
-        counterexample = trace_of(r_start, path if res is None else (res, path), marker)
-        return Fail(stats, counterexample, observed, nearest)
+                return _fail(stats, r_start, abs_runs, item, marker, res)
+        todo += [(step(key, child), path if via is None else (via, path), item)
+                 for via, child in reversed(node.children)]
     if undecided or ref_trunc:
         return BudgetExhausted(stats)
     return Pass(stats)
 
 
-def _common_prefix_len(a: tuple, b: tuple) -> int:
-    return next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+def _fail(stats: RefineStats, r_start: State, abs_top: _Node, item: tuple,
+          marker: str, res) -> Fail:
+    """The FAIL for the refined run that ends at the walk's `item`."""
+    path, seq = item[1], []
+    while item[2] is not None:  # the top item stands for no state
+        obs = item[0][0].entry[2]
+        if not seq or seq[-1] != obs:
+            seq.append(obs)
+        item = item[2]
+    observed = ObservationSeq(tuple(reversed(seq)), marker)
+    counterexample = trace_of(r_start, path if res is None else (res, path), marker)
+    return Fail(stats, counterexample, observed, _nearest(abs_top, observed.tuples))
+
+
+def _nearest(top: _Node, observed: tuple) -> List[ObservationSeq]:
+    """The first 3 abstract runs, in run order, stably sorted by the length of
+    their common prefix with `observed`, ranked on the graph. The runs below
+    a node reached with k observations matched, and whether all of them
+    matched, rank alike on every path to it, and their first 3 are the first
+    3 of the node's run ends and its children's first 3, stably sorted."""
+    # (node, k, all matched) -> [(prefix length, marker, observations below)]
+    ranked: Dict[tuple, list] = {}
+    todo = [(top, 0, True)]
+    while todo:
+        node, k, full = key = todo[-1]
+        if key in ranked:
+            todo.pop()
+            continue
+        kids = []  # (child's key, its observation, or None for a stutter step)
+        for _, child in node.children:
+            obs = child.entry[2]
+            if obs == node.entry[2]:
+                kids.append(((child, k, full), None))
+            elif full and observed[k:k + 1] == (obs,):
+                kids.append(((child, k + 1, True), obs))
+            else:
+                kids.append(((child, k, False), obs))
+        missing = [kid for kid, _ in kids if kid not in ranked]
+        if missing:
+            todo += missing
+            continue
+        todo.pop()
+        runs = [(k, m, None) for m, _ in node.ends]
+        for kid, obs in kids:  # observations below as links, so depth costs linear time
+            runs += ranked[kid] if obs is None else [
+                (n, m, (obs, rest)) for n, m, rest in ranked[kid]]
+        ranked[key] = sorted(runs, key=lambda r: -r[0])[:3]
+    nearest = []
+    for _, m, rest in ranked[top, 0, True]:
+        seq = []
+        while rest is not None:
+            obs, rest = rest
+            seq.append(obs)
+        nearest.append(ObservationSeq(tuple(seq), m))
+    return nearest
 
 
 # ---------------------------------------------------------------------------

@@ -279,7 +279,7 @@ machine S
 """)
     runs, truncated = enumerate_runs(stopper, 10, 10_000)
     assert not truncated
-    (marker, path, _), = runs
+    (marker, path), = runs
     assert len(runs) == 1
     trace = trace_of(initial_state(stopper), path, marker)
     assert trace.outcome == "stalled"
@@ -288,7 +288,7 @@ machine S
     clash = parse_machine(
         "machine C controlled x rule Main = par x := 1 x := 2 endpar main Main")
     runs2, _ = enumerate_runs(clash, 10, 10_000)
-    marker, path, _ = next(iter(runs2))
+    marker, path = next(iter(runs2))
     trace2 = trace_of(initial_state(clash), path, marker)
     assert trace2.outcome == "inconsistent"
     assert len(trace2.steps) == 1 and trace2.clashes
@@ -372,3 +372,36 @@ def test_a_fail_reports_the_first_failing_run_in_walk_order():
     got = check_refinement(spec)
     assert isinstance(got, Fail) and got.observed.marker == "stalled"
     assert got == refine_oracle.check_refinement(spec)
+
+
+def _fail_report(tmp_path, capsys, bounds: str) -> list:
+    manifest = tmp_path / "choice.refine"
+    manifest.write_text(f"step choice_to_broken\nabstract {MODELS}/choose_out.asm\n"
+                        f"refined {MODELS}/rr_broken.asm\nobserve out : out ~ out\n"
+                        f"bounds {bounds}\n", encoding="utf-8")
+    assert cli.main(["check-refine", str(manifest)]) == 1
+    return capsys.readouterr().out.splitlines()
+
+
+def test_a_fail_ranks_the_nearest_abstract_runs_on_the_graph(tmp_path, capsys, monkeypatch):
+    shallow = _fail_report(tmp_path, capsys, "3 3 10000")
+    nearest = [line for line in shallow if line.startswith("  nearest abstract:")]
+    assert len(nearest) == 3
+
+    def no_listing(self):
+        raise AssertionError("a FAIL listed the abstract runs")
+
+    # 3^40 abstract runs: ranked on the graph, never listed one by one
+    monkeypatch.setattr(refine._Node, "__iter__", no_listing)
+    deep = _fail_report(tmp_path, capsys, f"40 40 {10 ** 30}")
+    assert deep[0] == "FAIL  choice_to_broken"
+    assert [line for line in deep if line.startswith("  nearest abstract:")] == nearest
+
+
+def test_a_deep_deterministic_fail_reports_its_one_abstract_run():
+    # 25000 steps each side: neither the walk nor the ranking recurses per step
+    verdict = check_refinement(spec_for(RR, RR_BROKEN, bounds=(25_000, 25_000, 10 ** 12)))
+    assert isinstance(verdict, Fail)
+    (near,) = verdict.nearest_abstract
+    assert near.marker == "budget"
+    assert near.tuples == ((UNDEF,),) + tuple((IntV(i % 3 + 1),) for i in range(25_000))

@@ -29,7 +29,7 @@ def _runs(module, machine, steps, budget) -> tuple:
     runs, truncated = module.enumerate_runs(machine, steps, budget)
     if module is refine:  # run records: rebuild each Trace from its path
         start = initial_state(machine)
-        runs = [trace_of(start, path, marker) for marker, path, _ in runs]
+        runs = [trace_of(start, path, marker) for marker, path in runs]
     return truncated, [(t.outcome, t.clashes, t.steps, t.states) for t in runs]
 
 

@@ -1,6 +1,7 @@
 """The bench harness still finds every function and name it uses."""
 import ast
 import importlib
+import sys
 
 from conftest import MODELS, SRC, content_key, load_model
 from asmweave import multiagent
@@ -195,3 +196,22 @@ def test_every_top_level_name_is_read(monkeypatch):
                        if name not in read and name not in exempt
                        and not (name.startswith("__") and name.endswith("__"))]
     assert unread == []
+
+
+def test_the_runtime_needs_only_the_standard_library():
+    """The package declares no dependencies, and every module under
+    `src/asmweave` imports only the standard library and its own package."""
+    pyproject = (SRC.parent / "pyproject.toml").read_text(encoding="utf-8")
+    assert "dependencies = []" in pyproject.splitlines()
+    outside = []
+    for path in sorted((SRC / "asmweave").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            outside += [f"{path.name}:{node.lineno}: {name}" for name in names
+                        if name.split(".")[0] not in sys.stdlib_module_names]
+    assert outside == []
