@@ -43,14 +43,18 @@ step's `monitored` entries name the locations it injects, and an exported
 trace records them in the same form. One enumerator, `_probe`, evaluates an
 agent's rule to its end once per combination of draws, replaying a stack
 of choice points; `enumerate_moves`, `enumerate_update_sets` and the
-interleaving scheduler's progress check all consume it. `enumerate_moves`
+interleaving scheduler's progress check all consume it. A probe's
+resolver has no script, so `begin_step` only resets its draws, and
+`enumerate_update_sets` sorts only when it finds two or more sets: one
+evaluation costs little more than the rule does. `enumerate_moves`
 deduplicates and orders its outcomes by update set (by clash set when
-inconsistent), and `enumerate_steps` is those outcomes with each move
-fired. Given a `reads` dict, the rule reads a view whose content
-records every location read; `multiagent`'s outcome memo keys on those
-locations. Resolution keys
-combine the choose label with a digest of the lexical bindings in scope,
-not the visit order, which keeps par children order-independent.
+inconsistent), reading the sort key each update and location keeps once
+built, and `enumerate_steps` is those outcomes with each move fired.
+Given a `reads` dict, the rule reads a view whose content records every
+location read; `multiagent`'s outcome memo keys on those locations.
+Resolution keys combine the choose label with a digest of the lexical
+bindings in scope, not the visit order, which keeps par children
+order-independent.
 
 A step's outcome is its one record: `Progressed` or `Inconsistent`, with
 the step's `updates`, draws and `schedule`. `ma_step` returns it, and a
@@ -215,13 +219,11 @@ class Resolver:
 
     def begin_step(self, state: State) -> Dict[Location, Value]:
         """Reset draw bookkeeping; return what the step's `monitored` entries inject."""
-        self._occ = {}
-        self._abs_cache = {}
-        self._record = []
-        injections: Dict[Location, Value] = {}
-        for e in self._script_entries():
-            if e.kind == "monitored":
-                injections[read_location(e.label, state.sig)] = e.value
+        self._occ, self._abs_cache, self._record = {}, {}, []
+        if self.script is None:  # every probe and every seeded run
+            return {}
+        injections = {read_location(e.label, state.sig): e.value
+                      for e in self._script_entries() if e.kind == "monitored"}
         for loc, val in sorted(injections.items(), key=lambda kv: kv[0].key()):
             decl = state.sig.get(loc.fname)
             if decl is None or decl.kind != FunctionKind.MONITORED:
@@ -335,23 +337,22 @@ def _fresh(base: str, avoid: set) -> str:
 
 
 def _subst_binder(var: str, mapping: Dict[str, Term]):
-    """Narrow a substitution under a binder, renaming on capture."""
+    """Narrow a substitution under a binder: the binder's name, renamed on
+    capture, and the substitution for its body."""
     inner = {k: v for k, v in mapping.items() if k != var}
-    captured = any(var in free_vars(v) for v in inner.values())
-    if not captured:
-        return var, inner, None
-    avoid = set(inner)
+    if not any(var in free_vars(v) for v in inner.values()):
+        return var, inner
+    avoid = set(inner) | {var}
     for v in inner.values():
         avoid |= free_vars(v)
-    new = _fresh(var, avoid | {var})
-    return new, inner, Var(new)
+    new = _fresh(var, avoid)
+    inner[var] = Var(new)
+    return new, inner
 
 
 def _subst_rule(op: RuleExpr, mapping: Dict[str, Term], suffix: Callable[[], str]) -> RuleExpr:
     if isinstance(op, Assign):
-        lhs = App(op.lhs.fname,
-                  tuple(_subst_term(a, mapping) for a in op.lhs.args), op.lhs.pos)
-        return Assign(lhs, _subst_term(op.rhs, mapping), op.pos)
+        return Assign(_subst_term(op.lhs, mapping), _subst_term(op.rhs, mapping), op.pos)
     if isinstance(op, Par):
         return Par(tuple(_subst_rule(c, mapping, suffix) for c in op.children), op.pos)
     if isinstance(op, If):
@@ -360,20 +361,14 @@ def _subst_rule(op: RuleExpr, mapping: Dict[str, Term], suffix: Callable[[], str
                   _subst_rule(op.else_op, mapping, suffix) if op.else_op else None,
                   op.pos)
     if isinstance(op, Let):
-        binding = _subst_term(op.binding, mapping)
-        var, inner, renamed = _subst_binder(op.var, mapping)
-        if renamed is not None:
-            inner = dict(inner)
-            inner[op.var] = renamed
-        return Let(var, binding, _subst_rule(op.body, inner, suffix), op.pos)
+        var, inner = _subst_binder(op.var, mapping)
+        return Let(var, _subst_term(op.binding, mapping), _subst_rule(op.body, inner, suffix),
+                   op.pos)
     if isinstance(op, Call):
         return Call(op.rname, tuple(_subst_term(a, mapping) for a in op.args), op.pos)
     if isinstance(op, (Forall, Choose)):
         domain = _subst_term(op.domain, mapping)
-        var, inner, renamed = _subst_binder(op.var, mapping)
-        if renamed is not None:
-            inner = dict(inner)
-            inner[op.var] = renamed
+        var, inner = _subst_binder(op.var, mapping)
         guard = _subst_term(op.guard, inner) if op.guard is not None else None
         body = _subst_rule(op.body, inner, suffix)
         if isinstance(op, Forall):
@@ -929,19 +924,15 @@ def initial_state(machine: MachineDef, overrides: Sequence[Tuple[App, Term]] = (
     empty = State(machine.sig)
     content: Dict[Location, Value] = {}
     statics: Dict[Location, Value] = {}
-    for lhs, rhs in machine.init:
+    for k, (lhs, rhs) in enumerate((*machine.init, *overrides)):
         loc, val = _location(lhs, empty), eval_term(rhs, empty)
         decl = machine.sig.get(lhs.fname)
+        if decl is None:  # the parser has checked every init target
+            raise EvalError(f"override target {lhs.fname!r} is not declared", lhs.pos)
         target = statics if decl.kind == FunctionKind.STATIC else content
-        if loc in target and target[loc] != val:
+        if k < len(machine.init) and loc in target and target[loc] != val:
             raise InconsistentUpdateSet([(loc, {target[loc], val})])
         target[loc] = val
-    for lhs, rhs in overrides:
-        loc, val = _location(lhs, empty), eval_term(rhs, empty)
-        decl = machine.sig.get(lhs.fname)
-        if decl is None:
-            raise EvalError(f"override target {lhs.fname!r} is not declared", lhs.pos)
-        (statics if decl.kind == FunctionKind.STATIC else content)[loc] = val
     return State(machine.sig, content, statics)
 
 
@@ -1112,8 +1103,10 @@ def enumerate_update_sets(
     machine: Optional[MachineDef] = None,
     bound: int = 10_000,
 ) -> List[UpdateSet]:
-    """All distinct update sets one rule can produce in one state."""
-    return sorted({us for us, _ in _probe(op, state, machine, bound)}, key=UpdateSet.key)
+    """All distinct update sets one rule can produce in one state, in
+    `UpdateSet.key` order: sorted only when there are two or more."""
+    sets = list({us for us, _ in _probe(op, state, machine, bound)})
+    return sorted(sets, key=UpdateSet.key) if len(sets) > 1 else sets
 
 
 def enumerate_moves(

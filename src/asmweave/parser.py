@@ -345,9 +345,7 @@ class _Parser:
         return self.peek().type == ttype
 
     def accept(self, ttype: str) -> Optional[Token]:
-        if self.at(ttype):
-            return self.next()
-        return None
+        return self.next() if self.at(ttype) else None
 
     def expect(self, ttype: str) -> Token:
         t = self.peek()
@@ -523,10 +521,7 @@ class _Parser:
                 guard = self.term()
                 self.expect("then")
                 then_op = self.op()
-                else_op = None
-                if self.accept("else"):
-                    else_op = self.op()
-                return If(guard, then_op, else_op, pos)
+                return If(guard, then_op, self.op() if self.accept("else") else None, pos)
             if t.type == "let":
                 self.next()
                 var = self.expect("IDENT").value
@@ -546,9 +541,7 @@ class _Parser:
                 self.expect("in")
                 domain = self.term()
                 outer, self.scope = self.scope, self.scope | {var}
-                guard = None
-                if self.accept("with"):
-                    guard = self.term()
+                guard = self.term() if self.accept("with") else None
                 self.expect("do")
                 body = self.op()
                 self.scope = outer
@@ -699,9 +692,7 @@ def _const_eval(t: Term) -> Optional[Value]:
         return t.value
     if isinstance(t, App) and t.fname == "mkset":
         elems = [_const_eval(a) for a in t.args]
-        if any(e is None for e in elems):
-            return None
-        return mkset(elems)
+        return None if any(e is None for e in elems) else mkset(elems)
     if isinstance(t, App) and t.fname == "mkrange":
         lo, hi = (_const_eval(a) for a in t.args)
         if isinstance(lo, IntV) and isinstance(hi, IntV):

@@ -343,6 +343,7 @@ def parse_manifest(text: str, base_dir: Path) -> List[RefinementStep]:
     """Parse a chain manifest; see the documented format in the README."""
     steps: List[RefinementStep] = []
     current: Optional[dict] = None
+    machines: Dict[Path, MachineDef] = {}  # each file parsed once, on the first line naming it
 
     def finish() -> None:
         if current is None:
@@ -378,9 +379,11 @@ def parse_manifest(text: str, base_dir: Path) -> List[RefinementStep]:
         if current is None:
             raise ManifestError(f"line {lineno}: {head!r} before any 'step'")
         if head in ("abstract", "refined"):
-            where = f"line {lineno}: {head} {rest}"
-            current[head] = located(where, parse_machine, read_input(
-                (base_dir / rest).resolve(), f"line {lineno}: cannot read"))
+            path = (base_dir / rest).resolve()
+            if path not in machines:
+                machines[path] = located(f"line {lineno}: {head} {rest}", parse_machine,
+                                         read_input(path, f"line {lineno}: cannot read"))
+            current[head] = machines[path]
         elif head == "observe":
             if ":" not in rest or "~" not in rest:
                 raise ManifestError(

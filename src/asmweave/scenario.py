@@ -372,7 +372,6 @@ def skeleton(machine_path: Union[str, Path]) -> str:
         for aid, rname in machine.agents:
             lines.append(f"// step 1: schedule {aid}   // runs {rname}")
         lines.append("")
-    lines.append("// assertions:")
-    lines.append("// assert 1: <condition on the state after step 1>")
-    lines.append("// final: <condition on the last state>")
+    lines += ["// assertions:", "// assert 1: <condition on the state after step 1>",
+              "// final: <condition on the last state>"]
     return "\n".join(lines) + "\n"

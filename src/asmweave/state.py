@@ -48,9 +48,11 @@ class Signature:
 
 
 class Location(Interned):
-    """A function name and argument tuple, hash-consed: equal means identical."""
+    """A function name and argument tuple, hash-consed: equal means identical.
+    `_key`, set on first use like `_text`, holds its canonical sort key."""
 
-    __slots__ = _fields = ("fname", "args")
+    __slots__ = ("fname", "args", "_key")
+    _fields = ("fname", "args")
 
     def __new__(cls, fname: str, args: Tuple[Value, ...] = ()) -> "Location":
         try:
@@ -59,7 +61,11 @@ class Location(Interned):
             return Interned.__new__(cls, fname, args)
 
     def key(self) -> tuple:
-        return (self.fname, tuple(value_key(a) for a in self.args))
+        try:
+            return self._key
+        except AttributeError:
+            object.__setattr__(self, "_key", (self.fname, tuple(map(value_key, self.args))))
+            return self._key
 
     def show(self) -> str:
         if not self.args:
@@ -78,12 +84,18 @@ class Location(Interned):
 
 
 class Update(Interned):
-    """A location and the value written to it, hash-consed."""
+    """A location and the value written to it, hash-consed. `_key`, set on
+    first use like `_text`, holds its sort key: the location's and value's."""
 
-    __slots__ = _fields = ("loc", "val")
+    __slots__ = ("loc", "val", "_key")
+    _fields = ("loc", "val")
 
     def key(self) -> tuple:
-        return (self.loc.key(), value_key(self.val))
+        try:
+            return self._key
+        except AttributeError:
+            object.__setattr__(self, "_key", (self.loc.key(), value_key(self.val)))
+            return self._key
 
     def text(self) -> str:
         """`{"f":"fname","args":[args],"val":val}`: this update in an
@@ -116,11 +128,12 @@ class UpdateSet:
         return len(self.updates)
 
     def __iter__(self):
+        """The updates in `Update.key` order, read from each update's kept key."""
         return iter(sorted(self.updates, key=Update.key))
 
     def key(self) -> tuple:
         """Canonical, under every hash seed: the sorted update keys."""
-        return tuple(sorted(u.key() for u in self.updates))
+        return tuple(sorted(map(Update.key, self.updates)))
 
 
 _EMPTY = UpdateSet(frozenset())

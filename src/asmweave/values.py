@@ -17,7 +17,8 @@ class Interned:
     the class's table, a plain dict kept for the life of the process, maps
     each tuple of fields made so far (for IntV, each int) to its object.
     `_text`, set on first use, holds its canonical JSON text (see
-    `value_text`, `Location.pair_head`, `Update.text`)."""
+    `value_text`, `Location.pair_head`, `Update.text`); a `Location` or
+    `Update` keeps its canonical sort key (`key()`) in `_key` alike."""
 
     __slots__ = ("_text",)
     _fields: tuple = ()

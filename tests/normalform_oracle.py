@@ -5,14 +5,21 @@
 rebuilt tree and `_clauses` pushes its guards inward. The one-walk
 normalizer must give the same verdicts, clauses and errors
 (`tests/test_normalform_oracle.py`).
+
+`equivalence_check` is the comparison by testing as it was before
+`enumerate_update_sets` left a lone update set unsorted: every state's
+sets sorted by update keys computed afresh
+(`tests/test_equivalence_oracle.py`).
 """
 from __future__ import annotations
 
+import itertools
 from typing import List, Optional, Tuple, Union
 
-from asmweave.errors import AsmError, NotPGA, RecursiveCall
-from asmweave.interp import instantiate_call
-from asmweave.normalform import NormalForm, PgaVerdict
+from asmweave import interp
+from asmweave.errors import AsmError, NotPGA, RecursiveCall, SpaceTooLarge
+from asmweave.interp import initial_state, instantiate_call
+from asmweave.normalform import BRANCH_BOUND, SPACE_BUDGET, EquivVerdict, NormalForm, PgaVerdict
 from asmweave.parser import (
     App,
     Assign,
@@ -27,7 +34,7 @@ from asmweave.parser import (
     RuleExpr,
     Term,
 )
-from asmweave.values import TRUE
+from asmweave.values import TRUE, value_key
 
 
 def inline_calls(machine: MachineDef, body: RuleExpr, stack: Tuple[str, ...] = ()) -> RuleExpr:
@@ -124,3 +131,42 @@ def normalize(machine: MachineDef, rule: Union[str, RuleExpr]) -> NormalForm:
     raw: List[Tuple[Optional[Term], Assign]] = []
     _clauses(body, None, raw)
     return NormalForm([(g if g is not None else Lit(TRUE), a) for g, a in raw])
+
+
+def _set_key(us) -> tuple:
+    return tuple(sorted(((u.loc.fname, tuple(value_key(a) for a in u.loc.args)),
+                         value_key(u.val)) for u in us.updates))
+
+
+def _outcome(body: RuleExpr, state, machine: MachineDef):
+    try:
+        sets = sorted({us for us, _ in interp._probe(body, state, machine, BRANCH_BOUND)},
+                      key=_set_key)
+    except AsmError as e:
+        return ("error", type(e).__name__)
+    return ("sets", frozenset(sets))
+
+
+def _as_body(machine: MachineDef, rule) -> RuleExpr:
+    if isinstance(rule, str):
+        return machine.declarations[rule].body
+    return rule.to_rule() if isinstance(rule, NormalForm) else rule
+
+
+def equivalence_check(machine: MachineDef, rule1, rule2, space) -> EquivVerdict:
+    size = 1
+    for _, candidates in space:
+        size *= max(len(candidates), 1)
+    if size > SPACE_BUDGET:
+        raise SpaceTooLarge(size, SPACE_BUDGET)
+    body1, body2 = _as_body(machine, rule1), _as_body(machine, rule2)
+    base = initial_state(machine)
+    locs = [loc for loc, _ in space]
+    checked = 0
+    for combo in itertools.product(*[c for _, c in space]):
+        state = base.with_content(dict(zip(locs, combo)))
+        checked += 1
+        o1, o2 = _outcome(body1, state, machine), _outcome(body2, state, machine)
+        if o1 != o2:
+            return EquivVerdict(False, checked, state, repr(o1), repr(o2))
+    return EquivVerdict(True, checked)

@@ -335,6 +335,32 @@ def random_pga_rule(rng: random.Random, max_depth: int = 4) -> RuleExpr:
     return If(_rand_bool_term(rng, 2), random_pga_rule(rng, max_depth - 1), else_op)
 
 
+def _total_guard(rng: random.Random, depth: int) -> Term:
+    """A guard that is boolean in every state: comparisons by `=` joined
+    by and, or and not."""
+    if depth <= 0 or rng.random() < 0.4:
+        names = PGA_BOOL_LOCS + PGA_INT_LOCS
+        other = rng.choice([App(rng.choice(names), ()), Lit(IntV(rng.randrange(3))), Lit(TRUE)])
+        return App("=", (App(rng.choice(names), ()), other))
+    if rng.random() < 0.3:
+        return App("not", (_total_guard(rng, depth - 1),))
+    return App(rng.choice(["and", "or"]), (_total_guard(rng, depth - 1),
+                                           _total_guard(rng, depth - 1)))
+
+
+def random_total_pga_source(rng: random.Random, name: str = "Total") -> str:
+    """The source of a machine over the PGA vocabulary whose main rule is a
+    par of ifs with total guards, each writing one location: it yields one
+    update set in every state of any space."""
+    clauses = tuple(If(_total_guard(rng, 2), _rand_assign(rng), _rand_assign(rng))
+                    for _ in range(rng.randrange(2, 5)))
+    machine = pga_test_machine()
+    draft = MachineDef(name=name, sig=machine.sig,
+                       declarations={"Main": RuleDecl("Main", (), Par(clauses))},
+                       init=(), main="Main")
+    return pretty_print(draft)
+
+
 # Values and contents for the digest and export oracle tests: strings
 # that hold JSON's own separators, quotes, escapes and non-ASCII text, so
 # that a text built piecewise must escape and order them as `json.dumps`.

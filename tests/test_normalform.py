@@ -1,13 +1,15 @@
+import collections
 import random
 
 import pytest
 
 from conftest import load_model
-from rulegen import pga_test_machine, pga_test_space, random_pga_rule
+from rulegen import pga_test_machine, pga_test_space, random_pga_rule, random_total_pga_source
+from asmweave import cli, normalform
 from asmweave.errors import NotPGA, RecursiveCall, SpaceTooLarge
 from asmweave.normalform import classify_pga, equivalence_check, normalize
 from asmweave.parser import App, Assign, If, Lit, Par, parse_machine, pp_term
-from asmweave.state import Location
+from asmweave.state import Location, Update, UpdateSet
 from asmweave.values import BoolV, IntV
 
 MIXED = parse_machine("""
@@ -147,3 +149,44 @@ def test_random_pga_soundness_sample():
         nf = normalize(bench, rule)
         result = equivalence_check(bench, rule, nf, space)
         assert result.passed, (pp_term(nf.clauses[0][0]), result.left, result.right)
+
+
+def test_normalize_builds_no_update_set_key_for_lone_update_sets(tmp_path, monkeypatch,
+                                                                 capsys):
+    """Counts, not times: `normalize` over 6^5 states whose rules yield
+    one update set each never orders update sets. The key of an update is
+    built at most once, however often a traced `run` orders its sets."""
+    enumerate_update_sets, key = normalform.enumerate_update_sets, Update.key
+    built, lone, calls = collections.Counter(), [0], [0]
+
+    def one_set(*args):
+        sets = enumerate_update_sets(*args)
+        assert len(sets) == 1
+        lone[0] += 1
+        return sets
+
+    def never(us):
+        raise AssertionError("UpdateSet.key called")
+
+    def counting(u):
+        calls[0] += 1
+        try:
+            u._key
+        except AttributeError:
+            built[u] += 1
+        return key(u)
+
+    monkeypatch.setattr(normalform, "enumerate_update_sets", one_set)
+    monkeypatch.setattr(UpdateSet, "key", never)
+    monkeypatch.setattr(Update, "key", counting)
+    rng = random.Random(12)
+    for k in range(2):
+        path = tmp_path / f"total{k}.asm"
+        path.write_text(random_total_pga_source(rng, f"Total{k}"), encoding="utf-8")
+        assert cli.main(["normalize", str(path)]) == 0
+        assert capsys.readouterr().out.endswith("equivalence over 7776 states: pass\n")
+        for _ in range(2):
+            assert cli.main(["run", str(path), "--steps", "20",
+                             "--trace", str(tmp_path / "trace.jsonl")]) in (0, 1)
+    assert lone[0] == 2 * 2 * 7776
+    assert calls[0] > len(built) and max(built.values(), default=1) == 1

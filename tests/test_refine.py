@@ -207,6 +207,53 @@ def test_manifest_machine_error_names_its_line(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("chain, status", [("chain_ok", 0), ("chain_broken", 1)])
+def test_a_manifest_parses_each_machine_file_once(chain, status, tmp_path, monkeypatch,
+                                                   capsys):
+    parsed = []
+
+    def counting(text):
+        parsed.append(text)
+        return parse_machine(text)
+
+    monkeypatch.setattr(refine, "parse_machine", counting)
+    manifest = MODELS / "chains" / f"{chain}.refine"
+    assert cli.main(["check-refine", str(manifest), "--trace",
+                     str(tmp_path / "shared.jsonl")]) == status
+    shared = capsys.readouterr().out
+    # chain_ok names round_robin.asm and rr_table.asm in two steps each
+    assert len(parsed) == (4 if chain == "chain_ok" else 5)
+    # the same chain with each machine line naming a copy of its own
+    lines = manifest.read_text(encoding="utf-8").splitlines()
+    for k, line in enumerate(lines):
+        head, _, rest = line.partition(" ")
+        if head in ("abstract", "refined"):
+            (tmp_path / f"m{k}.asm").write_bytes((manifest.parent / rest).read_bytes())
+            lines[k] = f"{head} m{k}.asm"
+    apart = tmp_path / "apart.refine"
+    apart.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    parsed.clear()
+    assert cli.main(["check-refine", str(apart), "--trace",
+                     str(tmp_path / "apart.jsonl")]) == status
+    assert len(parsed) == 6
+    assert capsys.readouterr().out == shared
+    traces = [tmp_path / "shared.jsonl", tmp_path / "apart.jsonl"]
+    if status:  # a FAIL exports its counterexample
+        assert traces[0].read_bytes() == traces[1].read_bytes() != b""
+    else:
+        assert not any(t.exists() for t in traces)
+
+
+def test_a_machine_file_named_twice_fails_on_its_first_line(tmp_path):
+    (tmp_path / "bad.asm").write_text("machine Bad\n  rule R = x := (1\n", encoding="utf-8")
+    text = ("step a\nabstract ../swap.asm\nrefined {bad}\nobserve a : a ~ a\n"
+            "step b\nabstract {bad}\nrefined {bad}\nobserve a : a ~ a\n")
+    with pytest.raises(ManifestError, match="^line 3: refined "):
+        parse_manifest(text.format(bad=tmp_path / "bad.asm"), MODELS / "chains")
+    with pytest.raises(ManifestError, match="^line 3: cannot read "):
+        parse_manifest(text.format(bad=tmp_path / "gone.asm"), MODELS / "chains")
+
+
 def test_init_link_aligns_initial_states():
     base = MODELS / "chains"
     misaligned = """
