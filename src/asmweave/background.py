@@ -2,6 +2,9 @@
 
 The registry is the customization point for domain-specific vocabularies:
 `register(name, arity, fn)` adds an operation that terms may then apply.
+Every operation is static: a function of its arguments only, with no
+state and no effect. The interpreter relies on this to evaluate an
+operation applied to constants once and keep its value (`interp._once`).
 
 Strictness: every operation yields undef as soon as any argument is undef,
 and likewise for ill-typed arguments or division by zero. The exceptions
@@ -23,6 +26,8 @@ _REGISTRY: Dict[str, Tuple[Optional[int], Callable[..., Value]]] = {}
 
 
 def register(name: str, arity: Optional[int], fn: Callable[..., Value]) -> None:
+    """Add the operation `name`; `fn` must be static, a function of its
+    arguments only, as the interpreter keeps its value on constants."""
     _REGISTRY[name] = (arity, fn)
 
 

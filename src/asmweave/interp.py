@@ -4,7 +4,7 @@ One step evaluates a rule against a state and collects an update set:
 assignment contributes a single (location, value) pair; par unions its
 children's sets; if selects a branch by its boolean guard; let binds a
 value; a rule call substitutes argument terms for formals (by name, so
-arguments are re-evaluated at each use); forall unions the body's set over
+arguments are evaluated at each use); forall unions the body's set over
 every range element satisfying the guard; choose picks one such element
 through the resolver. What a step does with its update set is decided in
 one place, `_outcome`: an empty set is Stalled (unless the step may
@@ -20,8 +20,14 @@ closure together with that signature, so closures live and die with the
 tree and no table outlives a machine. A rule call site instantiates its
 callee once per machine and keeps that compiled instantiation, so the
 substitution, and the choose labels it names, happen once per site and
-not once per evaluation. `eval_term`, `update_set` and `_probe` run the
-closures; the tree walk they replaced is the test oracle.
+not once per evaluation. Constant subterms are evaluated once (Jones,
+Gomard & Sestoft, "Partial Evaluation", 1993): a background operation
+applied to literals or to such applications keeps the value of its first
+evaluation in its closure, never an error, so a range `{0 .. 3}` or a
+substituted argument `60 - 1 - 1` is built once per tree, and only if it
+is reached. Background operations are static, so this changes no value.
+`eval_term`, `update_set` and `_probe` run the closures; the tree walk
+they replaced is the test oracle.
 
 Every step is a step of an agent set over one shared state, taken by
 `ma_step`. A scheduler only picks who steps and whether the step may
@@ -46,10 +52,10 @@ of choice points; `enumerate_moves`, `enumerate_update_sets` and the
 interleaving scheduler's progress check all consume it. A probe's
 resolver has no script, so `begin_step` only resets its draws, and
 `enumerate_update_sets` sorts only when it finds two or more sets: one
-evaluation costs little more than the rule does. `enumerate_moves`
-deduplicates and orders its outcomes by update set (by clash set when
-inconsistent), reading the sort key each update and location keeps once
-built, and `enumerate_steps` is those outcomes with each move fired.
+evaluation costs little more than the rule does. `enumerate_moves` keys
+its outcomes on their update sets (clash sets when inconsistent) and
+sorts two or more by the key each update and location keeps once built;
+`enumerate_steps` is those outcomes with each move fired.
 Given a `reads` dict, the rule reads a view whose content records every
 location read; `multiagent`'s outcome memo keys on those locations.
 Resolution keys combine the choose label with a digest of the lexical
@@ -125,9 +131,9 @@ from .values import (
     SymV,
     Value,
     decode_value,
-    encode_value,
     show_value,
     value_key,
+    value_text,
 )
 
 # deep rule-call chains recurse through the evaluator; the call-depth
@@ -166,10 +172,6 @@ class ResEntry:
     key: str
     value: Value
 
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "label": self.label, "key": self.key,
-                "value": encode_value(self.value)}
-
     @staticmethod
     def from_json(obj: dict) -> "ResEntry":
         return ResEntry(obj["kind"], obj["label"], obj.get("key", ""),
@@ -193,12 +195,8 @@ class Resolver:
     to a seed for anything unscripted; `_Replay` enumerates for `_probe`.
     """
 
-    def __init__(
-        self,
-        *,
-        seed: Optional[int] = None,
-        script: Optional[Sequence[Sequence[ResEntry]]] = None,
-    ) -> None:
+    def __init__(self, *, seed: Optional[int] = None,
+                 script: Optional[Sequence[Sequence[ResEntry]]] = None) -> None:
         self.seed = seed
         self.script = [list(s) for s in script] if script is not None else None
         self.step_index = 0
@@ -449,6 +447,20 @@ def _failing(args, error):
     return fail
 
 
+def _once(fn):
+    """A constant term's closure: `fn`'s value, kept from its first
+    evaluation; an error is raised again, never kept."""
+    value = None
+
+    def once(s, e, r):
+        nonlocal value
+        if value is None:
+            value = fn(s, e, r)
+        return value
+    once.constant = True
+    return once
+
+
 def _compile_term(t: Term, sig: Signature):
     if isinstance(t, Lit):
         value = t.value
@@ -484,12 +496,18 @@ def _compile_app(t: App, sig: Signature):
                 f"{fname!r} expects {arity} argument(s), got {n}"))
         if n == 1:
             a0, = args
-            return lambda s, e, r: op(a0(s, e, r))
-        if n == 2:
+            fn = lambda s, e, r: op(a0(s, e, r))
+        elif n == 2:
             a0, a1 = args
-            return lambda s, e, r: op(a0(s, e, r), a1(s, e, r))
-        values = _values(args)
-        return lambda s, e, r: op(*values(s, e, r))
+            fn = lambda s, e, r: op(a0(s, e, r), a1(s, e, r))
+        else:
+            values = _values(args)
+            fn = lambda s, e, r: op(*values(s, e, r))
+        # an operation of constants is a constant: read off the children's
+        # closures, so a deep substituted argument costs no walk
+        constant = all(isinstance(a, Lit) or hasattr(f, "constant")
+                       for a, f in zip(t.args, args))
+        return _once(fn) if constant else fn
     if decl.arity != n:
         return _failing(args, lambda: ArityMismatch(
             f"{fname!r} has arity {decl.arity}, got {n}", pos))
@@ -653,13 +671,9 @@ def eval_term(t: Term, state: State, env: Optional[Dict[str, Value]] = None,
     return _term(t, state.sig)(state, env or {}, resolver)
 
 
-def update_set(
-    op: RuleExpr,
-    state: State,
-    env: Optional[Dict[str, Value]] = None,
-    resolver: Optional[Resolver] = None,
-    machine: Optional[MachineDef] = None,
-) -> UpdateSet:
+def update_set(op: RuleExpr, state: State, env: Optional[Dict[str, Value]] = None,
+               resolver: Optional[Resolver] = None,
+               machine: Optional[MachineDef] = None) -> UpdateSet:
     """Update set of one rule evaluation; does not fire it."""
     out: set = set()
     try:
@@ -764,7 +778,7 @@ SELF_LOC = Location("self", ())
 def _agent_view(state: State, agent: str) -> State:
     """The state an agent's rule reads: the shared state with `self` bound.
     The anonymous agent "" has no `self`."""
-    return state.with_content({SELF_LOC: SymV(agent)}) if agent else state
+    return state.derive({**state.content, SELF_LOC: SymV(agent)}) if agent else state
 
 
 def agents_of(machine: MachineDef) -> Tuple[Tuple[str, str], ...]:
@@ -824,13 +838,9 @@ class ScriptedOrder:
         return ((aid, dict(agents)[aid]),), True
 
 
-def ma_step(
-    machine: MachineDef,
-    state: State,
-    scheduler: Synchronous | Interleaving | ScriptedOrder,
-    resolver: Resolver,
-    agents: Optional[Tuple[Tuple[str, str], ...]] = None,
-) -> StepResult:
+def ma_step(machine: MachineDef, state: State,
+            scheduler: Synchronous | Interleaving | ScriptedOrder, resolver: Resolver,
+            agents: Optional[Tuple[Tuple[str, str], ...]] = None) -> StepResult:
     """One loop iteration: inject monitored input, let the scheduler pick
     who steps, evaluate their rules against the same state, and decide the
     outcome."""
@@ -972,14 +982,9 @@ def read_resolver_free(text: str, sig: Signature, where: str) -> Term:
     return t
 
 
-def ma_run(
-    machine: MachineDef,
-    scheduler: Synchronous | Interleaving | ScriptedOrder,
-    max_steps: int,
-    resolver: Optional[Resolver] = None,
-    start: Optional[State] = None,
-    agents: Optional[Tuple[Tuple[str, str], ...]] = None,
-) -> Trace:
+def ma_run(machine: MachineDef, scheduler: Synchronous | Interleaving | ScriptedOrder,
+           max_steps: int, resolver: Optional[Resolver] = None, start: Optional[State] = None,
+           agents: Optional[Tuple[Tuple[str, str], ...]] = None) -> Trace:
     """Iterate `ma_step` from `start` until a step stalls, clashes, or
     `max_steps` have run, and record the trace."""
     resolver = resolver if resolver is not None else Resolver.seeded(0)
@@ -1001,30 +1006,28 @@ def ma_run(
     return trace
 
 
-def run(
-    machine: MachineDef,
-    max_steps: int,
-    resolver: Optional[Resolver] = None,
-    rule: Optional[str] = None,
-    start: Optional[State] = None,
-) -> Trace:
+def run(machine: MachineDef, max_steps: int, resolver: Optional[Resolver] = None,
+        rule: Optional[str] = None, start: Optional[State] = None) -> Trace:
     """Run `rule` (default: main) as the anonymous agent."""
     return ma_run(machine, Synchronous(), max_steps, resolver, start,
                   (("", rule or machine.main),))
 
 
 def export_trace_jsonl(trace: Trace) -> str:
-    """One compact JSON object per step, newline separated; each update is
-    written from its cached text (`Update.text`)."""
-    lines = []
-    digests = trace.digests()
-    for k, st in enumerate(trace.steps):
-        rest = {"resolutions": [e.to_json() for e in st.resolutions], "digest": digests[k]}
-        if st.schedule:
-            rest["schedule"] = list(st.schedule)
+    """One compact JSON object per step, newline separated, written as text:
+    each update from its cached text (`Update.text`), each resolution as
+    `{"kind", "label", "key", "value"}` (`ResEntry.from_json` reads it back),
+    its value from its cached text."""
+    lines, dumps = [], json.dumps
+    for k, (st, digest) in enumerate(zip(trace.steps, trace.digests())):
         updates = ",".join(u.text() for u in st.updates)
-        lines.append(f'{{"step":{k},"updates":[{updates}],'
-                     + json.dumps(rest, separators=(",", ":"))[1:])
+        # a kind is one of four plain words, written as it is
+        res = ",".join(f'{{"kind":"{e.kind}","label":{dumps(e.label)},"key":{dumps(e.key)},'
+                       f'"value":{value_text(e.value)}}}' for e in st.resolutions)
+        schedule = (f',"schedule":{dumps(st.schedule, separators=(",", ":"))}'
+                    if st.schedule else "")
+        lines.append(f'{{"step":{k},"updates":[{updates}],"resolutions":[{res}],'
+                     f'"digest":"{digest}"{schedule}}}')
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -1097,26 +1100,17 @@ def _probe(body: RuleExpr, state: State, machine: Optional[MachineDef], bound: i
         points[-1][1] -= 1
 
 
-def enumerate_update_sets(
-    op: RuleExpr,
-    state: State,
-    machine: Optional[MachineDef] = None,
-    bound: int = 10_000,
-) -> List[UpdateSet]:
+def enumerate_update_sets(op: RuleExpr, state: State, machine: Optional[MachineDef] = None,
+                          bound: int = 10_000) -> List[UpdateSet]:
     """All distinct update sets one rule can produce in one state, in
     `UpdateSet.key` order: sorted only when there are two or more."""
     sets = list({us for us, _ in _probe(op, state, machine, bound)})
     return sorted(sets, key=UpdateSet.key) if len(sets) > 1 else sets
 
 
-def enumerate_moves(
-    state: State,
-    machine: MachineDef,
-    rule: str,
-    bound: int = 10_000,
-    agent: str = "",
-    reads: Optional[Dict[Location, None]] = None,
-) -> List[Outcome]:
+def enumerate_moves(state: State, machine: MachineDef, rule: str, bound: int = 10_000,
+                    agent: str = "", reads: Optional[Dict[Location, None]] = None
+                    ) -> List[Outcome]:
     """All step outcomes over every choose/abstract resolution combination,
     a progressing one as its unfired Move.
 
@@ -1127,17 +1121,18 @@ def enumerate_moves(
     passes `bound`. With `reads`, every location the rule read is added to
     it as a key.
     """
-    results: Dict[tuple, Outcome] = {}
+    results: Dict[object, Outcome] = {}
     for us, resolutions in _probe(rule_body(machine, rule), state, machine, bound,
                                   agent, reads):
         res = _outcome(state.sig, us, resolutions, (agent,))
-        if isinstance(res, Inconsistent):
-            key = (1, tuple((loc.key(), tuple(sorted(map(value_key, vals))))
-                            for loc, vals in res.clashes))
-        else:
-            key = (0, us.key())
+        key = us if not isinstance(res, Inconsistent) else tuple(
+            (loc.key(), tuple(sorted(map(value_key, vals)))) for loc, vals in res.clashes)
         results.setdefault(key, res)
-    return [results[k] for k in sorted(results)]
+    if len(results) < 2:
+        return list(results.values())
+    # update sets in key order, then clash sets: the sort keys are built only here
+    return [results[k] for k in sorted(
+        results, key=lambda k: (0, k.key()) if isinstance(k, UpdateSet) else (1, k))]
 
 
 def enumerate_steps(state: State, machine: MachineDef, rule: str, bound: int = 10_000,

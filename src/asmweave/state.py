@@ -35,10 +35,14 @@ class FuncDecl:
 
 @dataclass(frozen=True)
 class Signature:
+    """The declared functions. `_updatable` holds the locations `checked`
+    has found declared controlled, so each is checked once."""
+
     entries: Tuple[FuncDecl, ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_by_name", {d.name: d for d in self.entries})
+        object.__setattr__(self, "_updatable", set())
 
     def get(self, name: str) -> Optional[FuncDecl]:
         return self._by_name.get(name)
@@ -227,10 +231,14 @@ def checked(sig: Signature, us: UpdateSet) -> Tuple[Dict[Location, Value],
         raise InconsistentUpdateSet(conflicts(us))
     writes: Dict[Location, Value] = {}
     clears: List[Location] = []
+    updatable = sig._updatable
     for u in updates:
-        decl = _check_loc(sig, u.loc)
-        if decl.kind != FunctionKind.CONTROLLED:
-            raise KindViolation(f"cannot update {u.loc.fname!r}: kind is {decl.kind.value}")
+        if u.loc not in updatable:
+            decl = _check_loc(sig, u.loc)
+            if decl.kind != FunctionKind.CONTROLLED:
+                raise KindViolation(
+                    f"cannot update {u.loc.fname!r}: kind is {decl.kind.value}")
+            updatable.add(u.loc)
         if u.val is UNDEF:  # `x := undef` empties the location
             clears.append(u.loc)
         else:

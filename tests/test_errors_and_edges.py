@@ -12,9 +12,11 @@ from asmweave.errors import (
     ScriptViolation,
 )
 from asmweave.interp import (
+    Progressed,
     ResEntry,
     Resolver,
     Synchronous,
+    Trace,
     export_trace_jsonl,
     initial_state,
     run,
@@ -23,7 +25,7 @@ from asmweave.interp import (
 )
 from asmweave.multiagent import ma_run
 from asmweave.parser import App, Lit, parse_machine, parse_term
-from asmweave.state import Location, lookup
+from asmweave.state import Location, UpdateSet, lookup
 from asmweave.values import FALSE, TRUE, UNDEF, IntV, SymV, mkset
 
 
@@ -80,14 +82,16 @@ def test_override_target_must_be_declared_and_init_must_not_clash():
 
 
 def test_res_entry_json_round_trip():
-    entries = [
+    entries = (
         ResEntry("choose", "Main.choose1", "choose:Main.choose1|#0", IntV(2)),
         ResEntry("abstract", "flip", "abs:flip", FALSE),
         ResEntry("monitored", "inc", "mon:inc", mkset([SymV("a"), IntV(1)])),
         ResEntry("schedule", "sched", "sched", SymV("m1")),
-    ]
-    for e in entries:
-        assert ResEntry.from_json(json.loads(json.dumps(e.to_json()))) == e
+    )
+    state = initial_state(load_model("swap.asm"))
+    line = export_trace_jsonl(Trace(state, [Progressed(state, UpdateSet.empty(), entries)],
+                                    "budget"))
+    assert tuple(map(ResEntry.from_json, json.loads(line)["resolutions"])) == entries
 
 
 def test_trace_jsonl_resolutions_survive_reload():

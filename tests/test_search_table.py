@@ -2,7 +2,7 @@
 decides, and only unseen successors are built."""
 from conftest import MODELS, load_model
 from asmweave import multiagent, refine
-from asmweave.interp import export_trace_jsonl
+from asmweave.interp import SELF_LOC, export_trace_jsonl
 from asmweave.multiagent import SearchTable, explore
 from asmweave.parser import parse_term
 from asmweave.refine import check_chain
@@ -58,7 +58,8 @@ def test_explore_builds_only_its_unseen_successors(monkeypatch):
     derive, successor = State.derive, SearchTable.successor
 
     def counting_derive(state, content):
-        if type(content) is dict:  # not a probe's recording view
+        # neither a probe's recording view nor an agent's view binding `self`
+        if type(content) is dict and SELF_LOC not in content:
             built.append(content)
         return derive(state, content)
 

@@ -11,7 +11,7 @@ import hashlib
 import json
 from typing import Dict, List
 
-from asmweave.interp import Progressed, Trace
+from asmweave.interp import Progressed, ResEntry, Trace
 from asmweave.state import Location
 from asmweave.values import Value, encode_value
 
@@ -30,6 +30,11 @@ def trace_digests(trace: Trace) -> List[str]:
     return [digest(s.content) for s in states[:len(trace.steps)] + [states[-1]]]
 
 
+def resolution(e: ResEntry) -> dict:
+    """A resolution as an exported trace writes it, in this key order."""
+    return {"kind": e.kind, "label": e.label, "key": e.key, "value": encode_value(e.value)}
+
+
 def export_trace_jsonl(trace: Trace) -> str:
     lines = []
     digests = trace_digests(trace)
@@ -42,7 +47,7 @@ def export_trace_jsonl(trace: Trace) -> str:
                  "val": encode_value(u.val)}
                 for u in st.updates
             ],
-            "resolutions": [e.to_json() for e in st.resolutions],
+            "resolutions": [resolution(e) for e in st.resolutions],
             "digest": digests[k],
         }
         if st.schedule:
