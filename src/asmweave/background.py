@@ -13,9 +13,18 @@ equality compares any two values (undef equals only itself), and the
 connectives follow three-valued logic so that `false and x` is false and
 `true or x` is true no matter what x is. Guards reject undef downstream,
 which is where type confusion finally surfaces.
+
+The connectives, equality, the comparisons and the int arithmetic are
+made from one table, `BUILTIN`, twice: as the implementation registered
+here and as the closure `interp` fuses into an application, so that a
+`+` runs inside its application's closure. An application is fused only
+while its name keeps the built-in implementation; a name registered anew
+takes the generic path, which calls what was registered.
 """
 from __future__ import annotations
 
+import functools
+import operator
 from typing import Callable, Dict, Optional, Tuple
 
 from .errors import ArityMismatch, BackgroundError
@@ -27,7 +36,9 @@ _REGISTRY: Dict[str, Tuple[Optional[int], Callable[..., Value]]] = {}
 
 def register(name: str, arity: Optional[int], fn: Callable[..., Value]) -> None:
     """Add the operation `name`; `fn` must be static, a function of its
-    arguments only, as the interpreter keeps its value on constants."""
+    arguments only, as the interpreter keeps its value on constants. A
+    tree compiled after this applies `fn`, never a fused built-in, even
+    under a built-in name; a tree compiled earlier keeps what it bound."""
     _REGISTRY[name] = (arity, fn)
 
 
@@ -59,62 +70,144 @@ def _ints(*vs: Value):
     return out
 
 
-def _int2(fn):
-    def op(a: Value, b: Value) -> Value:
-        # exact class tests, no list: a `+` or `<` runs on every step
+# Each form of built-in operation twice: its implementation, a function
+# of values, and its application fused into one closure of the argument
+# closures (Proebsting, "Optimizing an ANSI C interpreter with
+# superoperators", POPL 1995), which `interp` builds so that applying it
+# takes one Python frame where calling the implementation takes two or
+# three. Both are made from the operand that `BUILTIN` gives the
+# operation, so each operation is defined once.
+
+# Kleene's `not`; any other value, undef or ill-typed, gives undef
+_NOT = {TRUE: FALSE, FALSE: TRUE}
+
+
+def _arith(op):
+    """`op`, an `operator` function, on the ints of two IntVs; a zero
+    divisor gives undef."""
+    def arith(a: Value, b: Value) -> Value:
+        # exact class tests, no list: a `+` runs on every step
         if a.__class__ is IntV and b.__class__ is IntV:
-            return fn(a.n, b.n)
+            try:
+                return IntV(op(a.n, b.n))
+            except ZeroDivisionError:
+                return UNDEF
         return UNDEF
-
-    return op
-
-
-def _div(a: int, b: int) -> Value:
-    return UNDEF if b == 0 else IntV(a // b)
+    return arith
 
 
-def _mod(a: int, b: int) -> Value:
-    return UNDEF if b == 0 else IntV(a % b)
+def _fuse_arith(op, a0, a1):
+    def arith(s, e, r):
+        a, b = a0(s, e, r), a1(s, e, r)
+        if a.__class__ is IntV and b.__class__ is IntV:
+            try:
+                return IntV(op(a.n, b.n))
+            except ZeroDivisionError:
+                return UNDEF
+        return UNDEF
+    return arith
+
+
+def _compare(op):
+    """`op`, an `operator` comparison, on the ints of two IntVs."""
+    def compare(a: Value, b: Value) -> Value:
+        if a.__class__ is IntV and b.__class__ is IntV:
+            return TRUE if op(a.n, b.n) else FALSE
+        return UNDEF
+    return compare
+
+
+def _fuse_compare(op, a0, a1):
+    def compare(s, e, r):
+        a, b = a0(s, e, r), a1(s, e, r)
+        if a.__class__ is IntV and b.__class__ is IntV:
+            return TRUE if op(a.n, b.n) else FALSE
+        return UNDEF
+    return compare
+
+
+def _same(when):
+    """Total equality: values are hash-consed, so equal values are one
+    object; `when` is the result for one object and for two."""
+    one, two = when
+    return lambda a, b: one if a is b else two
+
+
+def _fuse_same(when, a0, a1):
+    one, two = when
+    return lambda s, e, r: one if a0(s, e, r) is a1(s, e, r) else two
+
+
+def _kleene(when):
+    """`and` or `or` in three-valued logic, `when` being (absorbing, unit):
+    the absorbing value on either side wins whatever the other is, the
+    unit on both sides gives the unit, and anything else undef."""
+    absorbing, unit = when
+
+    def kleene(a: Value, b: Value) -> Value:
+        if a is absorbing or b is absorbing:
+            return absorbing
+        return unit if a is unit and b is unit else UNDEF
+    return kleene
+
+
+def _fuse_kleene(when, a0, a1):
+    absorbing, unit = when
+
+    def kleene(s, e, r):  # both operands are evaluated, left to right
+        a, b = a0(s, e, r), a1(s, e, r)
+        if a is absorbing or b is absorbing:
+            return absorbing
+        return unit if a is unit and b is unit else UNDEF
+    return kleene
+
+
+def _implies(when):
+    """`a implies b`, which is `not a or b`; `when` is `or`'s."""
+    or_ = _kleene(when)
+    return lambda a, b: or_(_NOT.get(a, UNDEF), b)
+
+
+def _fuse_implies(when, a0, a1):
+    return _fuse_kleene(when, _fuse_not(None, a0), a1)
+
+
+def _not(_):
+    return lambda a: _NOT.get(a, UNDEF)
+
+
+def _fuse_not(_, a0):
+    return lambda s, e, r: _NOT.get(a0(s, e, r), UNDEF)
+
+
+# name -> (form, operand): the form picks the two makers, and the operand
+# tells the operations of one form apart
+BUILTIN = {"+": ("arith", operator.add), "-": ("arith", operator.sub),
+           "*": ("arith", operator.mul), "div": ("arith", operator.floordiv),
+           "mod": ("arith", operator.mod),
+           "<": ("compare", operator.lt), "<=": ("compare", operator.le),
+           ">": ("compare", operator.gt), ">=": ("compare", operator.ge),
+           "=": ("same", (TRUE, FALSE)), "!=": ("same", (FALSE, TRUE)),
+           "and": ("kleene", (FALSE, TRUE)), "or": ("kleene", (TRUE, FALSE)),
+           "implies": ("implies", (TRUE, FALSE)), "not": ("not", None)}
+_FORMS = {  # form -> (implementation maker, fused closure maker)
+    "arith": (_arith, _fuse_arith), "compare": (_compare, _fuse_compare),
+    "same": (_same, _fuse_same), "kleene": (_kleene, _fuse_kleene),
+    "implies": (_implies, _fuse_implies), "not": (_not, _fuse_not)}
+
+# each implementation registered here for a BUILTIN operation -> the maker
+# of its application's fused closure from the argument closures; an
+# application of a name registered anew finds no entry for what it calls
+FUSE: Dict[Callable[..., Value], Callable[..., Callable]] = {}
+for _name, (_form, _operand) in BUILTIN.items():
+    _implementation, _fuse = _FORMS[_form]
+    _fn = _implementation(_operand)
+    register(_name, 1 if _form == "not" else 2, _fn)
+    FUSE[_fn] = functools.partial(_fuse, _operand)
 
 
 def _neg(a: Value) -> Value:
     return IntV(-a.n) if isinstance(a, IntV) else UNDEF
-
-
-def _eq(a: Value, b: Value) -> Value:
-    return mkbool(a == b)
-
-
-def _neq(a: Value, b: Value) -> Value:
-    return mkbool(a != b)
-
-
-def _kleene_and(a: Value, b: Value) -> Value:
-    if a == FALSE or b == FALSE:
-        return FALSE
-    if a == TRUE and b == TRUE:
-        return TRUE
-    return UNDEF
-
-
-def _kleene_or(a: Value, b: Value) -> Value:
-    if a == TRUE or b == TRUE:
-        return TRUE
-    if a == FALSE and b == FALSE:
-        return FALSE
-    return UNDEF
-
-
-def _kleene_not(a: Value) -> Value:
-    if a == TRUE:
-        return FALSE
-    if a == FALSE:
-        return TRUE
-    return UNDEF
-
-
-def _kleene_implies(a: Value, b: Value) -> Value:
-    return _kleene_or(_kleene_not(a), b)
 
 
 def _sets(*vs: Value):
@@ -169,22 +262,7 @@ def _mkrange(lo: Value, hi: Value) -> Value:
     return mkset(IntV(n) for n in range(ns[0], ns[1] + 1))
 
 
-register("+", 2, _int2(lambda a, b: IntV(a + b)))
-register("-", 2, _int2(lambda a, b: IntV(a - b)))
-register("*", 2, _int2(lambda a, b: IntV(a * b)))
-register("div", 2, _int2(_div))
-register("mod", 2, _int2(_mod))
 register("neg", 1, _neg)
-register("=", 2, _eq)
-register("!=", 2, _neq)
-register("<", 2, _int2(lambda a, b: mkbool(a < b)))
-register("<=", 2, _int2(lambda a, b: mkbool(a <= b)))
-register(">", 2, _int2(lambda a, b: mkbool(a > b)))
-register(">=", 2, _int2(lambda a, b: mkbool(a >= b)))
-register("and", 2, _kleene_and)
-register("or", 2, _kleene_or)
-register("not", 1, _kleene_not)
-register("implies", 2, _kleene_implies)
 register("union", 2, _union)
 register("inter", 2, _inter)
 register("diff", 2, _diff)

@@ -26,6 +26,14 @@ applied to literals or to such applications keeps the value of its first
 evaluation in its closure, never an error, so a range `{0 .. 3}` or a
 substituted argument `60 - 1 - 1` is built once per tree, and only if it
 is reached. Background operations are static, so this changes no value.
+A built-in operation runs inside its application's closure, a
+superoperator (Proebsting, "Optimizing an ANSI C interpreter with
+superoperators", POPL 1995): one frame per `+`, `<`, `=` or `and`, where
+calling the implementation took two or three. That holds while the name
+keeps the implementation `background` registered for it; a name
+registered anew takes the generic path, and a tree compiled earlier
+keeps the operation it bound. A forall or choose binds its variable into
+one env dict per evaluation, not one per element.
 `eval_term`, `update_set` and `_probe` run the closures; the tree walk
 they replaced is the test oracle.
 
@@ -75,6 +83,7 @@ import functools
 import hashlib
 import json
 import sys
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -91,7 +100,7 @@ from .errors import (
     UnboundedAbstract,
     UnboundVariable,
 )
-from .background import background_op, is_background
+from .background import FUSE, background_op, is_background
 from .parser import (
     App,
     Assign,
@@ -126,7 +135,6 @@ from .values import (
     FALSE,
     TRUE,
     UNDEF,
-    BoolV,
     SetV,
     SymV,
     Value,
@@ -394,14 +402,15 @@ def instantiate_call(machine: MachineDef, rname: str, args: Tuple[Term, ...]) ->
 #
 # A term compiles to `fn(state, env, resolver) -> Value` and a rule to
 # `fn(state, env, resolver, machine, depth, out)`, which adds the rule's
-# updates to the set `out`; `env` is a dict of the lexical bindings, never
-# mutated, and `depth` counts the rule calls above. The compiler binds what
-# the signature fixes: a function's declaration, a background operation,
-# a location whose arguments are literals, a choose label. Every check the
-# tree walk in `tests/interp_oracle.py` makes while evaluating (arity,
-# unknown function, unbound variable, guard, range, call depth, missing
-# resolver or machine) stays in the closure, and raises the same error
-# after the same evaluations.
+# updates to the set `out`; `env` is a dict of the lexical bindings, which
+# no closure mutates or keeps past its call (a forall or choose rebinds its
+# variable in a copy of its own), and `depth` counts the rule calls above.
+# The compiler binds what the signature fixes: a function's declaration, a
+# background operation, a location whose arguments are literals, a choose
+# label. Every check the tree walk in `tests/interp_oracle.py` makes while
+# evaluating (arity, unknown function, unbound variable, guard, range, call
+# depth, missing resolver or machine) stays in the closure, and raises the
+# same error after the same evaluations.
 
 
 def _compiled(node, sig: Signature, compile_node):
@@ -494,12 +503,8 @@ def _compile_app(t: App, sig: Signature):
         if arity is not None and arity != n:
             return _failing(args, lambda: ArityMismatch(
                 f"{fname!r} expects {arity} argument(s), got {n}"))
-        if n == 1:
-            a0, = args
-            fn = lambda s, e, r: op(a0(s, e, r))
-        elif n == 2:
-            a0, a1 = args
-            fn = lambda s, e, r: op(a0(s, e, r), a1(s, e, r))
+        if op in FUSE:  # by identity: a name registered anew is not fused
+            fn = FUSE[op](*args)
         else:
             values = _values(args)
             fn = lambda s, e, r: op(*values(s, e, r))
@@ -594,10 +599,10 @@ def _compile_if(op: If, sig: Signature):
 
     def if_(s, e, r, machine, d, out):
         v = guard(s, e, r)
-        if not isinstance(v, BoolV):
-            raise _not_boolean(guard_term, v)
-        if v.b:
+        if v is TRUE:  # TRUE and FALSE are the only BoolVs
             then_op(s, e, r, machine, d, out)
+        elif v is not FALSE:
+            raise _not_boolean(guard_term, v)
         elif else_op is not None:
             else_op(s, e, r, machine, d, out)
     return if_
@@ -605,16 +610,19 @@ def _compile_if(op: If, sig: Signature):
 
 def _compile_call(op: Call, sig: Signature):
     rname, args, pos = op.rname, op.args, op.pos
-    site = [None, None]  # the machine last seen here, and its compiled body
+    # a weak reference to the machine last seen here, and its compiled body:
+    # the machine holds this closure, and a strong reference would make its
+    # tree a cycle, freed only by a full collection of the garbage collector
+    site = [None, None]
 
     def call(s, e, r, machine, d, out):
         if machine is None:
             raise EvalError(f"rule call {rname!r} outside a machine context", pos)
         if d >= MAX_CALL_DEPTH:
             raise CallDepthExceeded(f"call depth {MAX_CALL_DEPTH} exceeded at {rname!r}", pos)
-        if site[0] is not machine:
+        if site[0] is None or site[0]() is not machine:
             site[1] = _rule(instantiate_call(machine, rname, args), sig)
-            site[0] = machine
+            site[0] = weakref.ref(machine)
         site[1](s, e, r, machine, d + 1, out)
     return call
 
@@ -622,45 +630,53 @@ def _compile_call(op: Call, sig: Signature):
 def _compile_binder(op, sig: Signature):
     """forall and choose: bind `op.var` to each element of the range that
     satisfies the guard; forall runs the body for each, choose for the one
-    element the resolver picks."""
+    element the resolver picks. Each evaluation binds into one env dict of
+    its own, rebound per element."""
     var, pos, guard_term = op.var, op.pos, op.guard
     domain, body = _term(op.domain, sig), _rule(op.body, sig)
     guard = _term(guard_term, sig) if guard_term is not None else None
     what = "forall" if isinstance(op, Forall) else "choose"
 
-    def elements(s, e, r):
-        """(element, env binding it) for each element passing the guard."""
+    def range_of(s, e, r):
         dom = domain(s, e, r)
         if not isinstance(dom, SetV):
             raise RangeNotSet(f"{what} range evaluated to {show_value(dom)}", pos)
-        for v in dom:  # canonical order
-            inner = dict(e)
-            inner[var] = v
-            if guard is not None:
-                g = guard(s, inner, r)
-                if not isinstance(g, BoolV):
-                    raise _not_boolean(guard_term, g)
-                if not g.b:
-                    continue
-            yield v, inner
+        return dom
 
     if what == "forall":
         def forall(s, e, r, machine, d, out):
-            for _, inner in elements(s, e, r):
+            inner = dict(e)
+            for v in range_of(s, e, r):  # canonical order
+                inner[var] = v
+                if guard is not None:
+                    g = guard(s, inner, r)
+                    if g is not TRUE:
+                        if g is FALSE:
+                            continue
+                        raise _not_boolean(guard_term, g)
                 body(s, inner, r, machine, d, out)
         return forall
 
     label = op.label or (f"choose@{pos[0]}:{pos[1]}" if pos else "choose")
 
     def choose(s, e, r, machine, d, out):
-        candidates = [v for v, _ in elements(s, e, r)]
+        inner = dict(e)
+        if guard is None:
+            candidates = list(range_of(s, e, r))
+        else:
+            candidates = []
+            for v in range_of(s, e, r):
+                inner[var] = v
+                g = guard(s, inner, r)
+                if g is TRUE:
+                    candidates.append(v)
+                elif g is not FALSE:
+                    raise _not_boolean(guard_term, g)
         if not candidates:
             return  # idle gracefully when nothing satisfies
         if r is None:
             raise EvalError("choose needs a resolver", pos)
-        picked = r.choose(label, _ctx_digest(e), candidates, pos)
-        inner = dict(e)
-        inner[var] = picked
+        inner[var] = r.choose(label, _ctx_digest(e), candidates, pos)
         body(s, inner, r, machine, d, out)
     return choose
 
@@ -849,17 +865,19 @@ def ma_step(machine: MachineDef, state: State,
     injections = resolver.begin_step(state)
     eval_state = state.with_content(injections) if injections else state
     picked, stutter = scheduler.pick(machine, eval_state, agents, resolver,
-                                     eval_state.content != state.content)
-    us = UpdateSet.empty()
+                                     eval_state is not state
+                                     and eval_state.content != state.content)
+    us, aids = UpdateSet.empty(), ()
     for aid, rule in picked:
         resolver.set_agent(aid)
         try:
-            us = us.union(update_set(rule_body(machine, rule), _agent_view(eval_state, aid),
-                                     None, resolver, machine))
+            part = update_set(rule_body(machine, rule), _agent_view(eval_state, aid),
+                              None, resolver, machine)
         finally:
             resolver.set_agent("")
-    return _fired(eval_state, _outcome(eval_state.sig, us, resolver.end_step(),
-                                       tuple(aid for aid, _ in picked), stutter))
+        us = us.union(part) if aids else part  # one agent: no union
+        aids += (aid,)
+    return _fired(eval_state, _outcome(eval_state.sig, us, resolver.end_step(), aids, stutter))
 
 
 def step(state: State, machine: MachineDef, rule: str, resolver: Resolver) -> StepResult:

@@ -57,8 +57,10 @@ class ObservationSeq:
     marker: str  # stalled | budget | inconsistent
 
     def pretty(self) -> str:
+        """The observations, then how the run ended: a run cut by its step
+        bound shows `[bound]`, as `BUDGET` names the branch budget."""
         shown = " -> ".join("(" + ", ".join(map(show_value, t)) + ")" for t in self.tuples)
-        return f"{shown} [{self.marker}]"
+        return f"{shown} [{'bound' if self.marker == 'budget' else self.marker}]"
 
 
 @dataclass

@@ -1,6 +1,8 @@
+import gc
 import itertools
 import json
 import random
+import weakref
 
 import pytest
 
@@ -478,3 +480,17 @@ def test_frame_across_progressed_steps():
                 if mon is not None and mon.kind.value == "monitored":
                     continue
                 assert pre.content.get(loc) == post.content.get(loc)
+
+
+def test_a_machine_with_rule_calls_is_freed_without_the_garbage_collector():
+    # a call site holds its machine weakly: the machine's tree is no cycle
+    machine = parse_machine("machine M controlled x rule Inc(k) = x := x + k "
+                            "rule Main = if x < 9 then Inc(1) init { x := 0 } main Main")
+    assert len(run(machine, 5, Resolver.seeded(0)).steps) == 5
+    body = weakref.ref(machine.declarations["Main"].body)
+    gc.disable()
+    try:
+        del machine
+        assert body() is None
+    finally:
+        gc.enable()

@@ -12,7 +12,7 @@ import interp_oracle
 from conftest import MODELS, content_key, load_model
 from parse_corpus import _TERM_SOURCE, term_texts
 from rulegen import random_machine, random_par_machine
-from asmweave import interp
+from asmweave import background, interp
 from asmweave.errors import AsmError
 from asmweave.interp import Resolver, agents_of, export_trace_jsonl, initial_state, rule_body
 from asmweave.parser import (
@@ -24,6 +24,7 @@ from asmweave.parser import (
     Let,
     Lit,
     Var,
+    _subterms,
     parse_machine,
     parse_term,
 )
@@ -212,9 +213,10 @@ def _terms(sig):
 def test_random_terms_agree_with_the_oracle():
     sig = parse_machine(_TERM_SOURCE).sig
     state = _term_state(sig)
-    errors, evaluated = set(), 0
+    errors, evaluated, applied = set(), 0, set()
     for t in _terms(sig):
         evaluated += 1
+        applied.update(u.fname for u in _subterms(t) if isinstance(u, App))
         outcomes = [_agree(lambda: interp.eval_term(t, state))]
         outcomes.append(_agree(lambda: _drawn(
             state, lambda r: interp.eval_term(t, state, None, r)))[1][0])
@@ -225,6 +227,8 @@ def test_random_terms_agree_with_the_oracle():
     assert evaluated > 10_000
     assert {"EvalError", "ArityMismatch", "GuardNotBoolean", "RangeNotSet",
             "UnboundVariable"} <= errors
+    # every operation fused into its application's closure is reached
+    assert set(background.BUILTIN) <= applied
 
 
 def test_compiled_closures_die_with_their_tree():

@@ -207,12 +207,13 @@ def test_explore_dedup_survives_digest_collisions(monkeypatch):
 
 
 def test_search_results_are_pinned():
-    # recorded before explore and refinement shared one state expansion;
+    # recorded before explore and refinement shared one state expansion, and
+    # again when a FAIL came to print a run cut by its step bound `[bound]`;
     # any change to a state count, a verdict or an exported trace changes it
     from search_corpus import results
 
     digest = hashlib.sha256("\n".join(results()).encode("utf-8")).hexdigest()
-    assert digest == "0f2ac26fd695e391e40ed7ce2ebb4d177c3cf3870c26d5611eb0f3e03761f573"
+    assert digest == "e5077d51d0cae29b66d3ed1275a592d93771334b8336b80de9b0eb663d56c01b"
 
 
 def test_explore_counterexample_replays():

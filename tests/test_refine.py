@@ -164,6 +164,19 @@ def test_broken_chain_reports_middle_failure_and_checks_rest():
     assert kinds == ["Pass", "Fail", "Pass"]
 
 
+def test_a_fail_prints_a_run_cut_by_its_step_bound_as_bound(capsys):
+    # `[budget]` would read as the branch budget a BUDGET verdict names;
+    # the run record keeps "budget", which exported traces and the bench read
+    assert cli.main(["check-refine", str(MODELS / "chains" / "chain_broken.refine")]) == 1
+    assert capsys.readouterr().out.splitlines()[1:4] == [
+        "FAIL  counter_to_broken",
+        "  refined observations: (undef) -> (4) [bound]",
+        "  nearest abstract:    (undef) -> (1) -> (2) -> (3) [bound]"]
+    (fail,) = [v for _, v in check_chain(MODELS / "chains" / "chain_broken.refine")
+               if isinstance(v, Fail)]
+    assert fail.observed.marker == fail.counterexample.outcome == "budget"
+
+
 def test_empty_manifest_yields_empty_list():
     assert parse_manifest("// nothing here\n", MODELS / "chains") == []
 
