@@ -85,11 +85,13 @@ _NOT = {TRUE: FALSE, FALSE: TRUE}
 def _arith(op):
     """`op`, an `operator` function, on the ints of two IntVs; a zero
     divisor gives undef."""
+    ints = IntV._table.get  # a result already interned is read in C
+
     def arith(a: Value, b: Value) -> Value:
         # exact class tests, no list: a `+` runs on every step
         if a.__class__ is IntV and b.__class__ is IntV:
             try:
-                return IntV(op(a.n, b.n))
+                return ints(n := op(a.n, b.n)) or IntV(n)
             except ZeroDivisionError:
                 return UNDEF
         return UNDEF
@@ -97,11 +99,13 @@ def _arith(op):
 
 
 def _fuse_arith(op, a0, a1):
+    ints = IntV._table.get
+
     def arith(s, e, r):
         a, b = a0(s, e, r), a1(s, e, r)
         if a.__class__ is IntV and b.__class__ is IntV:
             try:
-                return IntV(op(a.n, b.n))
+                return ints(n := op(a.n, b.n)) or IntV(n)
             except ZeroDivisionError:
                 return UNDEF
         return UNDEF

@@ -33,7 +33,9 @@ calling the implementation took two or three. That holds while the name
 keeps the implementation `background` registered for it; a name
 registered anew takes the generic path, and a tree compiled earlier
 keeps the operation it bound. A forall or choose binds its variable into
-one env dict per evaluation, not one per element.
+one env dict per evaluation, not one per element. An int result, a read
+location or an update that is already interned is read from its class's
+table in C (`values.Interned`), and its constructor runs only on a miss.
 `eval_term`, `update_set` and `_probe` run the closures; the tree walk
 they replaced is the test oracle.
 
@@ -170,7 +172,7 @@ def _ctx_digest(bindings: Dict[str, Value]) -> str:
 # Resolvers
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ResEntry:
     """One recorded resolution: a choose pick, abstract draw, monitored
     injection, or scheduling decision."""
@@ -276,7 +278,8 @@ class Resolver:
     # -- draws ----------------------------------------------------------------
 
     def _draw(self, kind: str, label: str, key: str, candidates: List[Value], pos) -> Value:
-        val = self._scripted_value(kind, key, label)
+        # without a script (every seeded run and every probe) nothing is scripted
+        val = None if self.script is None else self._scripted_value(kind, key, label)
         if val is None:
             if self.seed is None:
                 raise ScriptViolation(
@@ -532,12 +535,17 @@ def _compile_app(t: App, sig: Signature):
         if static:
             return lambda s, e, r: s.statics.get(loc, UNDEF)
         return lambda s, e, r: s.content.get(loc, UNDEF)
+    # the location read in C when it is interned, built only on a miss
+    locs = Location._table.get
     if static:
-        return lambda s, e, r: s.statics.get(Location(fname, values(s, e, r)), UNDEF)
+        return lambda s, e, r: s.statics.get(
+            locs(k := (fname, values(s, e, r))) or Location(*k), UNDEF)
     if n == 1:
         a0, = args
-        return lambda s, e, r: s.content.get(Location(fname, (a0(s, e, r),)), UNDEF)
-    return lambda s, e, r: s.content.get(Location(fname, values(s, e, r)), UNDEF)
+        return lambda s, e, r: s.content.get(
+            locs(k := (fname, (a0(s, e, r),))) or Location(*k), UNDEF)
+    return lambda s, e, r: s.content.get(
+        locs(k := (fname, values(s, e, r))) or Location(*k), UNDEF)
 
 
 def _not_boolean(guard: Term, v: Value) -> GuardNotBoolean:
@@ -581,14 +589,17 @@ def _compile_rule(op: RuleExpr, sig: Signature):
 
 def _compile_assign(op: Assign, sig: Signature):
     fname, rhs = op.lhs.fname, _term(op.rhs, sig)
+    updates = Update._table.get  # as `locs` in `_compile_app`
     if all(isinstance(a, Lit) for a in op.lhs.args):
         loc = Location(fname, tuple(a.value for a in op.lhs.args))
-        return lambda s, e, r, machine, d, out: out.add(Update(loc, rhs(s, e, r)))
+        return lambda s, e, r, machine, d, out: out.add(
+            updates(k := (loc, rhs(s, e, r))) or Update(*k))
     values = _values(tuple(_term(a, sig) for a in op.lhs.args))
+    locs = Location._table.get
 
     def assign(s, e, r, machine, d, out):
-        loc = Location(fname, values(s, e, r))
-        out.add(Update(loc, rhs(s, e, r)))
+        loc = locs(k := (fname, values(s, e, r))) or Location(*k)
+        out.add(updates(k := (loc, rhs(s, e, r))) or Update(*k))
     return assign
 
 

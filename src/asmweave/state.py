@@ -113,7 +113,7 @@ class Update(Interned):
             return text
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UpdateSet:
     updates: frozenset
 

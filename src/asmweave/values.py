@@ -16,9 +16,13 @@ class Interned:
     """An immutable object, the only one of its class with its `_fields`:
     the class's table, a plain dict kept for the life of the process, maps
     each tuple of fields made so far (for IntV, each int) to its object.
-    `_text`, set on first use, holds its canonical JSON text (see
-    `value_text`, `Location.pair_head`, `Update.text`); a `Location` or
-    `Update` keeps its canonical sort key (`key()`) in `_key` alike."""
+    That keying is a contract: hot paths read `_table` directly, as
+    `Location._table.get((fname, args)) or Location(fname, args)`, so an
+    object already made costs a dict lookup in C and no Python frame, and
+    the constructor is the table's only writer. `_text`, set on first use,
+    holds its canonical JSON text (see `value_text`, `Location.pair_head`,
+    `Update.text`); a `Location` or `Update` keeps its canonical sort key
+    (`key()`) in `_key` alike."""
 
     __slots__ = ("_text",)
     _fields: tuple = ()
