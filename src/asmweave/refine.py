@@ -14,8 +14,10 @@ BudgetExhausted rather than Fail, and a Pass needs every refined run.
 
 No run is walked: `enumerate_runs` builds each side's graph of (state,
 depth) nodes on a `multiagent.SearchTable`, observing and expanding each
-distinct state once, in depth-first order, so a side cut by the branch
-budget keeps exactly the walk's prefix of runs. `check_refinement` pairs
+distinct state once, in depth-first order. The branch budget caps the
+nodes built per side, past the start node, and bounds each step's
+resolutions as `explore --budget` does; a side cut by either keeps a
+depth-first prefix of its runs. `check_refinement` pairs
 refined nodes with the abstract nodes that match their collapsed
 observations (a subset construction, De Wulf et al., "Antichains", CAV
 2006, for Börger's (m, n) diagrams, FAC 2003), in one depth-first walk of
@@ -99,16 +101,15 @@ RefinementVerdict = Union[Pass, Fail, BudgetExhausted]
 class _Node:
     """A table entry at a depth, with the runs that end on it as (marker,
     inconsistent outcome or None), its recorded children in visiting order
-    as (outcome, node), the count of recorded runs through it and, once
-    complete, the budget the walk charges in its subgraph. A side's top
-    node stands for the empty prefix; `len` counts the side's runs."""
+    as (outcome, node) and the count of recorded runs through it. A side's
+    top node stands for the empty prefix; `len` counts the side's runs."""
 
-    __slots__ = ("entry", "depth", "ends", "children", "runs", "charge")
+    __slots__ = ("entry", "depth", "ends", "children", "runs")
 
     def __init__(self, entry: list, depth: int, ends: tuple) -> None:
         self.entry, self.depth, self.ends = entry, depth, ends
         self.children: List[Tuple[object, _Node]] = []
-        self.runs, self.charge = len(ends), 0
+        self.runs = len(ends)
 
     def adopt(self, via, child: "_Node") -> None:
         """Record `child`, reached by the outcome `via`, if a run passes it."""
@@ -155,39 +156,38 @@ def enumerate_runs(machine: MachineDef, max_steps: int, budget: int,
                    start: Optional[State] = None,
                    terms: Sequence[Term] = ()) -> Tuple[_Node, bool]:
     """The recorded runs up to `max_steps`, observed through `terms`, and
-    whether the branch budget cut them short to a depth-first prefix."""
+    whether the branch budget cut them short to a depth-first prefix: a
+    step has more than `budget` resolutions, or the side would build more
+    than `budget` (state, depth) nodes past its start."""
     init = start if start is not None else initial_state(machine)
-    # an entry is [state, key, observation, expansion, {depth: complete node}],
-    # an expansion (stalled, inconsistent, [(progressed, successor's entry)])
+    # an entry is [state, key, observation, expansion, {depth: node}], an
+    # expansion (run ends, [(progressed, successor's entry)])
     table = SearchTable()
     root = table.root(init)
     root += [observe(init, terms), None, {}]
-    top = _Node([None, None, None, None, {}], -1, ())  # observed as no state is
-    spent = 0
-    # per node being built: [node, outcome that reached it, successors left
-    # to visit, budget spent before it]
-    stack: list = [[top, None, iter([(None, root)]), 0]]
+    top = _Node([None, None, None], -1, ())  # observed as no state is
+    built = -1  # the start node is not counted
+    # per node being built: (node, outcome that reached it, successors left to visit)
+    stack: list = [(top, None, iter([(None, root)]))]
     while stack:
-        node, _, todo, _ = frame = stack[-1]
+        node, _, todo = stack[-1]
         depth = node.depth + 1
         for via, entry in todo:
+            # a node met again is complete: the nodes being built lie on one
+            # path, each a step deeper than the last
             child = entry[4].get(depth)
             if child is None:
-                if depth < max_steps:
-                    break
-                child = entry[4][depth] = _Node(entry, depth, (("budget", None),))
-            elif spent + child.charge > budget:
-                break  # walk into it afresh: the budget runs out inside
-            spent += child.charge
+                break
             node.adopt(via, child)
         else:
-            stack.pop()
-            node.charge = spent - frame[3]
-            node.entry[4][node.depth] = node
+            _, via, _ = stack.pop()
             if stack:
-                stack[-1][0].adopt(frame[1], node)
+                stack[-1][0].adopt(via, node)
             continue
-        if entry[3] is None:
+        built += 1
+        if built > budget:
+            break
+        if entry[3] is None and depth < max_steps:
             try:
                 moves, stalled, bad = _successors(machine, entry[0], budget, table.memo)
             except BranchBudgetExceeded:
@@ -198,15 +198,13 @@ def enumerate_runs(machine: MachineDef, max_steps: int, budget: int,
                 if new:
                     succ += [observe(succ[0], terms), None, {}]
                 successors.append((move.to(succ[0]), succ))
-            entry[3] = (stalled, bad, successors)
-        stalled, bad, successors = entry[3]
-        spent, before = spent + len(successors) + len(bad), spent
-        if spent > budget:
-            break
-        ends = (("stalled", None),) * stalled + tuple(("inconsistent", r) for r in bad)
-        stack.append([_Node(entry, depth, ends), via, reversed(successors), before])
+            ends = (("stalled", None),) * stalled + tuple(("inconsistent", r) for r in bad)
+            entry[3] = (ends, successors)
+        ends, successors = entry[3] if depth < max_steps else ((("budget", None),), ())
+        child = entry[4][depth] = _Node(entry, depth, ends)
+        stack.append((child, via, reversed(successors)))
     # if the budget ran out, each open node keeps the runs recorded below it
-    for (node, _, _, _), (child, via, _, _) in zip(stack[-2::-1], stack[:0:-1]):
+    for (node, _, _), (child, via, _) in zip(stack[-2::-1], stack[:0:-1]):
         node.adopt(via, child)
     return top, bool(stack)
 

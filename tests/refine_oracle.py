@@ -7,6 +7,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
+from conftest import content_key
 from asmweave.errors import BranchBudgetExceeded
 from asmweave.interp import Progressed, Trace, eval_term, initial_state
 from asmweave.refine import (
@@ -23,47 +24,40 @@ from asmweave.state import State
 from asmweave.values import Value
 
 
-class _Truncated(Exception):
-    pass
-
-
 def enumerate_runs(
     machine,
     max_steps: int,
     budget: int,
     start: Optional[State] = None,
 ) -> Tuple[List[Trace], bool]:
+    """The runs in depth-first order, cut short when a step has more than
+    `budget` resolutions or the walk reaches its `budget + 1`-th distinct
+    (content, depth) pair past the start."""
     init = start if start is not None else initial_state(machine)
     runs: List[Trace] = []
-    spent = [0]
-
-    def charge(n: int) -> None:
-        spent[0] += n
-        if spent[0] > budget:
-            raise _Truncated()
-
+    reached = set()
     stack: List[Tuple[State, List[Progressed]]] = [(init, [])]
-    try:
-        while stack:
-            state, steps = stack.pop()
-            if len(steps) >= max_steps:
-                runs.append(Trace(init, steps, "budget"))
-                continue
-            try:
-                # a fresh outcome memo: every expansion evaluates the rules
-                moves, stalled, inconsistent = _successors(machine, state, budget, {})
-            except BranchBudgetExceeded:
-                raise _Truncated() from None
-            charge(len(moves) + len(inconsistent))
-            if stalled:
-                runs.append(Trace(init, steps, "stalled"))
-            for res in inconsistent:
-                runs.append(Trace(init, steps + [res], "inconsistent"))
-            for move in moves:
-                res = move.fire(state)
-                stack.append((res.next_state, steps + [res]))
-    except _Truncated:
-        return runs, True
+    while stack:
+        state, steps = stack.pop()
+        if steps:
+            reached.add((content_key(state), len(steps)))
+            if len(reached) > budget:
+                return runs, True
+        if len(steps) >= max_steps:
+            runs.append(Trace(init, steps, "budget"))
+            continue
+        try:
+            # a fresh outcome memo: every expansion evaluates the rules
+            moves, stalled, inconsistent = _successors(machine, state, budget, {})
+        except BranchBudgetExceeded:
+            return runs, True
+        if stalled:
+            runs.append(Trace(init, steps, "stalled"))
+        for res in inconsistent:
+            runs.append(Trace(init, steps + [res], "inconsistent"))
+        for move in moves:
+            res = move.fire(state)
+            stack.append((res.next_state, steps + [res]))
     return runs, False
 
 

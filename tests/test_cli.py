@@ -243,7 +243,8 @@ def test_check_refine_chains():
 def test_budget_line_names_the_bound_that_ran_out(tmp_path, capsys):
     steps = [("self", "rr_table", "rr_table", "1 3 10000"),
              ("choice", "choose_out", "choose_out", "3 3 5"),
-             ("refonly", "round_robin", "choose_out", "3 3 5")]
+             # 3 abstract nodes fit the budget, 9 refined ones do not
+             ("refonly", "choose_out", "choose_out", "1 3 5")]
     manifest = tmp_path / "budget.refine"
     manifest.write_text("".join(
         f"step {name}\nabstract {MODELS / a}.asm\nrefined {MODELS / r}.asm\n"

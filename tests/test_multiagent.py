@@ -207,13 +207,15 @@ def test_explore_dedup_survives_digest_collisions(monkeypatch):
 
 
 def test_search_results_are_pinned():
-    # recorded before explore and refinement shared one state expansion, and
-    # again when a FAIL came to print a run cut by its step bound `[bound]`;
+    # recorded before explore and refinement shared one state expansion,
+    # again when a FAIL came to print a run cut by its step bound `[bound]`,
+    # and again when the refinement budget came to cap graph nodes rather
+    # than charge the run tree, which turned G149~G11's BUDGET into a FAIL;
     # any change to a state count, a verdict or an exported trace changes it
     from search_corpus import results
 
     digest = hashlib.sha256("\n".join(results()).encode("utf-8")).hexdigest()
-    assert digest == "e5077d51d0cae29b66d3ed1275a592d93771334b8336b80de9b0eb663d56c01b"
+    assert digest == "6ddc75424ac2830f5803cc091d35da436143fa12775e7c13722711e43ce4a5a1"
 
 
 def test_explore_counterexample_replays():

@@ -355,11 +355,11 @@ machine S
 
 
 @pytest.mark.parametrize("budget, verdict, abstract_runs", [
-    (3, BudgetExhausted, 0),
-    # the walk reached (0) -> (1) on the abstract side, but the budget cut
-    # it before any run through it was recorded: not a prefix
-    (4, BudgetExhausted, 2),
-    (6, Pass, 4),
+    (1, BudgetExhausted, 0),
+    # the walk reached (0) -> (1) on the abstract side as its fourth node,
+    # and the budget cut it before any run through it was recorded: not a prefix
+    (3, BudgetExhausted, 2),
+    (4, Pass, 4),
 ])
 def test_only_recorded_abstract_runs_make_prefixes(budget, verdict, abstract_runs):
     abstract = parse_machine("machine A controlled out "
@@ -401,15 +401,32 @@ def test_the_walk_observes_each_distinct_state_once_per_side(monkeypatch):
 
 
 def test_chain_ok_at_bounds_40_counts_its_runs(tmp_path, capsys):
-    # 3^40 abstract runs: counted on the graph, never walked one by one
+    # 3^40 abstract runs: counted on the graph, never walked one by one; the
+    # default budget caps the abstract side's 120 nodes, not its runs
     text = (MODELS / "chains" / "chain_ok.refine").read_text(encoding="utf-8")
-    text = re.sub(r"(?m)^bounds .*$", f"bounds 40 40 {10 ** 30}", text)
+    text = re.sub(r"(?m)^bounds .*$", "bounds 40 40 10000", text)
     text = text.replace("../", f"{MODELS}/")
     manifest = tmp_path / "deep.refine"
     manifest.write_text(text, encoding="utf-8")
     assert cli.main(["check-refine", str(manifest)]) == 0
-    first = capsys.readouterr().out.splitlines()[0]
-    assert first == f"PASS  choice_to_round_robin  (abstract runs: {3 ** 40}, refined runs: 1)"
+    assert capsys.readouterr().out.splitlines() == [
+        f"PASS  choice_to_round_robin  (abstract runs: {3 ** 40}, refined runs: 1)",
+        "PASS  counter_to_table  (abstract runs: 1, refined runs: 1)",
+        "PASS  table_to_stutter  (abstract runs: 1, refined runs: 1)",
+    ]
+
+
+def test_the_budget_caps_the_nodes_a_side_builds():
+    top, truncated = enumerate_runs(CHOICE, 40, 50)
+    assert truncated
+    (_, start), = top.children
+    nodes, todo = set(), [start]
+    while todo:
+        for _, child in todo.pop().children:
+            if child not in nodes:
+                nodes.add(child)
+                todo.append(child)
+    assert 0 < len(nodes) <= 50
 
 
 @pytest.mark.parametrize("obs", ["out", "1"])

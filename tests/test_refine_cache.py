@@ -2,7 +2,8 @@
 and observed once, runs counted rather than walked, refined prefixes
 matched against configurations of abstract nodes) gives exactly the
 results of the uncached oracle in `refine_oracle`, down to the depth-first
-prefix of runs a truncating budget leaves."""
+prefix of runs a side keeps when its step resolutions or its (state, depth)
+nodes pass the budget."""
 import dataclasses
 import random
 from collections import Counter
@@ -63,13 +64,13 @@ def test_chain_ok_at_bounds_7_agrees_with_the_oracle():
         assert _assert_agrees(spec)[0] == "Pass"
 
 
-def _random_specs(rng, machines, count, max_steps):
+def _random_specs(rng, machines, count, max_steps, budgets=(3, 8, 30, 2000)):
     for _ in range(count):
         abstract, refined = rng.choice(machines), rng.choice(machines)
         loc = rng.choice(("b1", "n1", "b2"))
         obs = ((loc, parse_term(loc, abstract.sig), parse_term(loc, refined.sig)),)
         # tight budgets truncate one side or both
-        budget = rng.choice((3, 8, 30, 2000))
+        budget = rng.choice(budgets)
         yield RefinementSpec(abstract, refined, obs, (rng.randrange(1, max_steps + 1),
                                                       rng.randrange(1, max_steps + 1), budget))
 
@@ -81,11 +82,13 @@ def test_rulegen_pairs_agree_with_the_oracle():
     # agents too, and deeper bounds, under the same truncating budgets
     machines += [random_agent_machine(rng, f"A{i}") for i in range(20)]
     specs += _random_specs(rng, machines, 200, 6)
+    # and the budgets that most often cut a refined side after its first failing run
+    specs += _random_specs(rng, machines, 100, 6, budgets=(8, 30))
     outcomes = []
     for spec in specs:
         verdict, (_, _, abstract_truncated, refined_truncated) = _assert_agrees(spec)[:2]
         outcomes.append((verdict, abstract_truncated, refined_truncated))
-    for part in (outcomes[:200], outcomes[200:]):
+    for part in (outcomes[:200], outcomes[200:400], outcomes[400:]):
         assert {"Pass", "Fail", "BudgetExhausted"} <= {v for v, _, _ in part}
         assert sum(a or r for _, a, r in part) >= 20
     # a refined side cut by the budget can still hold the first failing run
