@@ -316,10 +316,8 @@ class Resolver:
         return val
 
     def schedule(self, candidates: List[str], pos=None) -> str:
-        key = "sched"
-        vals = [SymV(a) for a in candidates]
-        picked = self._draw("schedule", "sched", key, vals, pos)
-        return picked.name
+        vals = [SymV._table.get((a,)) or SymV(a) for a in candidates]  # read in C if interned
+        return self._draw("schedule", "sched", "sched", vals, pos).name
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +422,7 @@ def _compiled(node, sig: Signature, compile_node):
         return held[1]
     fn = compile_node(node, sig)
     if isinstance(node, (Term, RuleExpr)):
-        object.__setattr__(node, "_compiled", (sig, fn))
+        node._compiled = (sig, fn)
     return fn
 
 
@@ -805,7 +803,8 @@ SELF_LOC = Location("self", ())
 def _agent_view(state: State, agent: str) -> State:
     """The state an agent's rule reads: the shared state with `self` bound.
     The anonymous agent "" has no `self`."""
-    return state.derive({**state.content, SELF_LOC: SymV(agent)}) if agent else state
+    return (state.derive({**state.content, SELF_LOC: SymV._table.get((agent,)) or SymV(agent)})
+            if agent else state)
 
 
 def agents_of(machine: MachineDef) -> Tuple[Tuple[str, str], ...]:

@@ -23,6 +23,7 @@ point.
 """
 from __future__ import annotations
 
+import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -37,27 +38,28 @@ Pos = Tuple[int, int]
 
 
 # ---------------------------------------------------------------------------
-# AST
+# AST. Nodes are not frozen, which would make building one cost 2.5 times
+# as much; `==` and `hash` leave `pos` out, and nothing changes a node once
+# built but `interp`, which keeps the node's compiled closure on it.
 
 
-@dataclass(frozen=True)
 class Term:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Lit(Term):
     value: Value
     pos: Optional[Pos] = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Var(Term):
     name: str
     pos: Optional[Pos] = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class App(Term):
     fname: str
     args: Tuple[Term, ...] = ()
@@ -83,25 +85,24 @@ def abstract_reads(t: Term, sig: Signature) -> Iterator[App]:
             yield u
 
 
-@dataclass(frozen=True)
 class RuleExpr:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Assign(RuleExpr):
     lhs: App
     rhs: Term
     pos: Optional[Pos] = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Par(RuleExpr):
     children: Tuple[RuleExpr, ...] = ()
     pos: Optional[Pos] = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class If(RuleExpr):
     guard: Term
     then_op: RuleExpr
@@ -109,7 +110,7 @@ class If(RuleExpr):
     pos: Optional[Pos] = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Let(RuleExpr):
     var: str
     binding: Term
@@ -117,14 +118,14 @@ class Let(RuleExpr):
     pos: Optional[Pos] = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Call(RuleExpr):
     rname: str
     args: Tuple[Term, ...] = ()
     pos: Optional[Pos] = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Forall(RuleExpr):
     var: str
     domain: Term
@@ -133,7 +134,7 @@ class Forall(RuleExpr):
     pos: Optional[Pos] = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Choose(RuleExpr):
     var: str
     domain: Term
@@ -248,34 +249,37 @@ def directive_lines(text: str) -> Iterator[Tuple[int, str, str]]:
     """The non-blank lines of a scenario or manifest as (line number,
     directive, rest), split at the first run of whitespace, each line cut at
     a `//` comment as the tokenizer finds one, so a `//` inside a string
-    literal stays."""
+    literal stays. A line without `//` holds no comment and is not scanned."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        cut = next((m.start() for m in _TOKEN.finditer(raw) if m.lastgroup == "comment"),
-                   len(raw))
+        cut = len(raw) if "//" not in raw else next(
+            (m.start() for m in _TOKEN.finditer(raw) if m.lastgroup == "comment"), len(raw))
         words = raw[:cut].split(None, 1)
         if words:
             yield lineno, words[0], words[1].strip() if len(words) > 1 else ""
 
 
-def located(where: str, read, *args):
+def located(where, read, *args):
     """`read(*args)`, with a parse, resolution or evaluation error reported
     as a ManifestError that starts with `where` (say, a manifest line or a
-    scenario entry)."""
+    scenario entry), or with `where()` if it is a function."""
     try:
         return read(*args)
     except (ParseError, ResolveError, EvalError) as e:
-        raise ManifestError(f"{where}: {e}") from None
+        raise ManifestError(f"{where() if callable(where) else where}: {e}") from None
 
 
-def read_input(path: Path, failure: str) -> str:
+def read_input(path: Path, failure: str, resolve: bool = False) -> str:
     """`read_source`, with a failure reported as a ManifestError that
-    starts with `failure` and names the path."""
+    starts with `failure` and names the path, resolved if `resolve` is set:
+    only then, as resolving a path stats every component of it."""
     try:
         return read_source(path)
-    except SourceEncodingError as e:  # its message starts with the path
-        raise ManifestError(f"{failure} {e}") from None
-    except OSError as e:
-        raise ManifestError(f"{failure} {path}: {e}") from None
+    except (OSError, SourceEncodingError) as e:
+        if resolve:  # read again under the name the message gives
+            return read_input(Path(os.path.realpath(path)), failure)
+        # a SourceEncodingError's message starts with the path
+        named = e if isinstance(e, SourceEncodingError) else f"{path}: {e}"
+        raise ManifestError(f"{failure} {named}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +299,7 @@ _RIGHT_ASSOC = {"implies"}
 
 _PREFIX = {"not": "not", "-": "neg"}  # token -> operator
 
-_BINARY = _LEVEL.keys() - _PREFIX.values()
+_BINARY = {op: n for op, n in _LEVEL.items() if op not in _PREFIX.values()}
 
 _MAX_DEPTH = 400
 
@@ -333,34 +337,15 @@ class _Parser:
         self.calls: List[Tuple[str, int, Pos]] = []  # checked after the last rule
         self.rule, self.chooses = "", 0  # the rule being read, for choose labels
 
-    def peek(self) -> Token:
-        return self.tokens[self.i]
-
-    def next(self) -> Token:
-        t = self.tokens[self.i]
-        self.i += 1
-        return t
-
-    def at(self, ttype: str) -> bool:
-        return self.peek().type == ttype
-
     def accept(self, ttype: str) -> Optional[Token]:
-        return self.next() if self.at(ttype) else None
+        return self.expect(ttype) if self.tokens[self.i].type == ttype else None
 
     def expect(self, ttype: str) -> Token:
-        t = self.peek()
+        t = self.tokens[self.i]
         if t.type != ttype:
             raise ParseError(f"expected {ttype!r}, found {t.type!r}", t.line, t.col)
-        return self.next()
-
-    def _enter(self) -> None:
-        self.depth += 1
-        if self.depth > _MAX_DEPTH:
-            t = self.peek()
-            raise ParseError("nesting too deep", t.line, t.col)
-
-    def _exit(self) -> None:
-        self.depth -= 1
+        self.i += 1
+        return t
 
     def err(self, pos: Pos, msg: str) -> None:
         self.diags.append((pos[0], pos[1], msg))
@@ -371,32 +356,30 @@ class _Parser:
         self.expect("machine")
         name = self.expect("IDENT").value
         funcs: List[FuncDecl] = []
-        while self.peek().type in _KIND_OF:
+        while self.tokens[self.i].type in _KIND_OF:
             self.sigdecl(funcs)
         # every agent reads its own id through this implicit input
         funcs.append(FuncDecl("self", 0, FunctionKind.MONITORED, auto=True))
         # canonical order so structural equality survives reordered sources
         funcs.sort(key=lambda d: (_KIND_ORDER[d.kind], d.name))
         self.sig = Signature(tuple(funcs))
-        if not self.at("rule"):
-            t = self.peek()
+        if (t := self.tokens[self.i]).type != "rule":
             raise ParseError("expected at least one rule declaration", t.line, t.col)
         decls: Dict[str, RuleDecl] = {}
-        while self.at("rule"):
+        while self.tokens[self.i].type == "rule":
             rd = self.ruledecl()
             decls[rd.name] = rd
         init: List[Tuple[App, Term]] = []
         if self.accept("init"):
             self.expect("{")
-            while not self.at("}"):
+            while self.tokens[self.i].type != "}":
                 self.init_entry(init)
             self.expect("}")
         tok = self.expect("main")
         main = self.expect("IDENT").value
         self.check_rule(main, (tok.line, tok.col), "main rule")
         agents: List[Tuple[str, str]] = []
-        while self.at("agent"):
-            t = self.next()
+        while t := self.accept("agent"):
             aid = self.expect("IDENT").value
             self.expect("runs")
             rname = self.expect("IDENT").value
@@ -421,7 +404,8 @@ class _Parser:
             self.err(pos, f"{what} {rname!r} must have no parameters")
 
     def sigdecl(self, funcs: List[FuncDecl]) -> None:
-        kind = self.next().value
+        kind = self.tokens[self.i].value
+        self.i += 1
         while True:
             t = self.expect("IDENT")
             pos = (t.line, t.col)
@@ -439,9 +423,8 @@ class _Parser:
                 break
 
     def set_literal(self) -> SetV:
-        t = self.peek()
-        term = self.term()
-        val = _const_eval(term)
+        t = self.tokens[self.i]
+        val = _const_eval(self.term())
         if not isinstance(val, SetV):
             raise ParseError("codomain hint must be a literal finite set", t.line, t.col)
         return val
@@ -452,7 +435,7 @@ class _Parser:
         name = self.expect("IDENT").value
         formals: List[str] = []
         if self.accept("("):
-            if not self.at(")"):
+            if self.tokens[self.i].type != ")":
                 formals.append(self.expect("IDENT").value)
                 while self.accept(","):
                     formals.append(self.expect("IDENT").value)
@@ -470,7 +453,7 @@ class _Parser:
 
     def init_entry(self, init: List[Tuple[App, Term]]) -> None:
         mark = len(self.diags)
-        lhs = self.lhsterm()
+        lhs = self.lhsterm(self.expect("IDENT"))
         self.expect(":=")
         rhs = self.term()
         decl = self.sig.get(lhs.fname)
@@ -491,39 +474,40 @@ class _Parser:
 
     # -- rule operations ------------------------------------------------------
 
-    def lhsterm(self) -> App:
-        t = self.expect("IDENT")
+    # The hot paths below read `tokens` inline, with no call per token; `op`,
+    # `term` and `atom` each count one level toward _MAX_DEPTH.
+    def lhsterm(self, t: Token) -> App:
+        """The location named by the identifier `t`, just read."""
         args: Tuple[Term, ...] = ()
-        if self.accept("("):
+        if self.tokens[self.i].type == "(":
+            self.i += 1
             args = self.terms(")")
         return App(t.value, args, (t.line, t.col))
 
     def op(self) -> RuleExpr:
-        self._enter()
+        t = self.tokens[self.i]
+        self.depth += 1
         try:
-            t = self.peek()
-            pos = (t.line, t.col)
-            if t.type == "skip":
-                self.next()
+            if self.depth > _MAX_DEPTH:
+                raise ParseError("nesting too deep", t.line, t.col)
+            kind, pos = t.type, (t.line, t.col)
+            self.i += 1
+            if kind == "skip":
                 return Par((), pos)
-            if t.type == "par":
-                self.next()
+            if kind == "par":
                 children: List[RuleExpr] = []
-                while not self.at("endpar"):
-                    if self.at("EOF"):
-                        raise ParseError("expected 'endpar'", self.peek().line,
-                                         self.peek().col)
+                while (nxt := self.tokens[self.i]).type != "endpar":
+                    if nxt.type == "EOF":
+                        raise ParseError("expected 'endpar'", nxt.line, nxt.col)
                     children.append(self.op())
-                self.expect("endpar")
+                self.i += 1
                 return Par(tuple(children), pos)
-            if t.type == "if":
-                self.next()
+            if kind == "if":
                 guard = self.term()
                 self.expect("then")
                 then_op = self.op()
                 return If(guard, then_op, self.op() if self.accept("else") else None, pos)
-            if t.type == "let":
-                self.next()
+            if kind == "let":
                 var = self.expect("IDENT").value
                 self.expect("=")
                 binding = self.term()
@@ -532,9 +516,8 @@ class _Parser:
                 body = self.op()
                 self.scope = outer
                 return Let(var, binding, body, pos)
-            if t.type in ("forall", "choose"):
-                self.next()
-                if t.type == "choose":  # labels number chooses in source order
+            if kind in ("forall", "choose"):
+                if kind == "choose":  # labels number chooses in source order
                     self.chooses += 1
                     label = f"{self.rule}.choose{self.chooses}"
                 var = self.expect("IDENT").value
@@ -545,28 +528,28 @@ class _Parser:
                 self.expect("do")
                 body = self.op()
                 self.scope = outer
-                if t.type == "forall":
+                if kind == "forall":
                     return Forall(var, domain, guard, body, pos)
                 return Choose(var, domain, guard, body, pos, label)
-            if t.type == "(":  # parenthesized operation, e.g. par A (if c then B) endpar
-                self.next()
+            if kind == "(":  # parenthesized operation, e.g. par A (if c then B) endpar
                 inner = self.op()
                 self.expect(")")
                 return inner
-            if t.type == "IDENT":
-                head = self.lhsterm()
-                if self.accept(":="):
+            if kind == "IDENT":
+                head = self.lhsterm(t)
+                nxt = self.tokens[self.i]
+                if nxt.type == ":=":
+                    self.i += 1
                     self.check_target(head)
                     return Assign(head, self.term(), pos)
                 # a call requires the parenthesized form R(...)
                 if self.tokens[self.i - 1].type == ")":
                     self.calls.append((head.fname, len(head.args), pos))
                     return Call(head.fname, head.args, pos)
-                nxt = self.peek()
                 raise ParseError("expected ':=' or call arguments", nxt.line, nxt.col)
-            raise ParseError(f"expected an operation, found {t.type!r}", t.line, t.col)
+            raise ParseError(f"expected an operation, found {kind!r}", t.line, t.col)
         finally:
-            self._exit()
+            self.depth -= 1
 
     def check_target(self, lhs: App) -> None:
         decl = self.sig.get(lhs.fname)
@@ -581,12 +564,15 @@ class _Parser:
 
     def term(self, level: int = 1) -> Term:
         """The operators of `level` or tighter, by precedence climbing on _LEVEL."""
-        self._enter()
+        tokens = self.tokens
+        t = tokens[self.i]
+        self.depth += 1
         try:
-            t = self.peek()
+            if self.depth > _MAX_DEPTH:
+                raise ParseError("nesting too deep", t.line, t.col)
             prefix = _PREFIX.get(t.type)
             if prefix is not None and _LEVEL[prefix] >= level:
-                self.next()
+                self.i += 1
                 top = _LEVEL[prefix]
                 left = self.apply(prefix, (self.term(top),), t, self.height)
             else:
@@ -594,25 +580,27 @@ class _Parser:
                 left = self.atom()
             # after an operator only looser ones may follow, or the same
             # level again when it associates to the left
-            while self.peek().type in _BINARY and level <= _LEVEL[self.peek().type] < top:
-                t = self.next()
-                my, below = _LEVEL[t.type], self.height
+            while level <= (my := _BINARY.get((t := tokens[self.i]).type, 0)) < top:
+                self.i += 1
+                below = self.height
                 right = self.term(my if t.type in _RIGHT_ASSOC else my + 1)
                 left = self.apply(t.type, (left, right), t, max(below, self.height))
                 top = my + 1 if t.type in _LEFT_ASSOC else my
             return left
         finally:
-            self._exit()
+            self.depth -= 1
 
     def terms(self, close: str, first: Optional[Term] = None) -> Tuple[Term, ...]:
         """Comma-separated terms up to `close`; `height` becomes the tallest one's."""
+        tokens = self.tokens
         out, tallest = [], 0
         if first is not None:
             out, tallest = [first], self.height
-        elif not self.at(close):
+        elif tokens[self.i].type != close:
             out.append(self.term())
             tallest = self.height
-        while out and self.accept(","):
+        while out and tokens[self.i].type == ",":
+            self.i += 1
             out.append(self.term())
             tallest = max(tallest, self.height)
         self.expect(close)
@@ -655,35 +643,42 @@ class _Parser:
         return App(t.value, (), pos)
 
     def atom(self) -> Term:
-        self._enter()
+        t = self.tokens[self.i]
+        self.depth += 1
         try:
-            t = self.next()
+            if self.depth > _MAX_DEPTH:
+                raise ParseError("nesting too deep", t.line, t.col)
+            self.i += 1
             self.height = 0
-            if t.type in _LITERALS:
-                return Lit(_LITERALS[t.type](t.value), (t.line, t.col))
-            if t.type in _CONSTANTS:
-                return Lit(_CONSTANTS[t.type], (t.line, t.col))
-            if t.type == "IDENT":
-                if self.accept("("):
+            kind = t.type
+            if kind in _LITERALS:
+                return Lit(_LITERALS[kind](t.value), (t.line, t.col))
+            if kind in _CONSTANTS:
+                return Lit(_CONSTANTS[kind], (t.line, t.col))
+            if kind == "IDENT":
+                if self.tokens[self.i].type == "(":
+                    self.i += 1
                     return self.apply(t.value, self.terms(")"), t, self.height)
                 return self.name(t)
-            if t.type == "(":
+            if kind == "(":
                 inner = self.term()
                 self.expect(")")
                 return inner
-            if t.type == "{":
-                if self.accept("}"):
+            if kind == "{":
+                if self.tokens[self.i].type == "}":
+                    self.i += 1
                     return self.apply("mkset", (), t, 0)
                 first = self.term()
-                if self.accept(".."):
+                if self.tokens[self.i].type == "..":
+                    self.i += 1
                     below = self.height
                     hi = self.term()
                     self.expect("}")
                     return self.apply("mkrange", (first, hi), t, max(below, self.height))
                 return self.apply("mkset", self.terms("}", first), t, self.height)
-            raise ParseError(f"expected a term, found {t.type!r}", t.line, t.col)
+            raise ParseError(f"expected a term, found {kind!r}", t.line, t.col)
         finally:
-            self._exit()
+            self.depth -= 1
 
 
 def _const_eval(t: Term) -> Optional[Value]:

@@ -343,7 +343,7 @@ def parse_manifest(text: str, base_dir: Path) -> List[RefinementStep]:
     """Parse a chain manifest; see the documented format in the README."""
     steps: List[RefinementStep] = []
     current: Optional[dict] = None
-    machines: Dict[Path, MachineDef] = {}  # each file parsed once, on the first line naming it
+    machines: Dict[object, MachineDef] = {}  # by (device, inode): each file parsed once
 
     def finish() -> None:
         if current is None:
@@ -379,11 +379,15 @@ def parse_manifest(text: str, base_dir: Path) -> List[RefinementStep]:
         if current is None:
             raise ManifestError(f"line {lineno}: {head!r} before any 'step'")
         if head in ("abstract", "refined"):
-            path = (base_dir / rest).resolve()
-            if path not in machines:
-                machines[path] = located(f"line {lineno}: {head} {rest}", parse_machine,
-                                         read_input(path, f"line {lineno}: cannot read"))
-            current[head] = machines[path]
+            path = base_dir / rest
+            try:
+                key = (st := path.stat()).st_dev, st.st_ino
+            except OSError:
+                key = path  # unreadable: `read_input` reports it
+            if key not in machines:
+                source = read_input(path, f"line {lineno}: cannot read", resolve=True)
+                machines[key] = located(f"line {lineno}: {head} {rest}", parse_machine, source)
+            current[head] = machines[key]
         elif head == "observe":
             if ":" not in rest or "~" not in rest:
                 raise ManifestError(

@@ -246,9 +246,9 @@ def run_scenario(path: Union[str, Path]) -> ScenarioReport:
     assertion outcome."""
     path = Path(path)
     sc = parse_scenario(read_source(path))
-    machine_file = (path.parent / sc.machine_path).resolve()
-    machine = located(f"cannot load machine {machine_file}", parse_machine,
-                      read_input(machine_file, "cannot load machine"))
+    machine_file = path.parent / sc.machine_path
+    machine = located(lambda: f"cannot load machine {machine_file.resolve()}", parse_machine,
+                      read_input(machine_file, "cannot load machine", resolve=True))
     overrides = [located(f"init {text!r}", read_override, text, machine, f"init {text!r}")
                  for text in sc.init_entries]
     n_steps = sc.max_steps

@@ -1,5 +1,7 @@
 """End-to-end checks of the command-line interface and its exit statuses
 (0 = success, 1 = semantic failure, 2 = usage/parse error)."""
+import errno
+import os
 import random
 import subprocess
 import sys
@@ -404,6 +406,34 @@ def test_a_malformed_scenario_exits_2_naming_its_entry(tmp_path, capsys, machine
     assert out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("error: " + message.format(tmp=tmp_path))
+
+
+def test_a_symlink_loop_is_an_unreadable_machine_not_a_crash(tmp_path):
+    (tmp_path / "a.asm").symlink_to("b.asm")
+    (tmp_path / "b.asm").symlink_to("a.asm")
+    loop, gone = tmp_path / "a.asm", tmp_path / "gone.asm"
+    why = f"{loop}: [Errno {errno.ELOOP}] {os.strerror(errno.ELOOP)}: '{loop}'"
+    manifest = tmp_path / "loop.refine"
+    manifest.write_text(f"step s\nabstract {MODELS / 'swap.asm'}\nrefined a.asm\n"
+                        "observe a : a ~ a\n", encoding="utf-8")
+    r = asmweave("check-refine", manifest)
+    assert (r.returncode, r.stdout, r.stderr) == (2, "", f"error: line 3: cannot read {why}\n")
+    scenario = tmp_path / "loop.scn"
+    scenario.write_text("scenario loop\nmachine a.asm\nsteps 1\nfinal: true\n",
+                        encoding="utf-8")
+    r = asmweave("scenario", scenario)
+    assert (r.returncode, r.stdout, r.stderr) == (2, "", f"error: cannot load machine {why}\n")
+    # in a suite the loop fails its scenario, as a missing machine file does
+    suite = tmp_path / "suite"
+    suite.mkdir()
+    for name in ("a", "gone"):
+        (suite / f"{name}.scn").write_text(
+            f"scenario {name}\nmachine ../{name}.asm\nsteps 1\nfinal: true\n", encoding="utf-8")
+    r = asmweave("scenario", suite)
+    assert (r.returncode, r.stdout) == (1, "FAIL  scenario a.scn\nFAIL  scenario gone.scn\n")
+    assert r.stderr == (f"  error: cannot load machine {why}\n"
+                        f"  error: cannot load machine {gone}: "
+                        f"[Errno 2] No such file or directory: '{gone}'\n")
 
 
 def test_a_failing_run_is_still_a_scenario_failure(tmp_path, capsys):

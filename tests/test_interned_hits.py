@@ -4,6 +4,7 @@ through the constructor, and every table is keyed as that fast path reads
 it (see `values.Interned`)."""
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -24,7 +25,7 @@ from asmweave.interp import (
 from asmweave.multiagent import explore
 from asmweave.parser import parse_machine, parse_term
 from asmweave.state import Location, Update
-from asmweave.values import UNDEF, Interned, IntV
+from asmweave.values import UNDEF, Interned, IntV, SymV
 
 CONSTRUCTORS = {IntV.__new__.__code__, Location.__new__.__code__, Interned.__new__.__code__}
 
@@ -68,6 +69,38 @@ def test_a_second_identical_run_calls_no_constructor():
     assert export_trace_jsonl(second) == export_trace_jsonl(first)
     assert all(u is v for a, b in zip(first.steps, second.steps)
                for u, v in zip(a.updates, b.updates))
+
+
+def test_a_second_interleaved_run_builds_no_agent_symbol():
+    # each agent step binds `self` to the agent's symbol, and each
+    # interleaving draw offers the agents as symbols: both read the table
+    machine = parse_machine("""
+machine Workers
+  controlled count/1
+  rule Work = count(self) := (count(self) + 1) mod 3
+  init { count('a) := 0  count('b) := 0  count('c) := 0 }
+  main Work
+  agent a runs Work
+  agent b runs Work
+  agent c runs Work
+""")
+    first = ma_run(machine, Interleaving(), 30, Resolver.seeded(5))
+    built = []
+
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code is Interned.__new__.__code__:
+            built.append(frame.f_locals["cls"])
+
+    sys.setprofile(hook)
+    try:
+        second = ma_run(machine, Interleaving(), 30, Resolver.seeded(5))
+    finally:
+        sys.setprofile(None)
+    assert SymV not in built
+    assert export_trace_jsonl(second) == export_trace_jsonl(first)
+    # the run drew a schedule at every step and ran each agent's rule
+    assert len(second.steps) == 30
+    assert {s.schedule for s in second.steps} == {("a",), ("b",), ("c",)}
 
 
 def test_a_miss_still_interns():

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import MODELS
 from asmweave.errors import AsmError, ParseError, ResolveError
+from asmweave.interp import _rule, _term, run
 from asmweave.parser import (
     App,
     Assign,
@@ -37,6 +38,45 @@ def test_swap_parses_to_expected_structure():
     ))
     assert m.init == ((App("a", ()), Lit(IntV(1))), (App("b", ()), Lit(IntV(2))))
     assert m.main == "Main"
+
+
+def test_nodes_compare_and_hash_without_their_position():
+    spaced = parse_term("f( x )  +  {1 .. 2}")
+    tight = parse_term("f(x)+{1..2}")
+    assert spaced == tight and hash(spaced) == hash(tight)
+    assert spaced.pos == (1, 9) and tight.pos == (1, 5)
+    assert len({spaced, tight, parse_term("f(x) + {1 .. 3}")}) == 2
+    first, second = (parse_machine(SWAP.replace("= par", f"= {pad}par")).declarations["Main"]
+                     for pad in ("", "   "))
+    assert first.body == second.body and hash(first.body) == hash(second.body)
+    assert first.body.pos != second.body.pos
+    # a choose's label is not compared either
+    chooses = [parse_machine(f"machine C controlled x rule {r} = choose v in {{1, 2}} do x := v"
+                             f" main {r}").declarations[r].body for r in ("A", "B")]
+    assert chooses[0] == chooses[1] and chooses[0].label != chooses[1].label
+
+
+def test_node_repr_shows_every_field():
+    t = parse_term("x + 1")
+    assert repr(t) == ("App(fname='+', args=(Var(name='x', pos=(1, 1)), "
+                       "Lit(value=IntV(n=1), pos=(1, 5))), pos=(1, 3))")
+    body = parse_machine(SWAP).declarations["Main"].body
+    assert repr(body.children[0]) == ("Assign(lhs=App(fname='a', args=(), pos=(4, 19)), "
+                                      "rhs=App(fname='b', args=(), pos=(4, 24)), pos=(4, 19))")
+
+
+def test_nodes_keep_their_compiled_closure():
+    m = parse_machine(SWAP)
+    before = repr(m.declarations["Main"].body)
+    run(m, 1)
+    body = m.declarations["Main"].body
+    sig, fn = body._compiled
+    assert sig is m.sig and _rule(body, m.sig) is fn
+    rhs = body.children[0].rhs
+    assert rhs._compiled[0] is m.sig and _term(rhs, m.sig) is rhs._compiled[1]
+    # the closure is no field: repr, == and hash ignore it
+    fresh = parse_machine(SWAP).declarations["Main"].body
+    assert repr(body) == before and body == fresh and hash(body) == hash(fresh)
 
 
 def test_unknown_name_is_resolve_error():

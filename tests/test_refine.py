@@ -1,3 +1,4 @@
+import os
 import re
 
 import pytest
@@ -19,6 +20,7 @@ from asmweave.refine import (
     parse_manifest,
 )
 from asmweave.parser import parse_machine, parse_term, pp_term
+from asmweave.scenario import run_scenario
 from asmweave.values import IntV, UNDEF
 
 CHOICE = load_model("choose_out.asm")
@@ -220,9 +222,8 @@ def test_manifest_machine_error_names_its_line(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
-@pytest.mark.parametrize("chain, status", [("chain_ok", 0), ("chain_broken", 1)])
-def test_a_manifest_parses_each_machine_file_once(chain, status, tmp_path, monkeypatch,
-                                                   capsys):
+def _counting_parses(monkeypatch):
+    """The texts `refine.parse_machine` is called with, from now on."""
     parsed = []
 
     def counting(text):
@@ -230,6 +231,13 @@ def test_a_manifest_parses_each_machine_file_once(chain, status, tmp_path, monke
         return parse_machine(text)
 
     monkeypatch.setattr(refine, "parse_machine", counting)
+    return parsed
+
+
+@pytest.mark.parametrize("chain, status", [("chain_ok", 0), ("chain_broken", 1)])
+def test_a_manifest_parses_each_machine_file_once(chain, status, tmp_path, monkeypatch,
+                                                   capsys):
+    parsed = _counting_parses(monkeypatch)
     manifest = MODELS / "chains" / f"{chain}.refine"
     assert cli.main(["check-refine", str(manifest), "--trace",
                      str(tmp_path / "shared.jsonl")]) == status
@@ -265,6 +273,51 @@ def test_a_machine_file_named_twice_fails_on_its_first_line(tmp_path):
         parse_manifest(text.format(bad=tmp_path / "bad.asm"), MODELS / "chains")
     with pytest.raises(ManifestError, match="^line 3: cannot read "):
         parse_manifest(text.format(bad=tmp_path / "gone.asm"), MODELS / "chains")
+
+
+@pytest.mark.parametrize("spelling", ["symlink", "dotdot", "hardlink"])
+def test_one_file_under_two_names_is_parsed_once(spelling, tmp_path, monkeypatch):
+    # machine files are told apart by device and inode, not by their names
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "rr.asm").write_bytes((MODELS / "round_robin.asm").read_bytes())
+    other = {"symlink": "link.asm", "dotdot": "sub/../rr.asm", "hardlink": "hard.asm"}[spelling]
+    if spelling == "symlink":
+        (tmp_path / "link.asm").symlink_to("rr.asm")
+    elif spelling == "hardlink":
+        os.link(tmp_path / "rr.asm", tmp_path / "hard.asm")
+    parsed = _counting_parses(monkeypatch)
+    steps = parse_manifest(f"step s\nabstract rr.asm\nrefined {other}\nobserve out : out ~ out\n"
+                           f"step t\nabstract {other}\nrefined rr.asm\nobserve out : out ~ out\n",
+                           tmp_path)
+    assert len(parsed) == 1
+    assert len({id(m) for s in steps for m in (s.spec.abstract, s.spec.refined)}) == 1
+    # two files with the same text are still two files
+    (tmp_path / "copy.asm").write_bytes((tmp_path / "rr.asm").read_bytes())
+    parse_manifest("step s\nabstract rr.asm\nrefined copy.asm\nobserve out : out ~ out\n",
+                   tmp_path)
+    assert len(parsed) == 3
+
+
+def test_an_unreadable_machine_file_is_named_by_its_resolved_path(tmp_path, monkeypatch):
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "bad.asm").write_bytes(b"\xff\xfemachine M\n")
+    (tmp_path / "dangling.asm").symlink_to("gone.asm")
+    gone, bad = tmp_path / "gone.asm", tmp_path / "bad.asm"
+    missing = f"[Errno 2] No such file or directory: '{gone}'"
+    encoding = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+    parsed = _counting_parses(monkeypatch)
+    for name, shown in [("sub/../gone.asm", f"{gone}: {missing}"),
+                        ("dangling.asm", f"{gone}: {missing}"),
+                        ("sub/../bad.asm", f"{bad}: {encoding}")]:
+        with pytest.raises(ManifestError) as e:
+            parse_manifest(f"step s\nabstract {name}\n", tmp_path)
+        assert str(e.value) == f"line 2: cannot read {shown}"
+        scenario = tmp_path / "s.scn"
+        scenario.write_text(f"scenario s\nmachine {name}\nsteps 1\n", encoding="utf-8")
+        with pytest.raises(ManifestError) as e:
+            run_scenario(scenario)
+        assert str(e.value) == f"cannot load machine {shown}"
+    assert parsed == []
 
 
 def test_init_link_aligns_initial_states():
