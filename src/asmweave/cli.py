@@ -9,10 +9,13 @@ machine-readable artifacts are only written when asked for explicitly.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 from typing import Optional
 
@@ -24,14 +27,15 @@ from .errors import (
     ResolveError,
     SourceEncodingError,
 )
-from .interp import (Interleaving, Resolver, Synchronous, export_trace_jsonl, ma_run,
-                     read_resolver_free, run)
+from .interp import (Inconsistent, Interleaving, Progressed, Resolver, Stalled, Synchronous,
+                     export_trace_jsonl, initial_state, ma_outcomes, read_resolver_free,
+                     trace_line)
 from .multiagent import explore
 from .normalform import equivalence_check, normalize
 from .parser import parse_machine, pp_rule_expr, pretty_print, read_source
 from .refine import BudgetExhausted, Fail, Pass, check_chain
 from .scenario import run_scenario, run_suite, skeleton
-from .state import FunctionKind, Location
+from .state import FunctionKind, Location, state_digest
 from .values import BoolV, IntV, UNDEF, show_value, value_key
 
 EXIT_OK = 0
@@ -92,31 +96,53 @@ def _print_state(state) -> None:
         print(line)
 
 
-def _write_trace(path: str, trace) -> None:
-    """Export `trace` to `path` as JSON lines; a trace without steps leaves
-    the file empty, and stderr says so."""
-    Path(path).write_text(export_trace_jsonl(trace), encoding="utf-8")
-    if not trace.steps:
+@contextlib.contextmanager
+def _trace_file(path: str):
+    """A file to write JSON lines into as they come: an anonymous temporary
+    file, copied to `path` only when the block ends without an error, so an
+    error leaves `path` as it was. A trace without steps leaves the file
+    empty, and stderr says so."""
+    with tempfile.TemporaryFile("w+", encoding="utf-8", newline="") as lines:
+        yield lines
+        empty = lines.tell() == 0
+        lines.seek(0)
+        with open(path, "w", encoding="utf-8") as out:
+            shutil.copyfileobj(lines, out)
+    if empty:
         print(f"note: the trace has no steps; {path} is empty", file=sys.stderr)
 
 
+def _write_trace(path: str, trace) -> None:
+    with _trace_file(path) as out:
+        out.write(export_trace_jsonl(trace))
+
+
 def cmd_run(args) -> int:
+    """Consume the run's outcomes as they come, keeping the current state
+    and the last outcome; `--trace` lines are written as the steps happen."""
     resolver = Resolver.seeded(_seed(args.seed))
     machine = _load_machine(args.machine)
-    if machine.agents and args.agents != "single":
-        if args.rule is not None:
-            # each agent loops its own rule; only the single scheduler runs one
-            raise UsageError("--rule needs --agents single on a machine with agents")
-        scheduler = Synchronous() if args.agents == "sync" else Interleaving()
-        trace = ma_run(machine, scheduler, args.steps, resolver)
-    else:
-        trace = run(machine, args.steps, resolver, rule=_rule(machine, args.rule))
-    if args.trace:
-        _write_trace(args.trace, trace)
-    _print_state(trace.final_state)
-    if trace.outcome == "inconsistent":
+    # interleaving steps a lone anonymous agent as synchronous does
+    scheduler = Interleaving() if args.agents == "interleave" else Synchronous()
+    agents = None
+    if not machine.agents or args.agents == "single":
+        agents = (("", _rule(machine, args.rule)),)
+    elif args.rule is not None:
+        # each agent loops its own rule; only the single scheduler runs one
+        raise UsageError("--rule needs --agents single on a machine with agents")
+    state = initial_state(machine)
+    res = None
+    with _trace_file(args.trace) if args.trace else contextlib.nullcontext() as trace:
+        for k, res in enumerate(ma_outcomes(machine, scheduler, args.steps, resolver, state,
+                                            agents)):
+            if trace is not None and not isinstance(res, Stalled):
+                trace.write(trace_line(k, res, state_digest(state)))
+            if isinstance(res, Progressed):
+                state = res.next_state
+    _print_state(state)
+    if isinstance(res, Inconsistent):
         print("run ended inconsistent:", file=sys.stderr)
-        for loc, vals in trace.clashes:
+        for loc, vals in res.clashes:
             vals_text = ", ".join(show_value(v) for v in sorted(vals, key=value_key))
             print(f"  {loc.show()} <- {{{vals_text}}}", file=sys.stderr)
         return EXIT_SEMANTIC

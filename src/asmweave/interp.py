@@ -73,11 +73,16 @@ bindings in scope, not the visit order, which keeps par children
 order-independent.
 
 A step's outcome is its one record: `Progressed` or `Inconsistent`, with
-the step's `updates`, draws and `schedule`. `ma_step` returns it, and a
-`Trace` is a start state and its steps' outcomes; its states are read off
-them, and `Trace.digests` hashes them only when compared or exported. A
-search keeps the path to each state as parent links (`Links`), and
-`trace_of` turns the path to a violation or a failing run into a `Trace`.
+the step's `updates`, draws and `schedule`. `ma_step` returns it, and
+`ma_outcomes` yields a run's outcomes as they come, keeping only the state
+the next step reads, so each consumer keeps what it needs: `ma_run` (and
+`run`) keeps them all as a `Trace`, a start state and its steps' outcomes;
+`asmweave run` keeps the last state and outcome, and writes each step's
+`trace_line`, the line `export_trace_jsonl` writes for a `Trace`, as it
+comes. A trace's states are read off its outcomes, and `Trace.digests`
+hashes them only when compared or exported. A search keeps the path to
+each state as parent links (`Links`), and `trace_of` turns the path to a
+violation or a failing run into a `Trace`.
 """
 from __future__ import annotations
 
@@ -87,7 +92,7 @@ import json
 import sys
 import weakref
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .errors import (
     ArityMismatch,
@@ -918,7 +923,11 @@ class Trace:
 
     @property
     def final_state(self) -> State:
-        return self.states[-1]
+        """The post-state of the last progressed step, else the start."""
+        for st in reversed(self.steps[-2:]):
+            if isinstance(st, Progressed):
+                return st.next_state
+        return self.start
 
     @property
     def clashes(self) -> tuple:
@@ -1010,27 +1019,37 @@ def read_resolver_free(text: str, sig: Signature, where: str) -> Term:
     return t
 
 
+def ma_outcomes(machine: MachineDef, scheduler: Synchronous | Interleaving | ScriptedOrder,
+                max_steps: int, resolver: Resolver, start: State,
+                agents: Optional[Tuple[Tuple[str, str], ...]] = None) -> Iterator[StepResult]:
+    """Yield the outcome of each `ma_step` from `start`, up to `max_steps`
+    of them; stop after the first that does not progress. Only the state
+    the next step reads is kept."""
+    if agents is None:
+        agents = agents_of(machine)
+    state = start
+    for _ in range(max_steps):
+        res = ma_step(machine, state, scheduler, resolver, agents)
+        yield res
+        if not isinstance(res, Progressed):
+            return
+        state = res.next_state
+
+
 def ma_run(machine: MachineDef, scheduler: Synchronous | Interleaving | ScriptedOrder,
            max_steps: int, resolver: Optional[Resolver] = None, start: Optional[State] = None,
            agents: Optional[Tuple[Tuple[str, str], ...]] = None) -> Trace:
-    """Iterate `ma_step` from `start` until a step stalls, clashes, or
-    `max_steps` have run, and record the trace."""
-    resolver = resolver if resolver is not None else Resolver.seeded(0)
-    if agents is None:
-        agents = agents_of(machine)
-    state = start if start is not None else initial_state(machine)
-    trace = Trace(state, [], "budget")
-    for _ in range(max_steps):
-        res = ma_step(machine, state, scheduler, resolver, agents)
+    """The trace of `ma_outcomes` from `start` (default: the initial state)."""
+    trace = Trace(start if start is not None else initial_state(machine), [], "budget")
+    for res in ma_outcomes(machine, scheduler, max_steps,
+                           resolver if resolver is not None else Resolver.seeded(0),
+                           trace.start, agents):
         if isinstance(res, Stalled):
-            trace.outcome = "stalled"
-            trace.tail_resolutions = res.resolutions
-            return trace
-        trace.steps.append(res)
-        if isinstance(res, Inconsistent):
-            trace.outcome = "inconsistent"
-            return trace
-        state = res.next_state
+            trace.outcome, trace.tail_resolutions = "stalled", res.resolutions
+        else:
+            trace.steps.append(res)
+            if isinstance(res, Inconsistent):
+                trace.outcome = "inconsistent"
     return trace
 
 
@@ -1041,22 +1060,27 @@ def run(machine: MachineDef, max_steps: int, resolver: Optional[Resolver] = None
                   (("", rule or machine.main),))
 
 
+def trace_line(k: int, st: Union[Progressed, Inconsistent], digest: str) -> str:
+    """Step `k` of a trace as one compact JSON object and a newline: each
+    update from its cached text (`Update.text`), each resolution as
+    `{"kind", "label", "key", "value"}` (`ResEntry.from_json` reads it
+    back), its value from its cached text, and the `digest` of the step's
+    pre-state."""
+    dumps = json.dumps
+    updates = ",".join(u.text() for u in st.updates)
+    # a kind is one of four plain words, written as it is
+    res = ",".join(f'{{"kind":"{e.kind}","label":{dumps(e.label)},"key":{dumps(e.key)},'
+                   f'"value":{value_text(e.value)}}}' for e in st.resolutions)
+    schedule = (f',"schedule":{dumps(st.schedule, separators=(",", ":"))}'
+                if st.schedule else "")
+    return (f'{{"step":{k},"updates":[{updates}],"resolutions":[{res}],'
+            f'"digest":"{digest}"{schedule}}}\n')
+
+
 def export_trace_jsonl(trace: Trace) -> str:
-    """One compact JSON object per step, newline separated, written as text:
-    each update from its cached text (`Update.text`), each resolution as
-    `{"kind", "label", "key", "value"}` (`ResEntry.from_json` reads it back),
-    its value from its cached text."""
-    lines, dumps = [], json.dumps
-    for k, (st, digest) in enumerate(zip(trace.steps, trace.digests())):
-        updates = ",".join(u.text() for u in st.updates)
-        # a kind is one of four plain words, written as it is
-        res = ",".join(f'{{"kind":"{e.kind}","label":{dumps(e.label)},"key":{dumps(e.key)},'
-                       f'"value":{value_text(e.value)}}}' for e in st.resolutions)
-        schedule = (f',"schedule":{dumps(st.schedule, separators=(",", ":"))}'
-                    if st.schedule else "")
-        lines.append(f'{{"step":{k},"updates":[{updates}],"resolutions":[{res}],'
-                     f'"digest":"{digest}"{schedule}}}')
-    return "\n".join(lines) + ("\n" if lines else "")
+    """The trace as JSON lines, one `trace_line` per step."""
+    return "".join(trace_line(k, st, state_digest(pre))
+                   for k, (st, pre) in enumerate(zip(trace.steps, trace.states)))
 
 
 # ---------------------------------------------------------------------------

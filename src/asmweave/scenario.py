@@ -265,17 +265,18 @@ def run_scenario(path: Union[str, Path]) -> ScenarioReport:
     except AsmError as e:
         return ScenarioReport(sc.name, [], [], error=str(e))
     warnings = [] if conditions else ["scenario declares no assertions; it passes vacuously"]
-    return ScenarioReport(sc.name, [_evaluate(*c, trace, machine) for c in conditions],
-                          warnings, trace=trace)
-
-
-def _evaluate(index: Optional[int], cond: str, term: Term, trace: Trace,
-              machine: MachineDef) -> AssertionResult:
-    kind = "final" if index is None else "step"
     states = trace.states
+    return ScenarioReport(sc.name, [_evaluate(*c, states, trace.outcome, machine)
+                                    for c in conditions], warnings, trace=trace)
+
+
+def _evaluate(index: Optional[int], cond: str, term: Term, states: List[State],
+              outcome: str, machine: MachineDef) -> AssertionResult:
+    """A condition checked on `states`, the states of a run that ended `outcome`."""
+    kind = "final" if index is None else "step"
     if kind == "step" and index >= len(states):
         return AssertionResult(kind, index, cond, False,
-                               f"run ended after {len(states) - 1} step(s) ({trace.outcome})")
+                               f"run ended after {len(states) - 1} step(s) ({outcome})")
     state = states[-1 if index is None else index]
     try:
         value = eval_term(term, state)

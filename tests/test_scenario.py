@@ -2,7 +2,8 @@ import pytest
 
 from conftest import MODELS, model_path
 from asmweave.errors import ManifestError
-from asmweave.interp import Resolver, ScriptedOrder, Synchronous, export_trace_jsonl, ma_run
+from asmweave.interp import (Resolver, ScriptedOrder, Synchronous, Trace, export_trace_jsonl,
+                             ma_run)
 from asmweave.parser import parse_machine, read_source
 from asmweave.scenario import parse_scenario, run_scenario, run_suite, skeleton
 
@@ -14,6 +15,15 @@ def test_swap_scenario_passes():
     report = run_scenario(GREEN / "swap_basic.scn")
     assert report.passed
     assert all(r.passed for r in report.results)
+
+
+def test_a_scenario_reads_the_states_of_its_run_once(monkeypatch):
+    reads = []
+    states = Trace.states
+    monkeypatch.setattr(Trace, "states", property(lambda t: reads.append(t) or states.fget(t)))
+    report = run_scenario(GREEN / "ring_quiesce.scn")
+    assert report.passed and len(report.results) > 1
+    assert len(reads) == 1
 
 
 def test_wrong_expectation_fails_with_witness():
