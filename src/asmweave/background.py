@@ -19,7 +19,10 @@ made from one table, `BUILTIN`, twice: as the implementation registered
 here and as the closure `interp` fuses into an application, so that a
 `+` runs inside its application's closure. An application is fused only
 while its name keeps the built-in implementation; a name registered anew
-takes the generic path, which calls what was registered.
+takes the generic path, which calls what was registered. A fused `and`,
+`or` or `implies` whose right operand is total (`interp._total`: it can
+neither raise nor draw) returns as soon as its left operand decides, and
+does not evaluate the right one; otherwise it evaluates both.
 """
 from __future__ import annotations
 
@@ -155,8 +158,22 @@ def _kleene(when):
     return kleene
 
 
-def _fuse_kleene(when, a0, a1):
+def _fuse_kleene(when, a0, a1, stop=False):
+    """With `stop`, the right operand is total (`interp` decides it), so
+    it can neither raise nor draw, and an absorbing left operand decides
+    without it: the value is the same, and the right operand's reads are
+    not made."""
     absorbing, unit = when
+    if stop:
+        def decided(s, e, r):  # the right operand only when the left does not decide
+            a = a0(s, e, r)
+            if a is absorbing:
+                return absorbing
+            b = a1(s, e, r)
+            if b is absorbing:
+                return absorbing
+            return unit if a is unit and b is unit else UNDEF
+        return decided
 
     def kleene(s, e, r):  # both operands are evaluated, left to right
         a, b = a0(s, e, r), a1(s, e, r)
@@ -172,8 +189,8 @@ def _implies(when):
     return lambda a, b: or_(_NOT.get(a, UNDEF), b)
 
 
-def _fuse_implies(when, a0, a1):
-    return _fuse_kleene(when, _fuse_not(None, a0), a1)
+def _fuse_implies(when, a0, a1, stop=False):
+    return _fuse_kleene(when, _fuse_not(None, a0), a1, stop)
 
 
 def _not(_):
@@ -203,11 +220,16 @@ _FORMS = {  # form -> (implementation maker, fused closure maker)
 # of its application's fused closure from the argument closures; an
 # application of a name registered anew finds no entry for what it calls
 FUSE: Dict[Callable[..., Value], Callable[..., Callable]] = {}
+# the connectives among them -> the maker of a fused closure that skips a
+# total right operand once the left decides
+DECIDED: Dict[Callable[..., Value], Callable[..., Callable]] = {}
 for _name, (_form, _operand) in BUILTIN.items():
     _implementation, _fuse = _FORMS[_form]
     _fn = _implementation(_operand)
     register(_name, 1 if _form == "not" else 2, _fn)
     FUSE[_fn] = functools.partial(_fuse, _operand)
+    if _form in ("kleene", "implies"):
+        DECIDED[_fn] = functools.partial(_fuse, _operand, stop=True)
 
 
 def _neg(a: Value) -> Value:

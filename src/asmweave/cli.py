@@ -21,6 +21,7 @@ from typing import Optional
 
 from .errors import (
     AsmError,
+    EvalError,
     ManifestError,
     NotPGA,
     ParseError,
@@ -132,13 +133,22 @@ def cmd_run(args) -> int:
         raise UsageError("--rule needs --agents single on a machine with agents")
     state = initial_state(machine)
     res = None
-    with _trace_file(args.trace) if args.trace else contextlib.nullcontext() as trace:
-        for k, res in enumerate(ma_outcomes(machine, scheduler, args.steps, resolver, state,
-                                            agents)):
-            if trace is not None and not isinstance(res, Stalled):
-                trace.write(trace_line(k, res, state_digest(state)))
-            if isinstance(res, Progressed):
-                state = res.next_state
+    try:
+        with _trace_file(args.trace) if args.trace else contextlib.nullcontext() as trace:
+            for k, res in enumerate(ma_outcomes(machine, scheduler, args.steps, resolver,
+                                                state, agents)):
+                if trace is not None and not isinstance(res, Stalled):
+                    trace.write(trace_line(k, res, state_digest(state)))
+                if isinstance(res, Progressed):
+                    state = res.next_state
+    except EvalError as e:
+        if not (machine.agents and args.agents == "single"):
+            raise
+        # an agent's rule that reads `self` finds it undef here
+        print(f"error: {e}", file=sys.stderr)
+        print("note: --agents single runs the rule as the anonymous agent, which has no self",
+              file=sys.stderr)
+        return EXIT_SEMANTIC
     _print_state(state)
     if isinstance(res, Inconsistent):
         print("run ended inconsistent:", file=sys.stderr)

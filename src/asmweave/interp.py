@@ -32,10 +32,22 @@ superoperators", POPL 1995): one frame per `+`, `<`, `=` or `and`, where
 calling the implementation took two or three. That holds while the name
 keeps the implementation `background` registered for it; a name
 registered anew takes the generic path, and a tree compiled earlier
-keeps the operation it bound. A forall or choose binds its variable into
-one env dict per evaluation, not one per element. An int result, a read
-location or an update that is already interned is read from its class's
-table in C (`values.Interned`), and its constructor runs only on a miss.
+keeps the operation it bound. An `and`, `or` or `implies` stops at a
+left operand that decides it, as an absorbing value alone decides
+Kleene's strong connectives (Kleene, "Introduction to Metamathematics",
+1952), when its right operand is total (`_total`): built only from
+literals, reads of functions that are not abstract, and built-in
+operations, each with its arity, so that it can neither raise nor draw.
+Skipping it changes no value, error or draw; it only leaves out reads
+that decide nothing. Otherwise, for a variable, an abstract read, an
+unknown function, a wrong arity or a name registered anew, both operands
+are evaluated, left to right. One error is no longer reached: a total
+right operand whose evaluation would have exhausted the stack
+("evaluation nested too deeply") is skipped once the left decides. A
+forall or choose binds its variable into one env dict per evaluation,
+not one per element. An int result, a read location or an update that
+is already interned is read from its class's table in C
+(`values.Interned`), and its constructor runs only on a miss.
 `eval_term`, `update_set` and `_probe` run the closures; the tree walk
 they replaced is the test oracle.
 
@@ -67,7 +79,8 @@ its outcomes on their update sets (clash sets when inconsistent) and
 sorts two or more by the key each update and location keeps once built;
 `enumerate_steps` is those outcomes with each move fired.
 Given a `reads` dict, the rule reads a view whose content records every
-location read; `multiagent`'s outcome memo keys on those locations.
+location read, in the order first read; `multiagent`'s outcome memo
+follows those locations as a decision tree.
 Resolution keys combine the choose label with a digest of the lexical
 bindings in scope, not the visit order, which keeps par children
 order-independent.
@@ -107,7 +120,7 @@ from .errors import (
     UnboundedAbstract,
     UnboundVariable,
 )
-from .background import FUSE, background_op, is_background
+from .background import DECIDED, FUSE, background_op, is_background
 from .parser import (
     App,
     Assign,
@@ -510,7 +523,9 @@ def _compile_app(t: App, sig: Signature):
             return _failing(args, lambda: ArityMismatch(
                 f"{fname!r} expects {arity} argument(s), got {n}"))
         if op in FUSE:  # by identity: a name registered anew is not fused
-            fn = FUSE[op](*args)
+            decided = DECIDED.get(op)
+            fn = (decided if decided is not None and _total(t.args[1], sig)
+                  else FUSE[op])(*args)
         else:
             values = _values(args)
             fn = lambda s, e, r: op(*values(s, e, r))
@@ -549,6 +564,30 @@ def _compile_app(t: App, sig: Signature):
             locs(k := (fname, (a0(s, e, r),))) or Location(*k), UNDEF)
     return lambda s, e, r: s.content.get(
         locs(k := (fname, values(s, e, r))) or Location(*k), UNDEF)
+
+
+def _total(t: Term, sig: Signature) -> bool:
+    """Whether evaluating `t` can neither raise nor draw: it is built only
+    from literals, reads of functions of `sig` that are not abstract, and
+    built-in operations (`background.FUSE`, by identity, so a name
+    registered anew is not total), each with its arity. A variable is not
+    total: it may be unbound."""
+    for u in _subterms(t):
+        if isinstance(u, Lit):
+            continue
+        if not isinstance(u, App):
+            return False
+        decl = sig.get(u.fname)
+        if decl is not None:
+            if decl.kind == FunctionKind.ABSTRACT or decl.arity != len(u.args):
+                return False
+        elif not is_background(u.fname):
+            return False
+        else:
+            arity, op = background_op(u.fname)
+            if op not in FUSE or arity != len(u.args):
+                return False
+    return True
 
 
 def _not_boolean(guard: Term, v: Value) -> GuardNotBoolean:

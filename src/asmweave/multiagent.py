@@ -35,14 +35,20 @@ ICFP 2018). It is sound because an agent's outcomes are a function of the
 values its rule reads: a miss evaluates through `interp.enumerate_moves`
 with the view's content recording every dynamic read; statics are fixed
 within one command; `_probe`'s draws come from its own replay stack, and
-it injects no monitored input. A miss fires nothing: its moves are kept,
-and a hit reuses them on any state. A table lives for one search, over
-one machine and one branch budget, and never outside a command.
+it injects no monitored input. The memo is a decision tree per agent
+over the locations its rule reads, in the order it first reads them: a
+lookup takes one dict step per location read, whichever path the guards
+took. States may share a path's nodes because what the rule reads next
+is a function of the values it has read so far; an insertion that finds
+otherwise raises rather than overwrite. A miss fires nothing: its moves
+are kept, and a hit reuses them on any state. A table lives for one
+search, over one machine and one branch budget, and never outside a
+command.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 from .errors import GuardNotBoolean
 # the step semantics live in interp; Interleaving, _can_progress, ma_step
@@ -78,11 +84,13 @@ class ExploreReport:
     complete: bool = False  # frontier emptied before the depth bound
 
 
-# Per (agent, rule): {locations read: {their values: outcomes}}, one entry
-# per distinct read tuple. Outcomes are the moves (fired on no state),
-# inconsistent branches and whether some branch stalls.
+# Per (agent, rule): a decision tree over the locations its rule reads, in
+# the order it first reads them. A node is [location, {value: child}], the
+# value None standing for an unwritten location, and a leaf is the
+# outcomes: the moves (fired on no state), inconsistent branches and
+# whether some branch stalls. A rule that reads nothing has a leaf for root.
 Outcomes = Tuple[Tuple[Move, ...], Tuple[Inconsistent, ...], bool]
-OutcomeMemo = Dict[Tuple[str, str], Dict[Tuple[Location, ...], Dict[tuple, Outcomes]]]
+OutcomeMemo = Dict[Tuple[str, str], Union[list, Outcomes]]
 
 
 def agent_successors(
@@ -96,16 +104,15 @@ def agent_successors(
     """One agent's steps from a state: its moves to distinct successors,
     its inconsistent resolution branches, and whether some resolution
     stalls. `memo` holds this search's outcomes; a hit returns them as they
-    are. Errors are not cached: they end the search."""
-    entries = memo.get((aid, rule))
-    if entries is None:
-        entries = memo[aid, rule] = {}
+    are, after one dict step per location the rule read. Errors are not
+    cached: they end the search."""
     # an unwritten location reads as None here, and undef to the rule
     get = state.content.get
-    for locs, table in entries.items():
-        hit = table.get(tuple(map(get, locs)))
-        if hit is not None:
-            return hit
+    node = memo.get((aid, rule))
+    while node.__class__ is list:
+        node = node[1].get(get(node[0]))
+    if node is not None:
+        return node
     reads: Dict[Location, None] = {}
     moves, inconsistent, stalled = [], [], False
     for res in enumerate_moves(state, machine, rule, budget, agent=aid, reads=reads):
@@ -117,9 +124,24 @@ def agent_successors(
             inconsistent.append(res)
     if aid:  # a named agent's `self` is its own id
         reads.pop(SELF_LOC, None)
-    locs = tuple(reads)
     outcomes = tuple(moves), tuple(inconsistent), stalled
-    entries.setdefault(locs, {})[tuple(map(get, locs))] = outcomes
+    # the path of this state's values: a state that agrees with it on every
+    # location read so far makes the same next read, as the rule is a
+    # function of what it has read, so a path meets the tree only in nodes
+    # of its own locations
+    children, key = memo, (aid, rule)
+    for loc in reads:
+        node = children.get(key)
+        if node is None:
+            node = children[key] = [loc, {}]
+        elif node[0] != loc:
+            raise AssertionError(f"rule {rule!r} of agent {aid!r} read {loc.show()} "
+                                 f"where the outcome memo holds another path")
+        children, key = node[1], get(loc)
+    if key in children:
+        raise AssertionError(f"rule {rule!r} of agent {aid!r} ended its reads where the "
+                             f"outcome memo holds another path")
+    children[key] = outcomes
     return outcomes
 
 

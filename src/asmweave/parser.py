@@ -282,6 +282,17 @@ def read_input(path: Path, failure: str, resolve: bool = False) -> str:
         raise ManifestError(f"{failure} {named}") from None
 
 
+def file_key(path: Path) -> object:
+    """What names the file at `path` however it is reached: its (device,
+    inode), or `path` itself when it cannot be stat'ed, which reading it
+    then reports."""
+    try:
+        st = path.stat()
+    except OSError:
+        return path
+    return st.st_dev, st.st_ino
+
+
 # ---------------------------------------------------------------------------
 # Parser (one pass: names are resolved where they are read)
 

@@ -36,7 +36,7 @@ from .errors import BranchBudgetExceeded, ManifestError
 from .interp import (Links, Trace, agents_of, eval_term, initial_state, read_override,
                      read_resolver_free, trace_of)
 from .multiagent import OutcomeMemo, SearchTable, agent_successors
-from .parser import (App, MachineDef, Term, directive_lines, located, parse_machine,
+from .parser import (App, MachineDef, Term, directive_lines, file_key, located, parse_machine,
                      read_input)
 from .state import State
 from .values import Value, show_value
@@ -380,10 +380,7 @@ def parse_manifest(text: str, base_dir: Path) -> List[RefinementStep]:
             raise ManifestError(f"line {lineno}: {head!r} before any 'step'")
         if head in ("abstract", "refined"):
             path = base_dir / rest
-            try:
-                key = (st := path.stat()).st_dev, st.st_ino
-            except OSError:
-                key = path  # unreadable: `read_input` reports it
+            key = file_key(path)
             if key not in machines:
                 source = read_input(path, f"line {lineno}: cannot read", resolve=True)
                 machines[key] = located(f"line {lineno}: {head} {rest}", parse_machine, source)

@@ -53,6 +53,7 @@ from .parser import (
     MachineDef,
     Term,
     directive_lines,
+    file_key,
     located,
     parse_machine,
     pp_term,
@@ -240,15 +241,23 @@ def _witnesses(term: Term, state: State, machine: MachineDef) -> str:
     return ", ".join(found)
 
 
-def run_scenario(path: Union[str, Path]) -> ScenarioReport:
+def run_scenario(path: Union[str, Path],
+                 machines: Optional[Dict[object, MachineDef]] = None) -> ScenarioReport:
     """Read the scenario file at `path` against its machine, whose path is
     relative to the file's directory, then run it and report every
-    assertion outcome."""
+    assertion outcome. `machines` holds the machines parsed so far, by
+    `parser.file_key`, and gains this one: a run keeps nothing on a machine
+    that another run could see."""
     path = Path(path)
     sc = parse_scenario(read_source(path))
     machine_file = path.parent / sc.machine_path
-    machine = located(lambda: f"cannot load machine {machine_file.resolve()}", parse_machine,
-                      read_input(machine_file, "cannot load machine", resolve=True))
+    machines = {} if machines is None else machines
+    key = file_key(machine_file)
+    if key not in machines:
+        machines[key] = located(lambda: f"cannot load machine {machine_file.resolve()}",
+                                parse_machine,
+                                read_input(machine_file, "cannot load machine", resolve=True))
+    machine = machines[key]
     overrides = [located(f"init {text!r}", read_override, text, machine, f"init {text!r}")
                  for text in sc.init_entries]
     n_steps = sc.max_steps
@@ -318,16 +327,18 @@ class SuiteReport:
 
 
 def run_suite(directory: Union[str, Path]) -> SuiteReport:
-    """Run every *.scn file in a directory; any failure makes the suite fail."""
+    """Run every *.scn file in a directory; any failure makes the suite fail.
+    Each machine file is parsed once for the suite."""
     d = Path(directory)
     files = sorted(d.glob("*.scn"))
     warnings = []
     if not files:
         warnings.append(f"no scenario files (*.scn) found in {d}")
     reports = []
+    machines: Dict[object, MachineDef] = {}
     for f in files:
         try:
-            reports.append(run_scenario(f))
+            reports.append(run_scenario(f, machines))
         except (OSError, AsmError) as e:
             reports.append(ScenarioReport(f.name, [], [], error=str(e)))
     return SuiteReport(reports, warnings)

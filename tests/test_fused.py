@@ -11,8 +11,9 @@ import interp_oracle
 from asmweave import background, interp
 from asmweave.background import apply_background, background_op
 from asmweave.errors import AsmError
-from asmweave.parser import App, Lit, Var
-from asmweave.state import Signature, State
+from asmweave.interp import Resolver
+from asmweave.parser import App, Lit, Var, pp_term
+from asmweave.state import FuncDecl, FunctionKind, Location, Signature, State
 from asmweave.values import FALSE, TRUE, UNDEF, IntV, StrV, SymV, mkset
 
 FUSED = sorted(name for name, (_, fn) in background._REGISTRY.items() if fn in background.FUSE)
@@ -90,3 +91,84 @@ def test_a_builtin_implementation_under_another_name_is_fused_as_itself(registry
     applied = App("plus", (Var("a"), Var("b")))
     got, called = _calls(lambda: interp.eval_term(applied, STATE, {"a": IntV(2), "b": IntV(5)}))
     assert got is IntV(7) and background_op("+")[1].__code__ not in called
+
+
+# `and`, `or` and `implies` stop at a left operand that decides them when
+# their right operand is total: it can neither raise nor draw, so skipping
+# it changes no value and only leaves out its reads
+
+# the left value that decides each connective alone
+DECIDES = {"and": FALSE, "or": TRUE, "implies": FALSE}
+SIG = Signature((FuncDecl("p", 0, FunctionKind.CONTROLLED),
+                 FuncDecl("q", 0, FunctionKind.CONTROLLED),
+                 FuncDecl("g", 1, FunctionKind.STATIC),
+                 FuncDecl("h", 0, FunctionKind.ABSTRACT, mkset([IntV(1), IntV(2)]))))
+P, Q = App("p"), App("q")
+TOTAL = [Q, Lit(UNDEF), App("not", (Q,)),
+         App("=", (App("g", (App("+", (Q, Lit(IntV(1)))),)), App("and", (Q, Q))))]
+NOT_TOTAL = {"a variable": Var("x"), "an abstract read": App("h"),
+             "an unknown function": App("nosuch", (Q,)), "an arity mismatch": App("q", (Q,)),
+             "a built-in arity mismatch": App("+", (Q,))}
+
+
+def _state(left, right) -> State:
+    return State(SIG, {Location("p"): left, Location("q"): right},
+                 {Location("g", (IntV(4),)): TRUE})
+
+
+def _evaluated(evaluate, term, state, resolver=None):
+    """(value or (error class, message), draws) of `evaluate(term, state)`."""
+    if resolver is not None:
+        resolver.begin_step(state)
+    try:
+        value = evaluate(term, state, {}, resolver)
+    except AsmError as e:
+        value = type(e), str(e)
+    return value, resolver and resolver.end_step()
+
+
+def _recorded(term, state, resolver=None):
+    """`_evaluated` by the compiled closures on a view of `state` that
+    records its reads, as `interp._probe`'s does, and the locations read."""
+    read = {}
+    view = state.derive(interp._Reads(state.content, read))
+    return (*_evaluated(interp.eval_term, term, view, resolver), set(read))
+
+
+@pytest.mark.parametrize("name", DECIDES)
+@pytest.mark.parametrize("right", TOTAL, ids=pp_term)
+def test_a_total_right_operand_is_not_read_once_the_left_decides(name, right):
+    term = App(name, (P, right))
+    for left, value in itertools.product(VALUES, repeat=2):
+        state = _state(left, value)
+        got, _, read = _recorded(term, state)
+        assert got is interp_oracle.eval_term(term, state), (left, value)
+        skipped = set() if left is DECIDES[name] else _recorded(right, state)[2]
+        assert read == {Location("p")} | skipped, (left, value)
+
+
+@pytest.mark.parametrize("name", DECIDES)
+@pytest.mark.parametrize("what", NOT_TOTAL)
+def test_a_right_operand_that_is_not_total_is_still_evaluated(name, what):
+    right = NOT_TOTAL[what]
+    term = App(name, (P, right))
+    for left in (DECIDES[name], UNDEF):
+        state = _state(left, IntV(3))
+        for resolver in (None, Resolver.seeded(5)):
+            value, draws, read = _recorded(term, state, resolver)
+            fresh = None if resolver is None else Resolver.seeded(5)
+            assert (value, draws) == _evaluated(interp_oracle.eval_term, term, state, fresh)
+            # left to right: the left operand, then whatever the right read
+            assert read == {Location("p")} | _recorded(right, state, fresh)[2]
+            # the right operand raised or drew, so it was evaluated
+            assert isinstance(value, tuple) or draws
+
+
+@pytest.mark.parametrize("name", DECIDES)
+def test_a_right_operand_under_a_name_registered_anew_is_evaluated(name, registry):
+    calls = []
+    background.register("<", 2, lambda a, b: calls.append((a, b)) or TRUE)
+    term = App(name, (Lit(DECIDES[name]), App("<", (Q, Lit(IntV(1))))))
+    state = _state(UNDEF, IntV(3))
+    assert _recorded(term, state)[0] is interp_oracle.eval_term(term, state)
+    assert calls == [(IntV(3), IntV(1))] * 2

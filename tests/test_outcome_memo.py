@@ -5,9 +5,9 @@ import random
 
 import pytest
 
-from conftest import MODELS, content_key, load_model
+from conftest import MODELS, SRC, content_key, load_model
 from rulegen import pga_test_machine, pga_test_space, random_agent_machine, random_pga_rule
-from asmweave import interp
+from asmweave import interp, multiagent
 from asmweave.errors import AsmError
 from asmweave.interp import (
     Inconsistent,
@@ -23,9 +23,10 @@ from asmweave.interp import (
 )
 from asmweave.multiagent import agent_successors, explore
 from asmweave.normalform import equivalence_check, normalize
+from asmweave.parser import parse_machine
 from asmweave.scenario import run_suite
 from asmweave.state import Location
-from asmweave.values import IntV
+from asmweave.values import FALSE, TRUE, IntV
 
 BUDGETS = (10_000, 1, 2, 5)
 
@@ -51,10 +52,10 @@ def _summary(progressed, inconsistent, stalled) -> tuple:
              for r in progressed], list(inconsistent), stalled)
 
 
-def _walk(machine, depth: int, budget: int) -> tuple:
+def _walk(machine, depth: int, budget: int, memo=None) -> tuple:
     """Breadth-first over the states `explore` reaches, every expansion
     through one memo checked against the oracle: (expansions, misses)."""
-    memo: dict = {}
+    memo = {} if memo is None else memo
     init = initial_state(machine)
     seen, frontier, expansions = {content_key(init)}, [init], 0
     for _ in range(depth):
@@ -77,9 +78,12 @@ def _walk(machine, depth: int, budget: int) -> tuple:
                         seen.add(content_key(res.next_state))
                         next_frontier.append(res.next_state)
         frontier = next_frontier
-    # a miss adds one row to its agent's memo, a hit none
-    misses = sum(len(table) for entries in memo.values() for table in entries.values())
-    return expansions, misses
+    return expansions, sum(map(_leaves, memo.values()))
+
+
+def _leaves(node) -> int:
+    """The outcomes held in a memo tree: a miss adds one leaf, a hit none."""
+    return sum(map(_leaves, node[1].values())) if isinstance(node, list) else 1
 
 
 @pytest.mark.parametrize("path", sorted(MODELS.glob("*.asm")), ids=lambda p: p.stem)
@@ -103,6 +107,68 @@ def test_memo_agrees_with_the_oracle_on_random_agent_machines():
 def test_ring_states_are_expanded_mostly_from_the_memo():
     expansions, misses = _walk(load_model("ring5.asm"), 6, 10_000)
     assert misses * 10 < expansions
+
+
+# which location the rule reads second depends on the value of the first
+BRANCH = """machine Branch
+  controlled a, b, c, x
+  rule R =
+    par
+      if a then x := b else x := c
+      choose v in {true, false} do a := v
+      choose w in {0, 1} do par b := w c := 1 - w endpar
+    endpar
+  init { a := true b := 0 c := 1 x := 0 }
+  main R"""
+
+
+def test_the_memo_follows_reads_whose_order_depends_on_a_value():
+    machine, memo = parse_machine(BRANCH), {}
+    for budget in BUDGETS[1:]:
+        _walk(machine, 6, budget)
+    expansions, misses = _walk(machine, 6, BUDGETS[0], memo)
+    assert misses < expansions
+    # the states diverge at the first read, and each branch reads on
+    a, b, c = Location("a"), Location("b"), Location("c")
+    (root,) = memo.values()
+    assert root[0] is a and set(root[1]) == {TRUE, FALSE}
+    assert root[1][TRUE][0] is b and root[1][FALSE][0] is c
+
+
+def test_a_path_the_memo_does_not_follow_is_refused():
+    machine = parse_machine(BRANCH)
+    state = initial_state(machine)
+    a, b, c = Location("a"), Location("b"), Location("c")
+    for memo in (
+            # a tree whose root reads another location than the rule reads first
+            {("", "R"): [c, {}]},
+            # one that reads on where the rule's reads end (at a true, b 0)
+            {("", "R"): [a, {TRUE: [b, {IntV(0): [c, {}]}]}]}):
+        with pytest.raises(AssertionError, match="outcome memo"):
+            agent_successors(machine, state, "", "R", 10_000, memo)
+
+
+def _misses(monkeypatch, explore_it) -> int:
+    """The rule evaluations the memo could not spare in `explore_it()`."""
+    calls = []
+    enumerate_moves = multiagent.enumerate_moves
+    monkeypatch.setattr(multiagent, "enumerate_moves",
+                        lambda *args, **kw: calls.append(1) or enumerate_moves(*args, **kw))
+    explore_it()
+    monkeypatch.undo()
+    return len(calls)
+
+
+def test_the_memo_misses_of_ring_searches_are_pinned(monkeypatch, tmp_path):
+    """A change that widens what a rule reads, or how the memo looks reads
+    up, shows here as a count, not only as a time."""
+    ring5 = load_model("ring5.asm")
+    assert _misses(monkeypatch, lambda: explore(ring5, 12)) == 36
+    monkeypatch.syspath_prepend(str(SRC.parent / "bench"))
+    import workloads
+
+    ops = workloads.setup_explore_ring(7, tmp_path, workloads.Loader())
+    assert [_misses(monkeypatch, op.run) for op in ops] == [19, 19, 19, 16, 16, 14]
 
 
 def test_a_miss_leaves_the_anonymous_agents_state_alone():

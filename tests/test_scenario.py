@@ -4,6 +4,7 @@ from conftest import MODELS, model_path
 from asmweave.errors import ManifestError
 from asmweave.interp import (Resolver, ScriptedOrder, Synchronous, Trace, export_trace_jsonl,
                              ma_run)
+from asmweave import scenario
 from asmweave.parser import parse_machine, read_source
 from asmweave.scenario import parse_scenario, run_scenario, run_suite, skeleton
 
@@ -24,6 +25,22 @@ def test_a_scenario_reads_the_states_of_its_run_once(monkeypatch):
     report = run_scenario(GREEN / "ring_quiesce.scn")
     assert report.passed and len(report.results) > 1
     assert len(reads) == 1
+
+
+def test_a_suite_parses_each_machine_file_once(monkeypatch):
+    parsed = []
+    parse = scenario.parse_machine
+    monkeypatch.setattr(scenario, "parse_machine", lambda text: parsed.append(text) or parse(text))
+    suite = run_suite(GREEN)
+    # five scenarios over four files: two name ring3.asm
+    assert len(suite.reports) == 5 and len(parsed) == 4
+    # each report is the one its scenario gives alone, with a parse of its own
+    for path, report in zip(sorted(GREEN.glob("*.scn")), suite.reports):
+        alone = run_scenario(path)
+        assert (alone.name, alone.results, alone.warnings, alone.error) == (
+            report.name, report.results, report.warnings, report.error)
+        assert export_trace_jsonl(alone.trace) == export_trace_jsonl(report.trace)
+    assert len(parsed) == 9
 
 
 def test_wrong_expectation_fails_with_witness():

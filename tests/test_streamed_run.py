@@ -22,6 +22,10 @@ FAILS = ("machine Fails controlled x, y rule R = par x := x + 1 "
          "if x = 3 then choose v in x do y := v endpar init { x := 0 } main R")
 
 
+# what `run --agents single` adds after an error on a machine with agents
+SINGLE_NOTE = "note: --agents single runs the rule as the anonymous agent, which has no self\n"
+
+
 def _runs():
     """(model file, seed, --agents mode) of every bundled model at seeds 0,
     1 and 3, in every mode: a machine without agents runs as the anonymous
@@ -54,10 +58,12 @@ def test_a_streamed_trace_file_is_the_export_of_the_kept_trace(tmp_path, capsys,
     status = cli.main(["run", str(path), "--steps", "25", "--seed", str(seed),
                        "--agents", mode, "--trace", str(out)])
     printed = capsys.readouterr()
+    machine = parse_machine(path.read_text(encoding="utf-8"))
     try:
-        trace = _kept_trace(parse_machine(path.read_text(encoding="utf-8")), 25, seed, mode)
+        trace = _kept_trace(machine, 25, seed, mode)
     except AsmError as e:  # a ring's rule run as the anonymous agent reads an unbound `self`
-        assert (status, printed.out, printed.err) == (1, "", f"error: {e}\n")
+        assert machine.agents and mode == "single"
+        assert (status, printed.out, printed.err) == (1, "", f"error: {e}\n{SINGLE_NOTE}")
         assert not out.exists()
         return
     assert out.read_bytes() == export_trace_jsonl(trace).encode("utf-8")
